@@ -1,25 +1,26 @@
-"""Monotone solution bounds from bordered block matrices.
+"""Monotone solution bounds, read off the solver's own fixed-point iterates.
 
-The lower ladder grows a block matrix one n x n border at a time,
+Let Y_k(C) be the k-th iterate of Y <- I - C* conj(Y)^-1 C from Y_0 = I.
+With C = A it decreases onto the maximal solution X+ and stays above every
+solution; with C = A* it decreases onto the dual maximal solution, which
+Y -> I - conj(Y) maps to the minimal solution X-.  Hence the ladders
 
-    H_1 = I,    H_{k+1} = [[H_k, R*], [R, I]],
-    R = [0 ... 0, A]        for odd k,
-    R = [0 ... 0, conj(A)]  for even k,
+    upper  R_k = Y_k(A)  (refused for singular A),   lower  S_k = I - conj(Y_k(A*)),
 
-and reads off a lower bound S_k on every positive definite solution as the
-Schur-complement quadratic form of the corner vector [0; ...; 0; A^T]
-against H_k (even k) or conj(H_k) (odd k).  The upper ladder G_k swaps the
-roles of A and A* and yields upper bounds R_k = I - (quadratic form); it
-needs a nonsingular coefficient.  S_k is nondecreasing and R_k nonincreasing
-in k, and every solution sits strictly between them.
+with S_1 <= ... <= S_k <= X- <= X <= X+ <= R_k <= ... <= R_1 for every
+positive definite solution X.  The rungs equal the Schur-complement forms
+of the bordered blocks in :attr:`BoundsLadder.ladder_blocks`; the first
+three have the closed forms of :func:`closed_form_bounds`.
 
-Each rung is factored once by Cholesky (which doubles as the positive
-definiteness check the theory guarantees on solvable instances) and the
-quadratic form is computed by a block solve, never by forming an inverse.
-A rung whose pivots go negative certifies that no positive definite solution
-exists; a rung that is positive but falls below the pivot floor stops the
-ladder early with a truncation marker, since deep rungs are known to erode
-numerically.
+Rung k inverts Y_{k-1} after the solver's pivot check on it (smallest
+Cholesky pivot over trace/n).  A margin <= 0 certifies that no positive
+definite solution exists and raises :class:`LadderBreakdown` with
+``rung = k``; a positive margin below the floor stops the ladder with
+``truncated_at = k``, keeping rungs 1..k-1.
+
+A right-hand side Q runs the recurrence on a_q of :func:`normalize_q` and
+maps each rung back by X = q^(1/2) Y q^(1/2); the congruence preserves the
+Loewner order, so the rungs bound every solution of the Q equation.
 """
 
 from __future__ import annotations
@@ -29,22 +30,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import (
-    ConricError,
     DEFAULT_TOLERANCES,
     Tolerances,
     adjoint,
-    cholesky_solve,
     cmatrix,
     conj,
     hermitian_eigen,
     pd_solve,
     transpose,
-    _cholesky_lower,
     _require_square,
 )
 from .solver import (
+    NoSolutionEvidence,
     ProblemInstance,
+    _cone_step,
     _require_nonsingular,
+    normalize_q,
     solve_maximal,
     solve_minimal,
 )
@@ -53,15 +54,15 @@ from .solver import (
 DEFAULT_DEPTH = 6
 
 
-class LadderBreakdown(ConricError):
-    """A ladder block lost positive definiteness.
+class LadderBreakdown(NoSolutionEvidence):
+    """A ladder iterate left the positive definite cone.
 
     On exact arithmetic this certifies that the equation has no positive
-    definite solution.
+    definite solution.  ``rung`` is the rung that would have inverted it.
     """
 
     def __init__(self, message: str, rung: int):
-        super().__init__(message)
+        super().__init__(message, iterations=rung - 1)
         self.rung = rung
 
 
@@ -71,16 +72,32 @@ class BoundsLadder:
 
     monotone_gaps[k] is the smallest eigenvalue of the difference between
     consecutive bounds oriented so that nonnegative means monotone;
-    ladder_blocks keeps the bordered block matrices for audit.  truncated_at
-    is set when a rung fell below the pivot floor while still positive.
+    coefficient is the a_q the recurrence ran on.  truncated_at is set when
+    an iterate fell below the pivot floor while still positive.
     """
 
     side: str
     depth: int
     matrices: list[np.ndarray]
     monotone_gaps: list[float]
-    ladder_blocks: list[np.ndarray]
+    coefficient: np.ndarray
     truncated_at: int | None = None
+
+    @property
+    def ladder_blocks(self) -> list[np.ndarray]:
+        """Bordered blocks H_1 = I, H_{k+1} = [[H_k, B*], [B, I]] of a_q, for audit.
+
+        B = [0 ... 0, b_k], b_k alternating A, conj(A) (lower) or A*, A^T (upper).
+        """
+        a = self.coefficient
+        n = a.shape[0]
+        borders = (a, conj(a)) if self.side == "lower" else (adjoint(a), transpose(a))
+        h = np.eye(self.depth * n, dtype=np.complex128)
+        for k in range(1, self.depth):
+            b = borders[(k + 1) % 2]
+            h[k * n : (k + 1) * n, (k - 1) * n : k * n] = b
+            h[(k - 1) * n : k * n, k * n : (k + 1) * n] = adjoint(b)
+        return [h[: k * n, : k * n].copy() for k in range(1, self.depth + 1)]
 
 
 def _min_eig(h: np.ndarray) -> float:
@@ -93,72 +110,40 @@ def build_ladder(
     side: str,
     depth: int = DEFAULT_DEPTH,
     tol: Tolerances = DEFAULT_TOLERANCES,
+    q=None,
 ) -> BoundsLadder:
-    """Construct the bound ladder of the requested side down to ``depth``."""
+    """Bound ladder of the requested side down to ``depth``; ``q`` None means Q = I."""
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    a = _require_square(cmatrix(a), "build_ladder")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
+    p = ProblemInstance(a, q, tol)
+    if side == "upper":
+        _require_nonsingular(p.a, tol, "upper bound ladder")
+    mapping = normalize_q(p)
+    coeff = mapping.a_q if side == "upper" else adjoint(mapping.a_q)
+    eye = np.eye(p.n, dtype=np.complex128)
 
-    if side == "lower":
-        odd_border, even_border = a, conj(a)
-        corner = transpose(a)
-        # odd rungs read the conjugated block matrix
-        conjugate_on_odd = True
-    else:
-        _require_nonsingular(a, tol, "upper bound ladder")
-        odd_border, even_border = adjoint(a), transpose(a)
-        corner = a.copy()
-        conjugate_on_odd = False
-
-    block = eye.copy()
+    y = eye
     matrices: list[np.ndarray] = []
-    blocks: list[np.ndarray] = []
     truncated_at: int | None = None
-
     for k in range(1, depth + 1):
-        blocks.append(block.copy())
-        use_conj = (k % 2 == 1) == conjugate_on_odd
-        target = np.conj(block) if use_conj else block
-        target = (target + target.conj().T) / 2.0
-        lower_factor, margin = _cholesky_lower(target, tol)
-        if lower_factor is None:
+        y_next, margin = _cone_step(y, coeff, True, tol)
+        if y_next is None:
             if margin <= 0.0:
                 raise LadderBreakdown(
-                    f"ladder block {k} is not positive definite "
+                    f"ladder iterate {k - 1} is not positive definite "
                     f"(pivot margin {margin:.3e}); no positive definite solution exists",
                     rung=k,
                 )
             truncated_at = k
-            blocks.pop()
             break
-        u = np.zeros((k * n, n), dtype=np.complex128)
-        u[(k - 1) * n :, :] = corner
-        z = cholesky_solve(lower_factor, u)
-        form = adjoint(u) @ z
-        form = (form + form.conj().T) / 2.0
-        rung = form if side == "lower" else eye - form
-        matrices.append((rung + rung.conj().T) / 2.0)
+        y = y_next
+        matrices.append(mapping.back(y if side == "upper" else eye - np.conj(y)))
 
-        if k < depth:
-            border = odd_border if k % 2 == 1 else even_border
-            grown = np.zeros(((k + 1) * n, (k + 1) * n), dtype=np.complex128)
-            grown[: k * n, : k * n] = block
-            grown[k * n :, k * n :] = eye
-            grown[k * n :, (k - 1) * n : k * n] = border
-            grown[(k - 1) * n : k * n, k * n :] = adjoint(border)
-            block = grown
-
-    gaps = []
-    for k in range(len(matrices) - 1):
-        diff = matrices[k + 1] - matrices[k]
-        if side == "upper":
-            diff = -diff
-        gaps.append(_min_eig(diff))
-    return BoundsLadder(side, len(matrices), matrices, gaps, blocks, truncated_at)
+    sign = -1.0 if side == "upper" else 1.0
+    gaps = [_min_eig(sign * (later - earlier)) for earlier, later in zip(matrices, matrices[1:])]
+    return BoundsLadder(side, len(matrices), matrices, gaps, mapping.a_q, truncated_at)
 
 
 def closed_form_bounds(a, which: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -215,19 +200,30 @@ class SandwichReport:
     consistent: bool
 
 
-def sandwich_report(a, depth: int = DEFAULT_DEPTH, tol: Tolerances = DEFAULT_TOLERANCES) -> SandwichReport:
+def sandwich_report(
+    a,
+    depth: int = DEFAULT_DEPTH,
+    tol: Tolerances = DEFAULT_TOLERANCES,
+    q=None,
+    *,
+    lower: BoundsLadder | None = None,
+    upper: BoundsLadder | None = None,
+) -> SandwichReport:
     """Bound both extremal solutions by ladders of the given depth.
 
-    Needs a solvable instance with nonsingular coefficient so that the
-    minimal solution and the upper ladder both exist.  The lower trend is
-    reported without any claim about where S_k converges.
+    ``q`` None means Q = I; ``lower``/``upper`` reuse ladders already built
+    for the same instance and depth.  Needs a solvable instance with
+    nonsingular coefficient so that the minimal solution and the upper
+    ladder both exist.  The lower trend is reported without any claim about
+    where S_k converges.
     """
-    a = _require_square(cmatrix(a), "sandwich_report")
-    instance = ProblemInstance(a, None, tol)
+    instance = ProblemInstance(a, q, tol)
     x_plus = solve_maximal(instance).solution
     x_minus = solve_minimal(instance).solution
-    lower = build_ladder(a, "lower", depth, tol)
-    upper = build_ladder(a, "upper", depth, tol)
+    if lower is None:
+        lower = build_ladder(instance.a, "lower", depth, tol, instance.q)
+    if upper is None:
+        upper = build_ladder(instance.a, "upper", depth, tol, instance.q)
     lower_gap = _min_eig(x_minus - lower.matrices[-1])
     upper_gap = _min_eig(upper.matrices[-1] - x_plus)
     trend = lower.monotone_gaps[-2:]

@@ -32,6 +32,7 @@ from .solver import (
     NoSolutionEvidence,
     ProblemInstance,
     SingularCoefficient,
+    normalize_q,
     solve_maximal,
     solve_minimal,
 )
@@ -210,19 +211,11 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _effective_unit_coefficient(instance: ProblemInstance) -> np.ndarray:
-    if _is_identity(instance.q):
-        return instance.a
-    from .solver import normalize_q
-
-    return normalize_q(instance).a_q
-
-
 def cmd_solve(args) -> int:
     tol = _build_tolerances(args)
     instance = _load_instance(args, tol)
     report = _base_report(args, tol)
-    existence = check_existence(_effective_unit_coefficient(instance), tol)
+    existence = check_existence(normalize_q(instance).a_q, tol)
     report["existence"] = _existence_json(existence)
     if existence.verdict == "not_exists":
         failed = [c.name for c in existence.necessary_failures()]
@@ -268,18 +261,23 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _is_identity(q: np.ndarray) -> bool:
-    return bool(np.array_equal(q, np.eye(q.shape[0], dtype=np.complex128)))
-
-
 def cmd_check(args) -> int:
     tol = _build_tolerances(args)
     instance = _load_instance(args, tol)
     report = _base_report(args, tol)
-    report["existence"] = _existence_json(check_existence(_effective_unit_coefficient(instance), tol))
+    report["existence"] = _existence_json(check_existence(normalize_q(instance).a_q, tol))
     report["exit_classification"] = "success"
     _emit(report, args)
     return EXIT_OK
+
+
+def _ladder_json(ladder) -> dict:
+    return {
+        "depth": ladder.depth,
+        "matrices": [_mat_json(m) for m in ladder.matrices],
+        "monotone_gaps": ladder.monotone_gaps,
+        "truncated_at": ladder.truncated_at,
+    }
 
 
 def cmd_bounds(args) -> int:
@@ -287,34 +285,25 @@ def cmd_bounds(args) -> int:
     instance = _load_instance(args, tol)
     report = _base_report(args, tol)
     try:
-        lower = build_ladder(instance.a, "lower", args.depth, tol)
+        lower = build_ladder(instance.a, "lower", args.depth, tol, instance.q)
     except LadderBreakdown as exc:
         report["exit_classification"] = "no-solution-evidence"
         report["error"] = str(exc)
         _emit(report, args)
         return EXIT_NO_SOLUTION
-    ladders = {
-        "lower": {
-            "depth": lower.depth,
-            "matrices": [_mat_json(m) for m in lower.matrices],
-            "monotone_gaps": lower.monotone_gaps,
-            "truncated_at": lower.truncated_at,
-        }
-    }
+    ladders = {"lower": _ladder_json(lower)}
+    upper = None
     try:
-        upper = build_ladder(instance.a, "upper", args.depth, tol)
-        ladders["upper"] = {
-            "depth": upper.depth,
-            "matrices": [_mat_json(m) for m in upper.matrices],
-            "monotone_gaps": upper.monotone_gaps,
-            "truncated_at": upper.truncated_at,
-        }
+        upper = build_ladder(instance.a, "upper", args.depth, tol, instance.q)
+        ladders["upper"] = _ladder_json(upper)
     except (SingularCoefficient, LadderBreakdown) as exc:
         ladders["upper"] = None
         ladders["upper_note"] = str(exc)
     report["ladders"] = ladders
     try:
-        sandwich = sandwich_report(instance.a, args.depth, tol)
+        sandwich = sandwich_report(
+            instance.a, args.depth, tol, instance.q, lower=lower, upper=upper
+        )
         report["sandwich"] = {
             "lower_gap": sandwich.lower_gap,
             "upper_gap": sandwich.upper_gap,

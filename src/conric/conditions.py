@@ -32,6 +32,7 @@ from .kernel import (
     numerical_radius,
     op_norm_2,
     spectral_radius,
+    _nonsingular,
     _require_square,
 )
 from .solver import (
@@ -76,13 +77,6 @@ class ExistenceReport:
         return [c for c in self.necessary if c.margin < -BAND]
 
 
-def _is_invertible(a: np.ndarray, tol: Tolerances) -> bool:
-    gram = a.conj().T @ a
-    w, _ = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    smallest = np.sqrt(max(float(w[0]), 0.0))
-    return smallest > tol.pd_floor * op_norm_2(a)
-
-
 def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     """Evaluate all existence conditions for the unit right-hand side equation.
 
@@ -113,7 +107,7 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     sufficient = ConditionCheck("norm_le_half", norm_a <= 0.5, 0.5 - norm_a)
 
     exact: ConditionCheck | None = None
-    if _is_invertible(a, tol):
+    if _nonsingular(a, tol)[0]:
         omega = numerical_radius(lozenge(a), tol)
         exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
 
@@ -155,10 +149,8 @@ def con_normal_closed_form(
         )
     gram = adjoint(a) @ a
     w, v = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    if want == "minimal":
-        smallest = np.sqrt(max(float(w[0]), 0.0))
-        if smallest <= tol.pd_floor * norm_a:
-            raise SingularCoefficient("minimal closed form needs a nonsingular coefficient")
+    if want == "minimal" and not _nonsingular(a, tol)[0]:
+        raise SingularCoefficient("minimal closed form needs a nonsingular coefficient")
     disc = np.sqrt(np.clip(1.0 - 4.0 * w, 0.0, None))
     eigs = (1.0 + disc) / 2.0 if want == "maximal" else (1.0 - disc) / 2.0
     x = (v * eigs) @ v.conj().T

@@ -324,6 +324,16 @@ def is_positive_definite(h, tol: Tolerances = DEFAULT_TOLERANCES) -> CheckResult
     return CheckResult(lower is not None, margin)
 
 
+def _nonsingular(a: np.ndarray, tol: Tolerances) -> tuple[bool, float]:
+    """(sigma_min > pd_floor * sigma_max, sigma_min) from the singular values.
+
+    Not from the eigenvalues of A*A, whose square root bottoms out near 1e-8 ||A||.
+    """
+    s = np.linalg.svd(a, compute_uv=False)
+    smallest = float(s[-1])
+    return smallest > tol.pd_floor * float(s[0]), smallest
+
+
 def pd_cholesky(h, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Cholesky factor of a Hermitian positive definite matrix."""
     h = _require_hermitian(h, "pd_cholesky")

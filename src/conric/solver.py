@@ -31,11 +31,11 @@ from .kernel import (
     Tolerances,
     adjoint,
     cmatrix,
-    hermitian_eigen,
     is_positive_definite,
     mat_inverse,
     op_norm_2,
     psd_sqrt,
+    _nonsingular,
     _require_square,
 )
 
@@ -148,6 +148,27 @@ def normalize_q(p: ProblemInstance) -> QNormalization:
     return QNormalization(a_q, root)
 
 
+def _update(w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool, tol: Tolerances) -> np.ndarray:
+    """The map W -> I - C* inner(W)^-1 C, inner the identity or the entrywise conjugate."""
+    inner = np.conj(w) if conjugate_iterate else w
+    eye = np.eye(coeff.shape[0], dtype=np.complex128)
+    return eye - adjoint(coeff) @ mat_inverse(inner, tol) @ coeff
+
+
+def _cone_step(
+    w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool, tol: Tolerances
+) -> tuple[np.ndarray | None, float]:
+    """Pivot-check W, then take one symmetrised step; (None, margin) if W fails the floor.
+
+    The solver loop and the bound ladders both step through here.
+    """
+    ok, margin = is_positive_definite(w, tol)
+    if not ok:
+        return None, margin
+    w_next = _update(w, coeff, conjugate_iterate, tol)
+    return (w_next + w_next.conj().T) / 2.0, margin
+
+
 def _fixed_point_generic(
     coeff: np.ndarray,
     conjugate_iterate: bool,
@@ -156,28 +177,18 @@ def _fixed_point_generic(
     observer: Callable[[np.ndarray], None] | None,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, list[float], float]:
-    n = coeff.shape[0]
-    ch = adjoint(coeff)
-    eye = np.eye(n, dtype=np.complex128)
-
-    def update(w: np.ndarray) -> np.ndarray:
-        inner = np.conj(w) if conjugate_iterate else w
-        return eye - ch @ mat_inverse(inner, tol) @ coeff
-
-    w = eye.copy()
+    w = np.eye(coeff.shape[0], dtype=np.complex128)
     if observer is not None:
         observer(w)
     trace: list[float] = []
     for k in range(1, tol.max_iter + 1):
-        ok, margin = is_positive_definite(w, tol)
-        if not ok:
+        w_next, margin = _cone_step(w, coeff, conjugate_iterate, tol)
+        if w_next is None:
             raise NoSolutionEvidence(
                 f"iterate {k - 1} lost positive definiteness (pivot margin {margin:.3e})",
                 iterations=k - 1,
                 trace=trace,
             )
-        w_next = update(w)
-        w_next = (w_next + w_next.conj().T) / 2.0
         change = op_norm_2(w_next - w)
         if keep_trace:
             trace.append(change)
@@ -185,7 +196,7 @@ def _fixed_point_generic(
             observer(w_next)
         if change <= tol.stop_rel * op_norm_2(w):
             # the equation defect of an iterate equals its next update step
-            res = op_norm_2(w_next - update(w_next))
+            res = op_norm_2(w_next - _update(w_next, coeff, conjugate_iterate, tol))
             if res <= residual_tol:
                 return w_next, k, trace, res
         w = w_next
@@ -427,10 +438,8 @@ def solve_maximal(
 
 
 def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
-    gram = a.conj().T @ a
-    w, _ = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    smallest = np.sqrt(max(float(w[0]), 0.0))
-    if smallest <= tol.pd_floor * op_norm_2(a):
+    ok, smallest = _nonsingular(a, tol)
+    if not ok:
         raise SingularCoefficient(
             f"{who} needs a nonsingular coefficient (smallest singular value {smallest:.3e})"
         )

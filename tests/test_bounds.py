@@ -7,17 +7,22 @@ from conric.bounds import (
     closed_form_bounds,
     sandwich_report,
 )
+from conric.embedding import lozenge, unheart
 from conric.kernel import NotPositiveDefiniteError, adjoint
 from conric.solver import (
     ProblemInstance,
     SingularCoefficient,
     solve_maximal,
     solve_minimal,
+    standard_solve_maximal,
 )
 from helpers import (
     EX1_A,
+    random_complex,
     random_nonsingular_solvable,
+    random_psd,
     random_solvable,
+    random_unitary,
     random_well_conditioned_solvable,
     scalar_ladder,
 )
@@ -85,6 +90,55 @@ class TestBuildLadder:
             build_ladder(EX1_A, "lower", 0)
 
 
+class TestRecurrence:
+    """Oracle-free identities: the rungs are the solver's own iterates."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_rungs_are_embedded_iterates(self, rng, n):
+        # R_k = Y_k(A) and S_k = I - conj(Y_k(A*)), Y_k read off the real embedding
+        a = random_nonsingular_solvable(rng, n, min_norm=0.3)
+        eye = np.eye(n)
+        for side, coeff in (("upper", a), ("lower", adjoint(a))):
+            iterates = []
+            standard_solve_maximal(lozenge(coeff), observer=iterates.append)
+            depth = min(8, len(iterates) - 1)
+            ladder = build_ladder(a, side, depth)
+            assert ladder.depth == depth
+            for k, rung in enumerate(ladder.matrices, start=1):
+                y = unheart(iterates[k])
+                expected = y if side == "upper" else eye - np.conj(y)
+                assert np.abs(rung - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    def test_q_congruence(self, rng, with_q):
+        # (A, Q) -> (P^T A P, P* Q P) maps every solution X to P* X P, and
+        # every rung of both ladders the same way
+        n = 3
+        a = random_nonsingular_solvable(rng, n)
+        q = random_psd(rng, n) + np.eye(n) if with_q else None
+        p = np.eye(n) + 0.2 * random_complex(rng, n)
+        q_moved = p.conj().T @ (np.eye(n) if q is None else q) @ p
+        for side in ("lower", "upper"):
+            base = build_ladder(a, side, 6, q=q)
+            moved = build_ladder(p.T @ a @ p, side, 6, q=q_moved)
+            assert moved.depth == base.depth == 6
+            for r0, r1 in zip(base.matrices, moved.matrices):
+                expected = p.conj().T @ r0 @ p
+                assert np.abs(r1 - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_q_none_is_identity(self, rng):
+        a = random_nonsingular_solvable(rng, 3)
+        for side in ("lower", "upper"):
+            unit = build_ladder(a, side, 4)
+            explicit = build_ladder(a, side, 4, q=np.eye(3))
+            for r0, r1 in zip(unit.matrices, explicit.matrices):
+                assert np.array_equal(r0, r1)
+
+    def test_rejects_indefinite_q(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            build_ladder(EX1_A, "lower", 2, q=-np.eye(2))
+
+
 class TestClosedForms:
     def test_first_lower_rung_example(self):
         expected = np.conj(EX1_A @ adjoint(EX1_A))
@@ -143,6 +197,21 @@ class TestDomination:
             for rung in lower.matrices:
                 assert min_eig(lo - rung) > 0.0
             for rung in upper.matrices:
+                assert min_eig(rung - hi) > 0.0
+
+    def test_solutions_inside_q_ladder(self, rng):
+        # a Q with spectrum in [1, 1.2] keeps the singular values of a_q
+        # above 0.2, so the strict gaps stay above rounding as well
+        for _ in range(4):
+            a = random_well_conditioned_solvable(rng, 2)
+            u = random_unitary(rng, 2)
+            q = (u * rng.uniform(1.0, 1.2, size=2)) @ u.conj().T
+            p = ProblemInstance(a, q)
+            hi = solve_maximal(p).solution
+            lo = solve_minimal(p).solution
+            for rung in build_ladder(a, "lower", 5, q=q).matrices:
+                assert min_eig(lo - rung) > 0.0
+            for rung in build_ladder(a, "upper", 5, q=q).matrices:
                 assert min_eig(rung - hi) > 0.0
 
 

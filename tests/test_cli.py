@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +219,28 @@ class TestBoundsCommand:
     def test_breakdown_exits_two(self, tmp_path, capsys):
         path = write_json_instance(tmp_path / "big.json", 0.8 * np.eye(2))
         assert main(["bounds", str(path), "--no-meta"]) == 2
+
+    def test_ladders_bound_the_q_equation(self, tmp_path, capsys):
+        demo = Path(__file__).resolve().parents[1] / "scripts" / "demo_2x2.json"
+        q_path = write_json_instance(tmp_path / "q.json", np.diag([3.0, 2.0]))
+
+        def run(*command):
+            assert main([*command, str(demo), "--q", str(q_path), "--no-meta"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        def matrix(doc):
+            return np.array(doc["re"]) + 1j * np.array(doc["im"])
+
+        def min_eig(h):
+            return np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]
+
+        outcome = run("solve", "--minimal")["outcome"]
+        report = run("bounds")
+        s_k = matrix(report["ladders"]["lower"]["matrices"][-1])
+        r_k = matrix(report["ladders"]["upper"]["matrices"][-1])
+        assert min_eig(matrix(outcome["x_minus"]) - s_k) >= -1e-10
+        assert min_eig(r_k - matrix(outcome["x_plus"])) >= -1e-10
+        assert report["sandwich"]["consistent"] is True
 
 
 class TestTraceCommand:

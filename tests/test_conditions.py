@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conric.bounds import build_ladder
 from conric.conditions import (
     BAND,
     NormExceedsHalf,
@@ -153,6 +154,20 @@ class TestCrossValidate:
         assert result.solver_succeeded
         assert result.outcome.residual <= 1e-9
         assert result.consistent
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_rank_deficient_coefficient_is_singular(rng, n):
+    # A*A squares the singular values, so an eigenvalue test on it resolves
+    # sigma_min only down to about 1e-8 ||A|| and passes such A as invertible
+    for _ in range(4):
+        a = random_complex(rng, n, n - 1) @ random_complex(rng, n - 1, n)
+        a *= 0.3 / np.linalg.norm(a, 2)
+        assert check_existence(a).exact_invertible is None
+        with pytest.raises(SingularCoefficient):
+            solve_minimal(ProblemInstance(a))
+        with pytest.raises(SingularCoefficient):
+            build_ladder(a, "upper", 2)
 
 
 class TestSoundnessSweeps:
