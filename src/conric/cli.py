@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -187,9 +188,37 @@ def _base_report(args, tol: Tolerances) -> dict:
     return report
 
 
+def _indented_json(value, level: int = 0) -> str:
+    """The bytes of json.dumps(value, indent=2) for a report.
+
+    The standard library's indenting encoder is pure Python.  Here a list of
+    non-empty float lists (a matrix from _mat_json) is encoded by one call to
+    the C encoder and re-indented by string replacement, which is safe
+    because the repr of a float contains neither ", " nor "[".
+    """
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    outer = "\n" + "  " * level
+    inner = outer + "  "
+    if isinstance(value, dict):
+        items = [
+            f"{json.dumps(key)}: {_indented_json(item, level + 1)}" for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if all(type(row) is list and row for row in value) and set(
+        map(type, itertools.chain.from_iterable(value))
+    ) == {float}:
+        deep = inner + "  "
+        body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deep}")
+        body = body.replace(", ", "," + deep)
+        return f"[{inner}[{deep}{body}{inner}]{outer}]"
+    items = [_indented_json(item, level + 1) for item in value]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(report, indent=2, sort_keys=False) + "\n"
+        text = _indented_json(report) + "\n"
     else:
         lines: list[str] = []
 

@@ -7,7 +7,8 @@ Three layers of evidence, strongest applicable one wins:
 * for invertible A the exact criterion omega(lozenge(A)) <= 1/2.
 
 Every threshold comparison carries a classification band (1e-8, widened to
-1e-4 for the numerical radius whose grid search has a known bias bound), and
+1e-4 for the numerical radius, whose grid search is biased low: angles
+2 pi / omega_grid apart, refined by golden section around the best one), and
 within-band instances come back "undetermined" instead of being forced to a
 boolean: boundary instances such as ||A|| exactly 1/2 are legitimately
 solvable and must not be misclassified by rounding.

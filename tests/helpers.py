@@ -103,3 +103,35 @@ def scalar_ladder(a: complex, depth: int) -> tuple[list[float], list[float]]:
         lower.append(mag2 / (1.0 - lower[-1]))
     upper = [1.0 - s for s in lower]
     return lower, upper
+
+
+def numerical_radius_loop(
+    a: np.ndarray, omega_grid: int = 1024, refine_tol: float = 1e-10
+) -> float:
+    """Slow reference numerical radius: one eigvalsh call per angle.
+
+    ``omega_grid`` angles over the whole circle, then ternary refinement
+    around the best sample; the value is the largest top eigenvalue seen.
+    """
+    adj = a.conj().T
+
+    def top(theta: float) -> float:
+        z = complex(np.cos(theta), np.sin(theta))
+        return float(np.linalg.eigvalsh((z * a + z.conjugate() * adj) / 2.0)[-1])
+
+    step = 2.0 * np.pi / omega_grid
+    angles = np.arange(omega_grid) * step
+    values = [top(t) for t in angles]
+    i = int(np.argmax(values))
+    best = values[i]
+    lo, hi = angles[i] - step, angles[i] + step
+    while hi - lo > refine_tol:
+        m1 = lo + (hi - lo) / 3.0
+        m2 = hi - (hi - lo) / 3.0
+        f1, f2 = top(m1), top(m2)
+        best = max(best, f1, f2)
+        if f1 < f2:
+            lo = m1
+        else:
+            hi = m2
+    return best

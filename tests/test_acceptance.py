@@ -72,6 +72,7 @@ def test_criterion_01_example_maximal_solution():
     )
 
 
+@pytest.mark.slow
 def test_criterion_02_standard_equation_contrast():
     # numerical radius of this coefficient sits exactly on the classical
     # equation's existence boundary, so the plain iteration converges like

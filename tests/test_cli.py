@@ -1,10 +1,16 @@
+import io
 import json
+import math
+from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conric.cli import main
+from conric.cli import _emit, main
 from conric.solver import ProblemInstance, residual
 from helpers import EX1_A, EX1_X_PLUS
 
@@ -241,6 +247,58 @@ class TestBoundsCommand:
         assert min_eig(matrix(outcome["x_minus"]) - s_k) >= -1e-10
         assert min_eig(r_k - matrix(outcome["x_plus"])) >= -1e-10
         assert report["sandwich"]["consistent"] is True
+
+
+class TestJsonReports:
+    """JSON reports are exactly json.dumps(report, indent=2) plus a newline."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["solve", "--minimal"], ["check"], ["bounds", "--depth", "5"], ["bounds"]],
+    )
+    @pytest.mark.parametrize("q", [None, np.diag([3.0, 2.0])])
+    def test_real_reports(self, tmp_path, capsys, command, q):
+        path = write_json_instance(tmp_path / "a.json", -EX1_A / 1.5, q=q)
+        main([command[0], str(path), *command[1:], "--no-meta"])
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_failure_report(self, tmp_path, capsys):
+        path = write_json_instance(tmp_path / "big.json", 0.8 * np.eye(2))
+        assert main(["solve", str(path), "--no-meta"]) == 2
+        text = capsys.readouterr().out
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_edge_values(self, capsys):
+        report = {
+            "empty_list": [],
+            "empty_dict": {},
+            "empty_rows": [[], []],
+            "none": None,
+            "flags": [True, False],
+            "grid": [[math.nan, -0.0], [math.inf, -math.inf]],
+            "ragged": [[1.0], [2.0, 3.0]],
+            "mixed_row": [[1.0, 2]],
+            "names": ["r\u00e9sum\u00e9, [x]", "\u03c9 \u2264 1/2"],
+            "nested": {"m": {"re": [[0.1]], "im": [[-0.0]]}, "depth": 3},
+        }
+        _emit(report, SimpleNamespace(format="json", out=None))
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    @given(
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda children: st.lists(children, max_size=4)
+            | st.lists(st.lists(st.floats(), max_size=3), max_size=3)
+            | st.dictionaries(st.text(max_size=5), children, max_size=4),
+            max_leaves=20,
+        )
+    )
+    def test_any_json_value(self, value):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            _emit({"value": value}, SimpleNamespace(format="json", out=None))
+        assert out.getvalue() == json.dumps({"value": value}, indent=2) + "\n"
 
 
 class TestTraceCommand:

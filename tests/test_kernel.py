@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conric import kernel
+from conric.embedding import lozenge
 from conric.kernel import (
+    TOLERANCE_PROFILES,
     DimensionError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -29,6 +32,7 @@ from helpers import (
     EX1_A,
     EX1_AAH_EIGS,
     EX1_NORM,
+    numerical_radius_loop,
     random_complex,
     random_hermitian,
     random_psd,
@@ -216,6 +220,19 @@ class TestSpectralRadius:
         a = sampled(seed, n)
         assert spectral_radius(a) <= op_norm_2(a) + 1e-8
 
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    def test_non_normal_unit_modulus_spectrum(self, rng, n):
+        # S T S^-1 with T upper triangular and distinct unit-modulus diagonal:
+        # powers neither grow nor settle, which norm-based estimates resolve
+        # only to about 1e-8
+        t = np.triu(random_complex(rng, n), 1) + np.diag(
+            np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
+        )
+        s = random_unitary(rng, n) @ np.diag(rng.uniform(1.0, 2.0, size=n)) @ random_unitary(rng, n)
+        m = s @ t @ np.linalg.inv(s)
+        oracle = float(np.abs(np.linalg.eigvals(m)).max())
+        assert spectral_radius(m) == pytest.approx(oracle, rel=1e-12)
+
 
 class TestNumericalRadius:
     def test_identity(self):
@@ -237,6 +254,47 @@ class TestNumericalRadius:
         norm = op_norm_2(a)
         assert omega <= norm + 1e-9
         assert norm <= 2.0 * omega + 1e-6
+
+    @given(seeds, dims, st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    def test_invariances(self, seed, n, phi):
+        gen = np.random.default_rng(seed)
+        a = random_complex(gen, n)
+        u = random_unitary(gen, n)
+        omega = numerical_radius(a)
+        assert numerical_radius(np.exp(1j * phi) * a) == pytest.approx(omega, rel=1e-10)
+        assert numerical_radius(u @ a @ u.conj().T) == pytest.approx(omega, rel=1e-10)
+        assert numerical_radius(a.T) == pytest.approx(omega, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_quarter_circle_matches_half_circle(self, rng, n, monkeypatch):
+        a = random_complex(rng, 2 * n).real
+        quarter = numerical_radius(a)
+        angles = kernel._radius_angles
+        monkeypatch.setattr(kernel, "_radius_angles", lambda grid, real: angles(grid, False))
+        assert numerical_radius(a) == pytest.approx(quarter, rel=1e-13)
+
+    @pytest.mark.parametrize("grid", [10, 1022, 1024])
+    def test_grid_spacing_and_reach(self, grid):
+        step = 2.0 * math.pi / grid
+        for real, reach in ((True, math.pi / 2.0), (False, math.pi - step)):
+            angles, spacing = kernel._radius_angles(grid, real)
+            assert spacing == step
+            assert np.allclose(np.diff(angles), step, rtol=1e-12)
+            assert angles[0] == 0.0
+            assert angles[-1] >= reach - 1e-12
+        # maximum at t = pi/2 only: the field of values is the segment [-i, i]
+        rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        assert numerical_radius(rot, Tolerances(omega_grid=grid)) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("profile", ["default", "strict"])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_matches_per_angle_loop_on_lozenges(self, profile, n):
+        tol = TOLERANCE_PROFILES[profile]
+        gen = np.random.default_rng(1000 + n)
+        for _ in range(2):
+            loz = lozenge(random_complex(gen, n) * gen.uniform(0.1, 1.0))
+            oracle = numerical_radius_loop(loz, tol.omega_grid, tol.omega_refine_tol)
+            assert numerical_radius(loz, tol) == pytest.approx(oracle, rel=1e-12)
 
 
 class TestPsdSqrt:
