@@ -145,28 +145,18 @@ def mat_mul(a, b) -> np.ndarray:
 
 
 def mat_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Inverse by Gauss elimination with partial pivoting.
+    """Inverse from LAPACK, refused for a matrix singular to tolerance.
 
-    Raises SingularMatrixError when a pivot falls below ``pd_floor`` times the
-    largest magnitude in its column.
+    Raises SingularMatrixError when sigma_min <= pd_floor * sigma_max, the
+    package's one definition of "singular to tolerance" (see _nonsingular).
     """
     a = _require_square(a, "mat_inverse")
-    n = a.shape[0]
-    work = np.hstack([a.astype(np.complex128, copy=True), np.eye(n, dtype=np.complex128)])
-    for k in range(n):
-        column_scale = float(np.abs(work[:, k]).max())
-        p = k + int(np.argmax(np.abs(work[k:, k])))
-        pivot = abs(work[p, k])
-        if pivot <= tol.pd_floor * column_scale or pivot == 0.0:
-            raise SingularMatrixError(
-                f"singular to tolerance: pivot {pivot:.3e} in column {k}"
-            )
-        if p != k:
-            work[[k, p]] = work[[p, k]]
-        work[k] = work[k] / work[k, k]
-        others = np.arange(n) != k
-        work[others] -= np.outer(work[others, k], work[k])
-    return work[:, n:]
+    ok, smallest = _nonsingular(a, tol)
+    if not ok:
+        raise SingularMatrixError(
+            f"singular to tolerance: smallest singular value {smallest:.3e}"
+        )
+    return np.linalg.inv(a)
 
 
 def conj(a) -> np.ndarray:
@@ -350,19 +340,12 @@ def pd_cholesky(h, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
 
 def cholesky_solve(lower: np.ndarray, b) -> np.ndarray:
-    """Solve (L L*) x = b given a Cholesky factor L."""
+    """Solve (L L*) x = b given a Cholesky factor L: LAPACK solves against L, then L*."""
     b = _as_matrix(b)
     n = lower.shape[0]
     if b.shape[0] != n:
         raise DimensionError(f"right-hand side rows {b.shape[0]} do not match {n}")
-    y = np.zeros_like(b)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    upper = lower.conj().T
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
-    return x
+    return np.linalg.solve(lower.conj().T, np.linalg.solve(lower, b))
 
 
 def pd_solve(h, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

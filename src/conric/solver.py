@@ -30,10 +30,12 @@ from .kernel import (
     NotPositiveDefiniteError,
     Tolerances,
     adjoint,
+    cholesky_solve,
     cmatrix,
     is_positive_definite,
     mat_inverse,
     op_norm_2,
+    pd_cholesky,
     psd_sqrt,
     _nonsingular,
     _require_square,
@@ -454,19 +456,20 @@ def solve_minimal(
     Uses the substitution Y = I - conj(X), which turns the unit-Q equation
     into the same equation with coefficient A*; the maximal solution of that
     dual problem maps back to the minimal solution of the original one as
-    X = I - conj(Y).  The result is certified by its residual in the original
-    equation.
+    X = I - conj(Y).  That difference cancels when X is small, so X is taken
+    as the Hermitian part of the equal product conj(A) Y^-1 A^T (Y solves
+    Y + A conj(Y)^-1 A* = I).  The result is certified by its residual in the
+    original equation.
     """
     _require_nonsingular(p.a, p.tol, "solve_minimal")
     mapping = normalize_q(p)
     a_q = mapping.a_q
-    n = p.n
 
     dual = ProblemInstance(adjoint(a_q), None, p.tol)
     dual_out = solve_maximal(dual, observer=observer)
     y_plus = dual_out.solution
 
-    x_unit = np.eye(n, dtype=np.complex128) - np.conj(y_plus)
+    x_unit = np.conj(a_q) @ mat_inverse(y_plus, p.tol) @ a_q.T
     x_unit = (x_unit + x_unit.conj().T) / 2.0
     x = mapping.back(x_unit)
 
@@ -496,12 +499,9 @@ def solve_minimal(
 def residual(x, p: ProblemInstance) -> float:
     """Equation defect ||x + a* conj(x)^-1 a - q|| in the spectral norm."""
     x = cmatrix(x)
-    ok, margin = is_positive_definite(x, p.tol)
-    if not ok:
-        raise NotPositiveDefiniteError(
-            f"residual needs a positive definite x (pivot margin {margin:.3e})"
-        )
-    return op_norm_2(x + adjoint(p.a) @ mat_inverse(np.conj(x), p.tol) @ p.a - p.q)
+    # conj(L) is the Cholesky factor of conj(x)
+    lower = pd_cholesky(x, p.tol)
+    return op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(lower), p.a) - p.q)
 
 
 def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:

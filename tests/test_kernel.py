@@ -15,6 +15,7 @@ from conric.kernel import (
     SingularMatrixError,
     Tolerances,
     adjoint,
+    cholesky_solve,
     cmatrix,
     conj,
     hermitian_eigen,
@@ -123,6 +124,15 @@ class TestMatInverse:
             mat_inverse(np.array([[1.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(SingularMatrixError):
             mat_inverse(np.zeros((2, 2)))
+        # rank 2, not Hermitian: the third row is the first plus 1j times the second
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(np.array([[1.0, 2j, 0.5], [0.3j, 1.0, -1.0], [0.7, 3j, 0.5 - 1j]]))
+
+    def test_singular_means_sigma_min_below_floor(self):
+        # the floor is pd_floor * sigma_max, the same test as _nonsingular
+        with pytest.raises(SingularMatrixError):
+            mat_inverse(np.diag([1.0, 1e-13]))
+        assert np.allclose(mat_inverse(np.diag([1.0, 1e-11])), np.diag([1.0, 1e11]))
 
     @given(seeds, dims)
     def test_left_and_right_inverse(self, seed, n):
@@ -360,6 +370,15 @@ class TestPdSolve:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             pd_solve(np.diag([1.0, -1.0]), np.eye(2))
+
+
+class TestCholeskySolve:
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 4), (6, 2), (3, 7)])
+    def test_matches_dense_solve(self, rng, n, m):
+        lower = np.linalg.cholesky(random_psd(rng, n) + np.eye(n))
+        b = random_complex(rng, n, m)
+        expected = np.linalg.solve(lower @ lower.conj().T, b)
+        assert np.allclose(cholesky_solve(lower, b), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_spectral_radius_defective_dominant():

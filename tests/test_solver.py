@@ -29,6 +29,7 @@ from helpers import (
     random_nonsingular_solvable,
     random_psd,
     random_solvable,
+    random_unitary,
     scalar_solutions,
 )
 
@@ -217,6 +218,18 @@ class TestSolveMinimal:
         p = ProblemInstance(a, q)
         out = solve_minimal(p)
         assert residual(out.solution, p) <= p.tol.residual_tol
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_small_ill_conditioned_solution(self, rng, n):
+        # A = U diag(s) U^T has X- = conj(U) diag(2 s^2 / (1 + sqrt(1 - 4 s^2))) U^T;
+        # its smallest eigenvalue is about 1e-10, far below rounding of I - conj(Y+)
+        u = random_unitary(rng, n)
+        s = np.geomspace(0.06, 1e-5, n)
+        d = 2.0 * s**2 / (1.0 + np.sqrt(1.0 - 4.0 * s**2))
+        expected = np.conj(u) @ np.diag(d) @ u.T
+        out = solve_minimal(ProblemInstance(u @ np.diag(s) @ u.T))
+        assert np.linalg.norm(out.solution - expected) <= 1e-13 * np.linalg.norm(expected)
+        assert out.residual <= 1e-9
 
 
 class TestResidual:
