@@ -6,12 +6,12 @@ Three layers of evidence, strongest applicable one wins:
 * the sufficient norm bound ||A|| <= 1/2,
 * for invertible A the exact criterion omega(lozenge(A)) <= 1/2.
 
-Every threshold comparison carries a classification band (1e-8, widened to
-1e-4 for the numerical radius, whose grid search is biased low: angles
-2 pi / omega_grid apart, refined by golden section around the best one), and
-within-band instances come back "undetermined" instead of being forced to a
-boolean: boundary instances such as ||A|| exactly 1/2 are legitimately
-solvable and must not be misclassified by rounding.
+Every threshold comparison carries the one classification band BAND = 1e-8,
+wider than the rounding error of each estimate it classifies (the numerical
+radius comes from level sets, accurate to rounding), and within-band
+instances come back "undetermined" instead of being forced to a boolean:
+boundary instances such as ||A|| exactly 1/2 are legitimately solvable and
+must not be misclassified by rounding.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ from .solver import (
 
 # Classification band around each threshold (1/4, 1/2, 1).
 BAND = 1e-8
-# Wider band for the numerical radius, covering the grid search bias.
-OMEGA_BAND = 1e-4
 
 
 class NotConNormal(ConricError):
@@ -116,9 +114,9 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
         verdict = "not_exists"
     elif sufficient.margin > BAND:
         verdict = "exists"
-    elif exact is not None and exact.margin > OMEGA_BAND:
+    elif exact is not None and exact.margin > BAND:
         verdict = "exists"
-    elif exact is not None and exact.margin < -OMEGA_BAND:
+    elif exact is not None and exact.margin < -BAND:
         verdict = "not_exists"
     else:
         verdict = "undetermined"

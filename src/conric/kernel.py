@@ -40,10 +40,14 @@ class NotPositiveDefiniteError(ConricError):
 HERMITIAN_RTOL = 1e-10
 # Relative floor on the smallest eigenvalue accepted by psd_sqrt.
 PSD_RTOL = 1e-10
-# Most angles per stacked eigvalsh call in numerical_radius.
-_RADIUS_CHUNK = 64
-# Golden-section ratio (sqrt(5) - 1) / 2.
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# numerical_radius: the level sits this far (relative) above the best value
+# found, a root y with |Im y| <= _REAL_ROOT_RTOL (1 + |y|) counts as real, and
+# Newton steps in the angle use central differences over +-_NEWTON_STENCIL.
+_LEVEL_NUDGE = 1e-14
+_REAL_ROOT_RTOL = 1e-8
+_NEWTON_STEPS = 8
+_NEWTON_STENCIL = 1e-4
+_NEWTON_STEP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -54,30 +58,22 @@ class Tolerances:
     stop_rel          relative iterate-change stopping threshold
     residual_tol      equation residual accepted as "solved"
     max_iter          fixed point iteration cap
-    omega_grid        angle samples for the numerical radius grid search
-    omega_refine_tol  angle-interval width at which refinement stops
-    gelfand_squarings unused: the spectral radius comes from eigvals; kept
-                      because every report's tolerances block echoes it
+
+    The spectral and numerical radii take no tolerance: both come from
+    LAPACK eigenvalue problems that are accurate to rounding.
     """
 
     pd_floor: float = 1e-12
     stop_rel: float = 1e-13
     residual_tol: float = 1e-9
     max_iter: int = 100_000
-    omega_grid: int = 1024
-    omega_refine_tol: float = 1e-10
-    gelfand_squarings: int = 40
 
     def __post_init__(self) -> None:
-        for name in ("pd_floor", "stop_rel", "residual_tol", "omega_refine_tol"):
+        for name in ("pd_floor", "stop_rel", "residual_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.omega_grid < 8:
-            raise ValueError("omega_grid must be at least 8")
-        if self.gelfand_squarings < 1:
-            raise ValueError("gelfand_squarings must be at least 1")
 
 
 TOLERANCE_PROFILES = {
@@ -87,9 +83,6 @@ TOLERANCE_PROFILES = {
         stop_rel=1e-14,
         residual_tol=1e-11,
         max_iter=200_000,
-        omega_grid=4096,
-        omega_refine_tol=1e-12,
-        gelfand_squarings=48,
     ),
 }
 
@@ -200,73 +193,80 @@ def spectral_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def _radius_angles(omega_grid: int, real: bool) -> tuple[np.ndarray, float]:
-    """Grid angles for numerical_radius and their spacing 2 pi / omega_grid.
-
-    The half circle [0, pi) for any matrix; for a real one the closed quarter
-    [0, pi/2], its angle count rounded up so the last angle is >= pi/2.
-    """
-    step = 2.0 * math.pi / omega_grid
-    count = -(-omega_grid // 4) + 1 if real else -(-omega_grid // 2)
-    return np.arange(count) * step, step
-
-
-def _top_abs_eigs(sym: np.ndarray, skew: np.ndarray, angles: np.ndarray) -> np.ndarray:
-    """max(lambda_max, -lambda_min) of cos(t) sym + sin(t) skew for each angle t.
-
-    One stacked eigvalsh per chunk of at most _RADIUS_CHUNK angles, which
-    keeps the stacked work array small.
-    """
-    out = np.empty(len(angles))
-    for start in range(0, len(angles), _RADIUS_CHUNK):
-        t = angles[start : start + _RADIUS_CHUNK, None, None]
-        w = np.linalg.eigvalsh(np.cos(t) * sym + np.sin(t) * skew)
-        out[start : start + len(t)] = np.maximum(w[:, -1], -w[:, 0])
-    return out
-
-
 def numerical_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """max over angles t of the top eigenvalue of H(t) = (e^{it} a + e^{-it} a*)/2.
+    """max over angles t of the top eigenvalue of H(t) = cos(t) S + sin(t) K.
 
-    H(t) = cos(t) (a + a*)/2 + sin(t) i(a - a*)/2 and H(t + pi) = -H(t), so
-    max(lambda_max, -lambda_min) of H over the half circle [0, pi) covers
-    every angle.  For real ``a`` also H(-t) = conj H(t), and the quarter
-    circle [0, pi/2] suffices.  The angles are spaced 2 pi / ``omega_grid``
-    apart and evaluated by stacked LAPACK eigvalsh calls in chunks; golden
-    section search then refines one grid step either side of the best
-    sample until the bracket is narrower than ``omega_refine_tol``.  The
-    result is the largest value sampled: a lower biased estimate whose bias
-    is bounded by ``||a||`` times the grid spacing.
+    S = (a + a*)/2 and K = i(a - a*)/2.  Level sets in Cayley form (Mengi &
+    Overton, IMA J. Numer. Anal. 2005): with t = t0 + 2 arctan(y), H(t) has
+    the eigenvalue s exactly when y is a real root of (H0 + sI) y^2 +
+    2 K0 y - (H0 - sI), where H0 = H(t0) and K0 = sin(t0) S - cos(t0) K.
+    The centre t0 maximises lambda_min(H) over 16 samples on the circle, so
+    H0 + sI is positive definite and its Cholesky factor turns the quadratic
+    into one eigvals call on a companion matrix.  Each level is a local
+    maximum, climbed by Newton steps from the best sample and then from the
+    best midpoint between crossings, until no midpoint beats the level;
+    usually one companion solve certifies the first.  ``tol`` is unused.
     """
     a = _require_square(a, "numerical_radius")
-    adj = a.conj().T
-    sym = (a + adj) / 2.0
-    skew = 1j * (a - adj) / 2.0
-    angles, step = _radius_angles(tol.omega_grid, not a.imag.any())
-    values = _top_abs_eigs(sym, skew, angles)
-    i = int(np.argmax(values))
+    scale = float(np.abs(a).max())
+    if scale == 0.0:
+        return 0.0
+    sym = (a + a.conj().T) / 2.0
+    skew = 1j * (a - a.conj().T) / 2.0
+    stencil = np.array([-_NEWTON_STENCIL, 0.0, _NEWTON_STENCIL])
 
-    def top(theta: float) -> float:
-        return float(_top_abs_eigs(sym, skew, np.array([theta]))[0])
+    def top(angles: np.ndarray) -> np.ndarray:
+        t = angles[:, None, None]
+        return np.linalg.eigvalsh(np.cos(t) * sym + np.sin(t) * skew)[:, -1]
 
-    lo = float(angles[i]) - step
-    hi = float(angles[i]) + step
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1 = top(x1)
-    f2 = top(x2)
-    best = max(float(values[i]), f1, f2)
-    while hi - lo > tol.omega_refine_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = top(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = top(x1)
-        best = max(best, f1, f2)
-    return best
+    def climb(theta: float) -> float:
+        """Largest top(t) along Newton steps from theta, each to the vertex of
+        the parabola through top(theta + stencil) while that is concave."""
+        best = -math.inf
+        for _ in range(_NEWTON_STEPS):
+            lo, mid, hi = top(theta + stencil)
+            best = max(best, lo, mid, hi)
+            curvature = lo - 2.0 * mid + hi
+            if not curvature < 0.0:
+                break
+            step = _NEWTON_STENCIL * (lo - hi) / (2.0 * curvature)
+            theta += step
+            if abs(step) <= _NEWTON_STEP_TOL:
+                break
+        return float(best)
+
+    def congruence(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """L^-1 x L^-* by two triangular-factor solves."""
+        return np.linalg.solve(lower, np.linalg.solve(lower, x).conj().T).conj().T
+
+    samples = np.arange(16) * (math.pi / 8.0)
+    values = top(samples)
+    best = float(values.max())
+    theta = float(samples[np.argmax(values)])
+    t0 = float(samples[np.argmin(values)]) + math.pi
+    h0 = math.cos(t0) * sym + math.sin(t0) * skew
+    k0 = math.sin(t0) * sym - math.cos(t0) * skew
+    m = a.shape[0]
+    eye = np.eye(m)
+    companion = np.zeros((2 * m, 2 * m), dtype=np.complex128)
+    companion[:m, m:] = eye
+    while True:
+        best = max(best, climb(theta))
+        level = best + _LEVEL_NUDGE * max(abs(best), scale)
+        lower = np.linalg.cholesky(h0 + level * eye)
+        companion[m:, :m] = congruence(lower, h0 - level * eye)
+        companion[m:, m:] = -2.0 * congruence(lower, k0)
+        roots = np.linalg.eigvals(companion)
+        real = roots[np.abs(roots.imag) <= _REAL_ROOT_RTOL * (1.0 + np.abs(roots))].real
+        if real.size == 0:
+            return best
+        crossings = np.sort(t0 + 2.0 * np.arctan(real))
+        gaps = np.diff(crossings, append=crossings[0] + 2.0 * math.pi)
+        midpoints = crossings + gaps / 2.0
+        values = top(midpoints)
+        if values.max() <= best:
+            return best
+        theta = float(midpoints[np.argmax(values)])
 
 
 def psd_sqrt(h) -> np.ndarray:

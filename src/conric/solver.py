@@ -427,15 +427,16 @@ def solve_maximal(
         raise InternalInconsistency(
             f"back-mapped residual {res:.3e} exceeds tolerance {p.tol.residual_tol:.3e}"
         )
-    certificate = op_norm_2(mat_inverse(x_unit, p.tol) @ np.conj(a_q))
+    # the embedded certificate ||W^-1 lozenge(a_q)|| equals ||x_unit^-1 conj(a_q)||:
+    # W = heart(x_unit), lozenge(a_q) = E heart(a_q) and E is orthogonal
     return SolveOutcome(
         solution=x,
         kind="maximal",
         iterations=embedded.iterations,
         residual=res,
         trace=embedded.trace,
-        rate_certificate=certificate,
-        linear_rate_guaranteed=certificate < 1.0,
+        rate_certificate=embedded.rate_certificate,
+        linear_rate_guaranteed=embedded.linear_rate_guaranteed,
     )
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import math
@@ -11,8 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conric.cli import _emit, main
+from conric.kernel import Tolerances
 from conric.solver import ProblemInstance, residual
 from helpers import EX1_A, EX1_X_PLUS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_json_instance(path, a, q=None):
@@ -210,6 +214,20 @@ class TestCheckCommand:
         # the norm bound is silent here, the exact invertible test decides
         assert report["existence"]["sufficient_norm_half"]["margin"] < 0.0
         assert report["existence"]["exact_invertible"]["holds"] is True
+
+    def test_tolerances_block_matches_dataclass_and_readme(self, example_file, capsys):
+        assert main(["check", str(example_file), "--no-meta"]) == 0
+        keys = set(json.loads(capsys.readouterr().out)["tolerances"])
+        assert keys == {f.name for f in dataclasses.fields(Tolerances)}
+        # the README report-schema line, with its indented continuation lines
+        lines = README.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("tolerances "))
+        listed = lines[start].split(None, 1)[1]
+        for line in lines[start + 1 :]:
+            if not line.startswith(" "):
+                break
+            listed += "," + line
+        assert {name.strip() for name in listed.split(",") if name.strip()} == keys
 
 
 class TestBoundsCommand:

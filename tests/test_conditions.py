@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conric.bounds import build_ladder
 from conric.conditions import (
@@ -13,7 +15,15 @@ from conric.conditions import (
 from conric.embedding import lozenge
 from conric.kernel import spectral_radius
 from conric.solver import ProblemInstance, SingularCoefficient, residual, solve_maximal, solve_minimal
-from helpers import EX1_A, random_complex, random_solvable, random_unitary, scalar_solutions
+from helpers import (
+    EX1_A,
+    numerical_radius_loop,
+    random_complex,
+    random_solvable,
+    random_unitary,
+    random_with_norm,
+    scalar_solutions,
+)
 
 
 def margins(report):
@@ -196,3 +206,43 @@ class TestSoundnessSweeps:
             assert check_existence(a_mag * np.eye(1)).verdict == "not_exists"
             with pytest.raises(ValueError):
                 scalar_solutions(a_mag)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_exact_criterion_decides_just_outside_the_band(n):
+    # omega(lozenge A) = 1/2 -+ 1e-6: decided by the one 1e-8 band, and the
+    # solver agrees on both sides
+    base = random_complex(np.random.default_rng(3000 + n), n)
+    omega = numerical_radius_loop(lozenge(base))
+    for target, verdict in ((0.5 - 1e-6, "exists"), (0.5 + 1e-6, "not_exists")):
+        cv = cross_validate(base * (target / omega))
+        assert cv.existence.verdict == verdict
+        assert cv.consistent, cv.note
+
+
+@given(
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.integers(min_value=1, max_value=6),
+    st.floats(min_value=0.05, max_value=1.2),
+)
+def test_unitary_congruence_keeps_verdict_and_margins(seed, n, norm):
+    # lozenge(conj(U) A U*) = heart(U) lozenge(A) heart(U)^T, and every other
+    # condition but the gram_sum pivot margin is a unitary invariant too
+    gen = np.random.default_rng(seed)
+    a = random_with_norm(gen, n, norm)
+    u = random_unitary(gen, n)
+    before = check_existence(a)
+    after = check_existence(np.conj(u) @ a @ u.conj().T)
+    assert after.verdict == before.verdict
+
+    def checks(report):
+        extra = [report.sufficient_norm_half] + [c for c in [report.exact_invertible] if c]
+        return {c.name: c for c in report.necessary + extra}
+
+    old, new = checks(before), checks(after)
+    assert old.keys() == new.keys()
+    for name, c in old.items():
+        if name != "gram_sum":
+            assert new[name].margin == pytest.approx(c.margin, abs=1e-12), name
+        elif min(abs(c.margin), abs(new[name].margin)) > BAND:
+            assert new[name].holds == c.holds

@@ -136,6 +136,21 @@ class TestSolveMaximal:
         assert out.rate_certificate == pytest.approx(0.614, abs=1e-3)
         assert out.linear_rate_guaranteed
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_rate_certificate_is_unit_solution_norm(self, rng, n):
+        # ||X_unit^-1 conj(a_q)||_2 with a_q = conj(q^-1/2) A q^-1/2 and
+        # X_unit = q^-1/2 X q^-1/2, all from numpy
+        a = random_solvable(rng, n)
+        q = random_psd(rng, n) + np.eye(n)
+        out = solve_maximal(ProblemInstance(a, q))
+        w, v = np.linalg.eigh(q)
+        root_inv = (v / np.sqrt(w)) @ v.conj().T
+        a_q = np.conj(root_inv) @ a @ root_inv
+        x_unit = root_inv @ out.solution @ root_inv
+        expected = np.linalg.norm(np.linalg.solve(x_unit, np.conj(a_q)), 2)
+        assert out.rate_certificate == pytest.approx(expected, rel=1e-12)
+        assert out.linear_rate_guaranteed == (expected < 1.0)
+
     def test_diagonal_oracle(self):
         out = solve_maximal(ProblemInstance(np.diag([0.3, 0.4j])))
         assert np.allclose(out.solution, np.diag([0.9, 0.8]), atol=1e-9)
