@@ -10,6 +10,7 @@ radius, PSD square root, positive definiteness) live here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,8 +73,9 @@ class Tolerances:
         for name in ("pd_floor", "stop_rel", "residual_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer of at least 1")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
 TOLERANCE_PROFILES = {

@@ -40,6 +40,25 @@ def scalar_solutions(a: complex) -> tuple[float, float]:
     return (1.0 + root) / 2.0, (1.0 - root) / 2.0
 
 
+def direct_unit_maximal(
+    a: np.ndarray, stop_rel: float = 1e-13, max_iter: int = 100_000
+) -> np.ndarray:
+    """Reference maximal solution at Q = I: Y <- I - A* conj(Y)^-1 A from Y = I.
+
+    The direct conjugate iteration in plain numpy, stopped once a step falls
+    below ``stop_rel`` relative to the iterate.
+    """
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    y = eye
+    for _ in range(max_iter):
+        y_next = eye - a.conj().T @ np.linalg.solve(np.conj(y), a)
+        y_next = (y_next + y_next.conj().T) / 2.0
+        if np.linalg.norm(y_next - y, 2) <= stop_rel * np.linalg.norm(y, 2):
+            return y_next
+        y = y_next
+    raise RuntimeError(f"direct iteration did not settle within {max_iter} steps")
+
+
 def random_complex(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     m = n if m is None else m
     return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))

@@ -34,7 +34,6 @@ from conric.solver import (
     MaxIterationsExceeded,
     NoSolutionEvidence,
     ProblemInstance,
-    _direct_unit_maximal,
     residual,
     solve_maximal,
     solve_minimal,
@@ -44,6 +43,7 @@ from helpers import (
     EX1_A,
     EX1_X_PLUS,
     EX1_X_PLUS_STANDARD,
+    direct_unit_maximal,
     random_complex,
     random_solvable,
     random_unitary,
@@ -175,8 +175,7 @@ def test_criterion_05_monotone_envelope_and_structure():
             assert np.linalg.eigvalsh(w_prev - w_next)[0] >= -1e-12
         for w in iterates:
             assert heart_structure_drift(w) <= 1e-10
-        tol = Tolerances()
-        direct = _direct_unit_maximal(a, tol, tol.residual_tol)
+        direct = direct_unit_maximal(a)
         assert op_norm_2(out.solution - direct) <= 1e-8
     print(
         "ACCEPTANCE 05 PASS: monotone envelope, heart structure, and "

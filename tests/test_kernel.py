@@ -79,11 +79,18 @@ class TestTolerances:
             {"max_iter": 0},
             {"pd_floor": math.nan},
             {"residual_tol": math.nan},
+            {"max_iter": math.nan},
+            {"max_iter": 2.5},
+            {"max_iter": 100.0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             Tolerances(**kwargs)
+
+    def test_numpy_integer_max_iter_becomes_int(self):
+        tol = Tolerances(max_iter=np.int64(8))
+        assert type(tol.max_iter) is int and tol.max_iter.bit_length() == 4
 
 
 class TestMatMul:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from conric.solver import (
     NotASolution,
     ProblemInstance,
     SingularCoefficient,
-    _direct_unit_maximal,
+    _doubling,
     extremality_check,
     normalize_q,
     residual,
@@ -26,6 +28,7 @@ from helpers import (
     EX1_A,
     EX1_X_PLUS,
     EX1_X_PLUS_STANDARD,
+    direct_unit_maximal,
     random_nonsingular_solvable,
     random_psd,
     random_solvable,
@@ -176,7 +179,7 @@ class TestSolveMaximal:
         a = random_solvable(rng, 3)
         tol = Tolerances()
         out = solve_maximal(ProblemInstance(a, None, tol))
-        y = _direct_unit_maximal(a, tol, tol.residual_tol)
+        y = direct_unit_maximal(a)
         assert op_norm_2(out.solution - y) <= 1e-8
 
     def test_no_solution_for_large_coefficient(self):
@@ -314,12 +317,75 @@ class TestStandardContrast:
 
 
 def test_internal_inconsistency_is_exposed(monkeypatch):
-    # sabotage the direct route; the solver must refuse to answer
+    # an engine that returns the minimal embedded solution still passes the
+    # residual check; only the doubling bracket can tell it is not maximal
     import conric.solver as solver_mod
 
-    def broken(a, tol, residual_tol):
-        return np.eye(a.shape[0], dtype=np.complex128)
+    engine = solver_mod.standard_solve_maximal
 
-    monkeypatch.setattr(solver_mod, "_direct_unit_maximal", broken)
-    with pytest.raises(InternalInconsistency):
+    def minimal_engine(b, tol, observer=None, residual_tol=None):
+        # W- = I - Y+ with Y+ the maximal solution of Y + B Y^-1 B^T = I
+        dual = engine(b.T, tol, residual_tol=residual_tol)
+        eye = np.eye(b.shape[0], dtype=np.complex128)
+        return dataclasses.replace(dual, solution=eye - dual.solution)
+
+    monkeypatch.setattr(solver_mod, "standard_solve_maximal", minimal_engine)
+    with pytest.raises(InternalInconsistency, match="below the doubling bracket"):
         solve_maximal(ProblemInstance(EX1_A))
+
+
+@pytest.mark.parametrize(
+    "sabotage, message",
+    [
+        (lambda doubling, b, steps: doubling(b, steps) + 0.1 * np.eye(b.shape[0]), "below"),
+        (lambda doubling, b, steps: doubling(4.0 * b, steps), "not positive definite"),
+    ],
+    ids=["bracket-too-high", "breakdown"],
+)
+def test_broken_doubling_is_exposed(monkeypatch, sabotage, message):
+    import conric.solver as solver_mod
+
+    doubling = solver_mod._doubling
+    monkeypatch.setattr(solver_mod, "_doubling", lambda b, steps: sabotage(doubling, b, steps))
+    with pytest.raises(InternalInconsistency, match=message):
+        solve_maximal(ProblemInstance(EX1_A))
+
+
+class TestDoublingBracket:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_step_j_is_fixed_point_iterate(self, rng, n):
+        a = random_solvable(rng, n, min_norm=0.4)
+        iterates = []
+        solve_maximal(ProblemInstance(a), observer=iterates.append)
+        b = lozenge(a)
+        j = 0
+        while 2**j - 1 < len(iterates):
+            assert np.abs(_doubling(b, j) - iterates[2**j - 1]).max() <= 1e-13
+            j += 1
+        assert j >= 4
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_one_fixed_point_run_per_solve(self, rng, monkeypatch, n):
+        import conric.solver as solver_mod
+
+        calls = []
+        cone_step = solver_mod._cone_step
+
+        def counting(*args):
+            calls.append(None)
+            return cone_step(*args)
+
+        monkeypatch.setattr(solver_mod, "_cone_step", counting)
+        out = solve_maximal(ProblemInstance(random_solvable(rng, n)))
+        assert len(calls) == out.iterations
+
+    def test_two_sided_gap_near_critical(self, rng):
+        # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
+        n = 4
+        u = random_unitary(rng, n)
+        a = u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
+        tol = Tolerances()
+        out = solve_maximal(ProblemInstance(a, None, tol))
+        bracket = _doubling(lozenge(a), tol.max_iter.bit_length())
+        assert out.iterations > 300
+        assert np.linalg.norm(heart(out.solution).real - bracket, 2) <= 1e-10
