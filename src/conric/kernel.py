@@ -182,7 +182,8 @@ def op_norm_2(a) -> float:
     """Spectral norm, the square root of the largest eigenvalue of a*a."""
     a = _as_matrix(a)
     gram = a.conj().T @ a
-    w, _ = hermitian_eigen((gram + gram.conj().T) / 2.0)
+    # symmetrised here, so hermitian_eigen's Hermitian check could not fire
+    w, _ = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     return math.sqrt(max(float(w[-1]), 0.0))
 
 
@@ -287,7 +288,9 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
     """Complex Cholesky with a relative pivot floor.
 
     Returns (L, margin) where margin is the smallest pivot divided by the
-    mean diagonal scale; L is None when some pivot fails the floor.
+    mean diagonal scale; L is None when some pivot fails the floor.  LAPACK
+    factors first; the pivot loop runs only when LAPACK refuses or a pivot
+    L_kk^2 is at or below the floor, so every refusal keeps its signed margin.
     """
     n = h.shape[0]
     scale = float(np.trace(h).real) / n
@@ -295,6 +298,19 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
         # a PD matrix has positive trace; keep margins finite and signed
         scale = 1.0
     floor = tol.pd_floor * scale
+    try:
+        lower = np.linalg.cholesky(h)
+        smallest = float((lower.diagonal().real ** 2).min())
+    except np.linalg.LinAlgError:
+        smallest = -math.inf
+    if smallest > floor:
+        return lower, smallest / scale
+    return _cholesky_pivots(h, scale, floor)
+
+
+def _cholesky_pivots(h: np.ndarray, scale: float, floor: float) -> tuple[np.ndarray | None, float]:
+    """The pivot-by-pivot Cholesky of _cholesky_lower, stopping at the first failing pivot."""
+    n = h.shape[0]
     lower = np.zeros((n, n), dtype=np.complex128)
     margin = math.inf
     for k in range(n):

@@ -373,6 +373,8 @@ def _doubling(b: np.ndarray, steps: int) -> np.ndarray:
 
     Q - P stays positive definite whenever the equation has a positive
     definite solution; a step where it does not raises InternalInconsistency.
+    Once B is exactly zero every later step leaves Q and P as they are, so
+    the loop stops after that step's check of Q - P.
     """
     b, q, p = np.array(b.real), np.eye(b.shape[0]), np.zeros(b.shape)
     for j in range(steps):
@@ -380,6 +382,8 @@ def _doubling(b: np.ndarray, steps: int) -> np.ndarray:
             lower = np.linalg.cholesky(q - p)
         except np.linalg.LinAlgError:
             raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
+        if not b.any():
+            break
         z1, z2 = np.hsplit(np.linalg.solve(lower, np.hstack([b, b.T])), 2)
         q = q - z1.T @ z1
         p = p + z2.T @ z2

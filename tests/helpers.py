@@ -154,3 +154,38 @@ def numerical_radius_loop(
         else:
             hi = m2
     return best
+
+
+def cholesky_pivot_loop(h: np.ndarray, pd_floor: float = 1e-12) -> tuple[np.ndarray | None, float]:
+    """Reference Cholesky, one pivot at a time against the floor pd_floor * trace/n.
+
+    Returns (L, margin) with margin the smallest pivot over trace/n, or
+    (None, margin) at the first pivot at or below the floor.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    n = h.shape[0]
+    scale = float(np.trace(h).real) / n
+    if scale <= 0.0:
+        scale = 1.0
+    lower = np.zeros((n, n), dtype=np.complex128)
+    margin = np.inf
+    for k in range(n):
+        d = float(h[k, k].real) - float(np.sum(np.abs(lower[k, :k]) ** 2))
+        margin = min(margin, d / scale)
+        if d <= pd_floor * scale:
+            return None, margin
+        lower[k, k] = np.sqrt(d)
+        lower[k + 1 :, k] = (h[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k].conj()) / lower[k, k]
+    return lower, margin
+
+
+def doubling_all_steps(b: np.ndarray, steps: int) -> np.ndarray:
+    """Reference doubling for W + B^T W^-1 B = I: all ``steps`` steps, Q_steps = W_(2^steps - 1)."""
+    b, q, p = np.array(b.real), np.eye(b.shape[0]), np.zeros(b.shape)
+    for _ in range(steps):
+        lower = np.linalg.cholesky(q - p)
+        z1, z2 = np.hsplit(np.linalg.solve(lower, np.hstack([b, b.T])), 2)
+        q = q - z1.T @ z1
+        p = p + z2.T @ z2
+        b = z2.T @ z1
+    return q

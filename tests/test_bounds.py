@@ -28,6 +28,10 @@ from helpers import (
 )
 
 
+_RANDOM_3 = random_complex(np.random.default_rng(5), 3)
+_UNIT_NORM_3 = _RANDOM_3 / np.linalg.norm(_RANDOM_3, 2)
+
+
 def min_eig(h):
     return np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]
 
@@ -70,6 +74,20 @@ class TestBuildLadder:
         with pytest.raises(LadderBreakdown) as info:
             build_ladder(0.8 * np.eye(2), "lower", 6)
         assert info.value.rung == 3
+        # ||A|| = 0.62: LAPACK refuses iterate 6 and the pivot loop signs its margin
+        for side in ("lower", "upper"):
+            with pytest.raises(LadderBreakdown, match="pivot margin -6") as info:
+                build_ladder(0.62 * _UNIT_NORM_3, side, 12)
+            assert info.value.rung == 7
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_truncates_below_the_pivot_floor(self, side):
+        # y_2 = (1 - 2a^2) / (1 - a^2) = 2e-13 for a^2 = 1/2 - 5e-14, so
+        # iterate 2 is positive with pivot margin 4e-13, below pd_floor
+        a = np.diag([np.sqrt(0.5 - 5e-14), 0.1])
+        ladder = build_ladder(a, side, 6)
+        assert ladder.truncated_at == 3
+        assert len(ladder.matrices) == 2
 
     def test_third_block_implies_gram_condition(self, rng):
         # a definite third block forces I - AA* - conj(A*A) definite

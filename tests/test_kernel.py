@@ -23,6 +23,7 @@ from conric.kernel import (
     mat_mul,
     numerical_radius,
     op_norm_2,
+    pd_cholesky,
     pd_solve,
     psd_sqrt,
     spectral_radius,
@@ -32,6 +33,7 @@ from helpers import (
     EX1_A,
     EX1_AAH_EIGS,
     EX1_NORM,
+    cholesky_pivot_loop,
     numerical_radius_loop,
     random_complex,
     random_hermitian,
@@ -393,6 +395,47 @@ class TestPositiveDefinite:
         shifted = h + (abs(np.linalg.eigvalsh(h)[0]) + 0.5) * np.eye(n)
         ok, margin = is_positive_definite(shifted)
         assert ok and margin > 0.0
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_lapack_factor_matches_pivot_loop(self, rng, n):
+        for _ in range(5):
+            h = random_psd(rng, n) + np.eye(n)
+            expected, expected_margin = cholesky_pivot_loop(h)
+            ok, margin = is_positive_definite(h)
+            lower = pd_cholesky(h)
+            assert ok
+            assert margin == pytest.approx(expected_margin, rel=1e-12)
+            assert np.abs(lower - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            # trace/n is about 1/2, so the second pivot is (1 -+ 1e-3) times the floor
+            np.diag([1.0, (1.0 - 1e-3) * 0.5e-12]),
+            np.diag([1.0, (1.0 + 1e-3) * 0.5e-12]),
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            np.diag([1.0, -0.1, 2.0]),
+        ],
+        ids=["below-floor", "above-floor", "singular-psd", "indefinite"],
+    )
+    def test_edge_cases_match_pivot_loop(self, h):
+        lower, margin = cholesky_pivot_loop(h)
+        assert tuple(is_positive_definite(h)) == (lower is not None, margin)
+
+    def test_definite_check_is_one_lapack_call(self, monkeypatch):
+        import conric.kernel as kernel_mod
+
+        factor_calls, loop_calls = [], []
+        cholesky = np.linalg.cholesky
+        pivots = kernel_mod._cholesky_pivots
+        monkeypatch.setattr(np.linalg, "cholesky", lambda h: factor_calls.append(h) or cholesky(h))
+        monkeypatch.setattr(
+            kernel_mod, "_cholesky_pivots", lambda *args: loop_calls.append(args) or pivots(*args)
+        )
+        assert is_positive_definite(random_psd(np.random.default_rng(3), 6) + np.eye(6)).ok
+        assert (len(factor_calls), len(loop_calls)) == (1, 0)
+        assert not is_positive_definite(np.diag([1.0, -0.1])).ok
+        assert (len(factor_calls), len(loop_calls)) == (2, 1)
 
 
 class TestPdSolve:

@@ -29,10 +29,12 @@ from helpers import (
     EX1_X_PLUS,
     EX1_X_PLUS_STANDARD,
     direct_unit_maximal,
+    doubling_all_steps,
     random_nonsingular_solvable,
     random_psd,
     random_solvable,
     random_unitary,
+    random_with_norm,
     scalar_solutions,
 )
 
@@ -378,6 +380,29 @@ class TestDoublingBracket:
         monkeypatch.setattr(solver_mod, "_cone_step", counting)
         out = solve_maximal(ProblemInstance(random_solvable(rng, n)))
         assert len(calls) == out.iterations
+
+    def test_stops_once_b_vanishes(self, rng, monkeypatch):
+        # B_j underflows to exact zero for a well-separated A; the steps after
+        # it are no-ops, so stopping there changes no bit of the bracket
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda h: calls.append(h) or cholesky(h))
+        steps = Tolerances().max_iter.bit_length()
+        b = lozenge(random_with_norm(rng, 4, 0.1))
+        bracket = _doubling(b, steps)
+        assert len(calls) < steps
+        assert bracket.tobytes() == doubling_all_steps(b, steps).tobytes()
+
+    def test_runs_every_step_near_critical(self, rng, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda h: calls.append(h) or cholesky(h))
+        steps = Tolerances().max_iter.bit_length()
+        u = random_unitary(rng, 4)
+        b = lozenge(u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T)
+        bracket = _doubling(b, steps)
+        assert len(calls) == steps
+        assert bracket.tobytes() == doubling_all_steps(b, steps).tobytes()
 
     def test_two_sided_gap_near_critical(self, rng):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
