@@ -12,8 +12,8 @@ positive definite solution X.  The rungs equal the Schur-complement forms
 of the bordered blocks in :attr:`BoundsLadder.ladder_blocks`; the first
 three have the closed forms of :func:`closed_form_bounds`.
 
-Rung k inverts Y_{k-1} after the solver's pivot check on it (smallest
-Cholesky pivot over trace/n).  A margin <= 0 certifies that no positive
+Rung k is one step from a Cholesky factor of Y_{k-1}; its smallest pivot
+over trace/n is the margin.  A margin <= 0 certifies that no positive
 definite solution exists and raises :class:`LadderBreakdown` with
 ``rung = k``; a positive margin below the floor stops the ladder with
 ``truncated_at = k``, keeping rungs 1..k-1.
@@ -35,7 +35,6 @@ from .kernel import (
     adjoint,
     cmatrix,
     conj,
-    hermitian_eigen,
     pd_solve,
     transpose,
     _require_square,
@@ -101,8 +100,8 @@ class BoundsLadder:
 
 
 def _min_eig(h: np.ndarray) -> float:
-    w, _ = hermitian_eigen((h + h.conj().T) / 2.0)
-    return float(w[0])
+    # symmetrised here, so hermitian_eigen's Hermitian check could not fire
+    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
 
 
 def build_ladder(

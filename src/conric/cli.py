@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import itertools
 import json
 import os
@@ -371,6 +372,8 @@ def cmd_trace(args) -> int:
     return code
 
 
+# parse_args leaves a parser as it was, so every main call in a process shares one
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="matrix file (JSON or plain text)")
@@ -405,8 +408,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     args.echo = argv
     try:
         return args.func(args)

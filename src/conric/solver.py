@@ -37,6 +37,7 @@ from .kernel import (
     op_norm_2,
     pd_cholesky,
     psd_sqrt,
+    _cholesky_lower,
     _nonsingular,
     _require_square,
 )
@@ -151,25 +152,22 @@ def normalize_q(p: ProblemInstance) -> QNormalization:
     return QNormalization(a_q, root)
 
 
-def _update(w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool, tol: Tolerances) -> np.ndarray:
-    """The map W -> I - C* inner(W)^-1 C, inner the identity or the entrywise conjugate."""
-    inner = np.conj(w) if conjugate_iterate else w
-    eye = np.eye(coeff.shape[0], dtype=np.complex128)
-    return eye - adjoint(coeff) @ mat_inverse(inner, tol) @ coeff
+def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> np.ndarray:
+    """Symmetrised I - Z* Z, Z = inner(L)^-1 C: conj(L) factors conj(W) when L factors W."""
+    z = np.linalg.solve(np.conj(lower) if conjugate_iterate else lower, coeff)
+    w_next = np.eye(coeff.shape[0], dtype=np.complex128) - z.conj().T @ z
+    return (w_next + w_next.conj().T) / 2.0
 
 
 def _cone_step(
     w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool, tol: Tolerances
 ) -> tuple[np.ndarray | None, float]:
-    """Pivot-check W, then take one symmetrised step; (None, margin) if W fails the floor.
+    """W -> I - C* inner(W)^-1 C, inner(W) = W or conj(W), from one Cholesky factor of W.
 
-    The solver loop and the bound ladders both step through here.
+    (None, margin) if W fails the pivot floor.  The solver loop and the ladders step here.
     """
-    ok, margin = is_positive_definite(w, tol)
-    if not ok:
-        return None, margin
-    w_next = _update(w, coeff, conjugate_iterate, tol)
-    return (w_next + w_next.conj().T) / 2.0, margin
+    lower, margin = _cholesky_lower(w, tol)
+    return (None if lower is None else _step(lower, coeff, conjugate_iterate)), margin
 
 
 def _fixed_point_generic(
@@ -198,7 +196,8 @@ def _fixed_point_generic(
             observer(w_next)
         if change <= tol.stop_rel * op_norm_2(w):
             # the equation defect of an iterate equals its next update step
-            res = op_norm_2(w_next - _update(w_next, coeff, False, tol))
+            lower, _ = _cholesky_lower(w_next, tol)
+            res = math.inf if lower is None else op_norm_2(w_next - _step(lower, coeff, False))
             if res <= residual_tol:
                 return w_next, k, trace, res
         w = w_next
@@ -356,7 +355,7 @@ def standard_solve_maximal(
     w, iterations, trace, res = _fixed_point_solve(
         b, tol, rtol, observer=observer, keep_trace=keep_trace
     )
-    certificate = op_norm_2(mat_inverse(w, tol) @ b)
+    certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
     return SolveOutcome(
         solution=w,
         kind="maximal",

@@ -189,3 +189,28 @@ def doubling_all_steps(b: np.ndarray, steps: int) -> np.ndarray:
         p = p + z2.T @ z2
         b = z2.T @ z1
     return q
+
+
+def reference_step(w: np.ndarray, c: np.ndarray, conjugate_iterate: bool) -> np.ndarray:
+    """Reference recurrence step I - C* inner(W)^-1 C, inner(W) = conj(W) or W, by LU solve."""
+    inner = np.conj(w) if conjugate_iterate else w
+    return np.eye(c.shape[0]) - c.conj().T @ np.linalg.solve(inner, c)
+
+
+def reference_iterations(b: np.ndarray, stop_rel: float = 1e-13, residual_tol: float = 1e-9) -> int:
+    """Iterations of the fixed-point engine's stopping rule, in plain numpy on real B.
+
+    From W = I, step W <- I - B^T W^-1 B; stop at the first step k whose change
+    is at most stop_rel ||W|| and whose new iterate's defect (its own next
+    step's change) is at most residual_tol, in the spectral norm.
+    """
+    b = np.array(b.real)
+    w = np.eye(b.shape[0])
+    for k in range(1, 1_000_000):
+        w_next = reference_step(w, b, False)
+        w_next = (w_next + w_next.T) / 2.0
+        if np.linalg.norm(w_next - w, 2) <= stop_rel * np.linalg.norm(w, 2):
+            if np.linalg.norm(w_next - reference_step(w_next, b, False), 2) <= residual_tol:
+                return k
+        w = w_next
+    raise RuntimeError("reference iteration did not stop")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conric import cli
 from conric.cli import _emit, main
 from conric.kernel import Tolerances
 from conric.solver import ProblemInstance, residual
@@ -265,6 +266,35 @@ class TestBoundsCommand:
         assert min_eig(matrix(outcome["x_minus"]) - s_k) >= -1e-10
         assert min_eig(r_k - matrix(outcome["x_plus"])) >= -1e-10
         assert report["sandwich"]["consistent"] is True
+
+
+class TestParser:
+    def test_one_parser_per_process(self, example_file, capsys):
+        runs = (
+            ["solve", str(example_file), "--no-meta"],
+            ["bounds", str(example_file), "--depth", "two"],
+            ["bounds", str(example_file), "--depth", "3", "--no-meta"],
+        )
+
+        def run_all(fresh):
+            cli._make_parser.cache_clear()
+            reports = []
+            for argv in runs:
+                if fresh:
+                    cli._make_parser.cache_clear()
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = exc.code
+                captured = capsys.readouterr()
+                reports.append((code, captured.out, captured.err))
+            return reports
+
+        fresh = run_all(fresh=True)
+        shared = run_all(fresh=False)
+        assert cli._make_parser.cache_info().misses == 1
+        assert [code for code, _, _ in shared] == [0, 2, 0]
+        assert shared == fresh
 
 
 class TestJsonReports:

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conric.bounds import build_ladder
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
     NotPositiveDefiniteError,
@@ -16,6 +17,7 @@ from conric.solver import (
     NotASolution,
     ProblemInstance,
     SingularCoefficient,
+    _cone_step,
     _doubling,
     extremality_check,
     normalize_q,
@@ -35,6 +37,8 @@ from helpers import (
     random_solvable,
     random_unitary,
     random_with_norm,
+    reference_iterations,
+    reference_step,
     scalar_solutions,
 )
 
@@ -414,3 +418,43 @@ class TestDoublingBracket:
         bracket = _doubling(lozenge(a), tol.max_iter.bit_length())
         assert out.iterations > 300
         assert np.linalg.norm(heart(out.solution).real - bracket, 2) <= 1e-10
+
+
+class TestConeStep:
+    @pytest.mark.parametrize("conjugate_iterate", [False, True])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_reference_step(self, rng, n, conjugate_iterate):
+        w = random_psd(rng, n)
+        w = w / np.linalg.norm(w, 2) + 0.5 * np.eye(n)
+        c = random_with_norm(rng, n, 0.5)
+        step, margin = _cone_step(w, c, conjugate_iterate, Tolerances())
+        expected = reference_step(w, c, conjugate_iterate)
+        assert margin > 0.0
+        assert np.linalg.norm(step - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+
+    def test_recurrence_makes_no_svd_or_inverse(self, rng, monkeypatch):
+        calls = []
+        for name in ("svd", "inv"):
+            original = getattr(np.linalg, name)
+            counting = lambda *args, _f=original, _n=name, **kw: calls.append(_n) or _f(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, counting)
+        a = random_solvable(rng, 4, min_norm=0.3)
+        assert standard_solve_maximal(lozenge(a)).iterations > 8
+        assert calls == []
+        normalize_q(ProblemInstance(a))
+        setup = list(calls)  # the ladder's one Q normalisation
+        calls.clear()
+        assert build_ladder(a, "lower", 8).depth == 8
+        assert calls == setup
+
+    def test_iteration_counts_match_reference_near_critical(self):
+        # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
+        rng = np.random.default_rng(909)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            u = random_unitary(rng, n)
+            s = rng.uniform(0.0, 1.0, size=n)
+            s = (0.5 - rng.uniform(1e-4, 1e-2)) * s / s.max()
+            a = u @ np.diag(s) @ u.T
+            out = solve_maximal(ProblemInstance(a))
+            assert out.iterations == reference_iterations(lozenge(a))
