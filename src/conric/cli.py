@@ -159,22 +159,11 @@ def _mat_json(m: np.ndarray) -> dict:
 
 
 def _existence_json(report) -> dict:
+    exact = report.exact_invertible
     return {
-        "necessary": [
-            {"name": c.name, "holds": c.holds, "margin": c.margin} for c in report.necessary
-        ],
-        "sufficient_norm_half": {
-            "name": report.sufficient_norm_half.name,
-            "holds": report.sufficient_norm_half.holds,
-            "margin": report.sufficient_norm_half.margin,
-        },
-        "exact_invertible": None
-        if report.exact_invertible is None
-        else {
-            "name": report.exact_invertible.name,
-            "holds": report.exact_invertible.holds,
-            "margin": report.exact_invertible.margin,
-        },
+        "necessary": [c._asdict() for c in report.necessary],
+        "sufficient_norm_half": report.sufficient_norm_half._asdict(),
+        "exact_invertible": None if exact is None else exact._asdict(),
         "verdict": report.verdict,
     }
 

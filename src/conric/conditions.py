@@ -89,7 +89,7 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     n = a.shape[0]
     eye = np.eye(n, dtype=np.complex128)
 
-    rho_quarter = 0.25 - spectral_radius(a @ np.conj(a), tol)
+    rho_quarter = 0.25 - spectral_radius(a @ np.conj(a))
     norm_a = op_norm_2(a)
     gram = eye - a @ adjoint(a) - np.conj(adjoint(a) @ a)
     gram_ok, gram_margin = is_positive_definite((gram + gram.conj().T) / 2.0, tol)
@@ -100,14 +100,14 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     ]
     for label, sign in (("co_rho_plus", 1.0), ("co_rho_minus", -1.0)):
         m = a + sign * a.T
-        margin = 1.0 - spectral_radius(m @ np.conj(m), tol)
+        margin = 1.0 - spectral_radius(m @ np.conj(m))
         necessary.append(ConditionCheck(label, margin > 0.0, margin))
 
     sufficient = ConditionCheck("norm_le_half", norm_a <= 0.5, 0.5 - norm_a)
 
     exact: ConditionCheck | None = None
     if _nonsingular(a, tol)[0]:
-        omega = numerical_radius(lozenge(a), tol)
+        omega = numerical_radius(lozenge(a))
         exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
 
     if any(c.margin < -BAND for c in necessary):
@@ -138,7 +138,7 @@ def con_normal_closed_form(
     if want not in ("maximal", "minimal"):
         raise ValueError(f"want must be 'maximal' or 'minimal', got {want!r}")
     a = _require_square(cmatrix(a), "con_normal_closed_form")
-    ok, margin = is_con_normal(a, tol)
+    ok, margin = is_con_normal(a)
     if not ok:
         raise NotConNormal(f"coefficient is not con-normal (margin {margin:.3e})")
     norm_a = op_norm_2(a)

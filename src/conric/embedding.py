@@ -21,8 +21,6 @@ from .kernel import (
     CheckResult,
     ConricError,
     DimensionError,
-    DEFAULT_TOLERANCES,
-    Tolerances,
     _as_matrix,
     _require_square,
     op_norm_2,
@@ -95,7 +93,7 @@ def heart_structure_drift(w) -> float:
     return _heart_drift(w)
 
 
-def unheart(w, rtol: float = HEART_RTOL) -> np.ndarray:
+def unheart(w) -> np.ndarray:
     """Extract the complex n x n matrix whose heart embedding is w.
 
     Computes (1/2) [iI; I]* w [iI; I] after checking that w is real with
@@ -108,7 +106,7 @@ def unheart(w, rtol: float = HEART_RTOL) -> np.ndarray:
         raise DimensionError("unheart needs an even-dimensional matrix")
     n = w.shape[0] // 2
     drift = _heart_drift(w)
-    if drift > rtol * max(1.0, float(np.linalg.norm(w))):
+    if drift > HEART_RTOL * max(1.0, float(np.linalg.norm(w))):
         raise NotHeartStructuredError(
             f"block structure drift {drift:.3e} exceeds tolerance"
         )
@@ -117,7 +115,7 @@ def unheart(w, rtol: float = HEART_RTOL) -> np.ndarray:
     return (stack.conj().T @ w @ stack) / 2.0
 
 
-def is_con_normal(a, tol: Tolerances = DEFAULT_TOLERANCES) -> CheckResult:
+def is_con_normal(a) -> CheckResult:
     """Whether a*a equals conj(a a*), the class with closed form solutions.
 
     The margin is the detection threshold minus the defect norm, positive
@@ -129,14 +127,14 @@ def is_con_normal(a, tol: Tolerances = DEFAULT_TOLERANCES) -> CheckResult:
     return CheckResult(defect <= threshold, threshold - defect)
 
 
-def co_spectral_radius_vs_one(a, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[str, float]:
+def co_spectral_radius_vs_one(a) -> tuple[str, float]:
     """Classify the con-spectral radius of a against 1.
 
     Returns ("below" | "at" | "above", rho) where rho is the spectral radius
     of a @ conj(a); the classification carries a +-1e-8 band around 1.
     """
     a = _require_square(a, "co_spectral_radius_vs_one")
-    rho = spectral_radius(a @ np.conj(a), tol)
+    rho = spectral_radius(a @ np.conj(a))
     if rho < 1.0 - CO_RHO_BAND:
         return "below", rho
     if rho > 1.0 + CO_RHO_BAND:

@@ -187,16 +187,13 @@ def op_norm_2(a) -> float:
     return math.sqrt(max(float(w[-1]), 0.0))
 
 
-def spectral_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
-    """Largest eigenvalue modulus, from LAPACK's nonsymmetric eigensolver.
-
-    ``tol`` is accepted for signature compatibility and not used.
-    """
+def spectral_radius(a) -> float:
+    """Largest eigenvalue modulus, from LAPACK's nonsymmetric eigensolver."""
     a = _require_square(a, "spectral_radius")
     return float(np.abs(np.linalg.eigvals(a)).max())
 
 
-def numerical_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
+def numerical_radius(a) -> float:
     """max over angles t of the top eigenvalue of H(t) = cos(t) S + sin(t) K.
 
     S = (a + a*)/2 and K = i(a - a*)/2.  Level sets in Cayley form (Mengi &
@@ -208,7 +205,7 @@ def numerical_radius(a, tol: Tolerances = DEFAULT_TOLERANCES) -> float:
     into one eigvals call on a companion matrix.  Each level is a local
     maximum, climbed by Newton steps from the best sample and then from the
     best midpoint between crossings, until no midpoint beats the level;
-    usually one companion solve certifies the first.  ``tol`` is unused.
+    usually one companion solve certifies the first.
     """
     a = _require_square(a, "numerical_radius")
     scale = float(np.abs(a).max())

@@ -18,7 +18,7 @@ solution falls below the bracket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -214,42 +214,16 @@ def _fixed_point_small(
     residual_tol: float,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, list[float], float]:
-    """Scalar-arithmetic twin of the generic loop for n <= 2.
+    """Scalar-arithmetic twin of the generic loop for 2x2 coefficients.
 
-    Identical semantics: same pivot floor (for 2x2 Hermitian the Cholesky
-    pivots are exactly [w11, det/w11]), same spectral norms (closed form for
-    2x2 Hermitian), same stopping rule.  Exists because boundary instances
-    converge sublinearly and can legitimately need tens of millions of
-    iterations.
+    Serves solve_maximal at n = 1 (its lozenge is 2x2) and the 2x2 classical
+    equation.  Identical semantics: same pivot floor (for 2x2 Hermitian the
+    Cholesky pivots are exactly [w11, det/w11]), same spectral norms (closed
+    form for 2x2 Hermitian), same stopping rule.  Exists because boundary
+    instances converge sublinearly and can legitimately need tens of
+    millions of iterations.
     """
-    n = coeff.shape[0]
     trace: list[float] = []
-    if n == 1:
-        b2 = abs(complex(coeff[0, 0])) ** 2
-        w = 1.0
-        for k in range(1, tol.max_iter + 1):
-            scale = w if w > 0.0 else 1.0
-            if w <= tol.pd_floor * scale:
-                raise NoSolutionEvidence(
-                    f"iterate {k - 1} lost positive definiteness",
-                    iterations=k - 1,
-                    trace=trace,
-                )
-            w_next = 1.0 - b2 / w
-            change = abs(w_next - w)
-            if keep_trace:
-                trace.append(change)
-            if change <= tol.stop_rel * abs(w) and w_next > 0.0:
-                res = abs(w_next - (1.0 - b2 / w_next))
-                if res <= residual_tol:
-                    return np.array([[w_next]], dtype=np.complex128), k, trace, res
-            w = w_next
-        raise MaxIterationsExceeded(
-            f"no certified solution within {tol.max_iter} iterations",
-            iterations=tol.max_iter,
-            trace=trace,
-        )
-
     a11 = complex(coeff[0, 0])
     a12 = complex(coeff[0, 1])
     a21 = complex(coeff[1, 0])
@@ -317,26 +291,6 @@ def _fixed_point_small(
     )
 
 
-def _fixed_point_solve(
-    coeff: np.ndarray,
-    tol: Tolerances,
-    residual_tol: float,
-    observer: Callable[[np.ndarray], None] | None = None,
-    keep_trace: bool = True,
-) -> tuple[np.ndarray, int, list[float], float]:
-    """Monotone descent from the identity with residual certification.
-
-    Iterates ``W_{k+1} = I - C* W_k^-1 C`` (the standard equation).  Stops once
-    the iterate change falls below ``stop_rel`` relative and the equation
-    residual certifies below ``residual_tol``.  Loss of positive definiteness
-    raises NoSolutionEvidence; running out of iterations raises
-    MaxIterationsExceeded (slow boundary instances land here by design).
-    """
-    if observer is None and coeff.shape[0] <= 2:
-        return _fixed_point_small(coeff, tol, residual_tol, keep_trace)
-    return _fixed_point_generic(coeff, tol, residual_tol, observer, keep_trace)
-
-
 def standard_solve_maximal(
     b,
     tol: Tolerances = DEFAULT_TOLERANCES,
@@ -346,15 +300,22 @@ def standard_solve_maximal(
 ) -> SolveOutcome:
     """Maximal positive definite solution of X + B* X^-1 B = I.
 
-    The iterates decrease monotonically from the identity towards the
-    maximal solution whenever one exists.  ``observer``, if given, is called
-    with every iterate including the starting identity.
+    Monotone descent from the identity with residual certification: iterates
+    ``W_{k+1} = I - B* W_k^-1 B``, which decrease towards the maximal
+    solution whenever one exists, and stops once the iterate change falls
+    below ``stop_rel`` relative and the equation residual certifies below
+    ``residual_tol``.  Loss of positive definiteness raises
+    NoSolutionEvidence; running out of iterations raises
+    MaxIterationsExceeded (slow boundary instances land here by design).
+    ``observer``, if given, is called with every iterate including the
+    starting identity.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
     rtol = tol.residual_tol if residual_tol is None else residual_tol
-    w, iterations, trace, res = _fixed_point_solve(
-        b, tol, rtol, observer=observer, keep_trace=keep_trace
-    )
+    if observer is None and b.shape[0] == 2:
+        w, iterations, trace, res = _fixed_point_small(b, tol, rtol, keep_trace)
+    else:
+        w, iterations, trace, res = _fixed_point_generic(b, tol, rtol, observer, keep_trace)
     certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
     return SolveOutcome(
         solution=w,
@@ -429,15 +390,7 @@ def solve_maximal(
         )
     # the embedded certificate ||W^-1 lozenge(a_q)|| equals ||x_unit^-1 conj(a_q)||:
     # W = heart(x_unit), lozenge(a_q) = E heart(a_q) and E is orthogonal
-    return SolveOutcome(
-        solution=x,
-        kind="maximal",
-        iterations=embedded.iterations,
-        residual=res,
-        trace=embedded.trace,
-        rate_certificate=embedded.rate_certificate,
-        linear_rate_guaranteed=embedded.linear_rate_guaranteed,
-    )
+    return replace(embedded, solution=x, residual=res)
 
 
 def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
@@ -486,15 +439,7 @@ def solve_minimal(
         raise InternalInconsistency(
             f"dual-route residual {res:.3e} exceeds tolerance {p.tol.residual_tol:.3e}"
         )
-    return SolveOutcome(
-        solution=x,
-        kind="minimal",
-        iterations=dual_out.iterations,
-        residual=res,
-        trace=dual_out.trace,
-        rate_certificate=dual_out.rate_certificate,
-        linear_rate_guaranteed=dual_out.linear_rate_guaranteed,
-    )
+    return replace(dual_out, solution=x, kind="minimal", residual=res)
 
 
 def residual(x, p: ProblemInstance) -> float:
@@ -527,8 +472,8 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
     y = (y + y.conj().T) / 2.0
     if kind == "maximal":
         m = mat_inverse(np.conj(y), p.tol) @ mapping.a_q
-        ordering, value = co_spectral_radius_vs_one(m, p.tol)
+        ordering, value = co_spectral_radius_vs_one(m)
         return ordering in ("below", "at"), value
     m = mat_inverse(np.conj(y), p.tol) @ adjoint(mapping.a_q)
-    ordering, value = co_spectral_radius_vs_one(m, p.tol)
+    ordering, value = co_spectral_radius_vs_one(m)
     return ordering in ("at", "above"), value

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conric.embedding import lozenge
 from conric.kernel import (
-    TOLERANCE_PROFILES,
     DimensionError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -296,15 +295,13 @@ class TestNumericalRadius:
     @pytest.mark.parametrize("profile", ["default", "strict"])
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_matches_per_angle_loop_on_lozenges(self, profile, n):
-        # the oracle grid the two profiles once tuned; the radius ignores tol
+        # the oracle grid the two profiles once tuned; the radius takes no tol
         grid, refine_tol = {"default": (1024, 1e-10), "strict": (4096, 1e-12)}[profile]
         gen = np.random.default_rng(1000 + n)
         for _ in range(2):
             loz = lozenge(random_complex(gen, n) * gen.uniform(0.1, 1.0))
             oracle = numerical_radius_loop(loz, grid, refine_tol)
-            assert numerical_radius(loz, TOLERANCE_PROFILES[profile]) == pytest.approx(
-                oracle, rel=1e-12
-            )
+            assert numerical_radius(loz) == pytest.approx(oracle, rel=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8])
     def test_matches_per_angle_loop_on_degenerate_matrices(self, n):

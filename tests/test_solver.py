@@ -133,6 +133,58 @@ class TestStandardSolve:
         assert out.trace == []
 
 
+class TestEngineDispatch:
+    # a 2x2 coefficient without an observer runs the scalar twin; every
+    # other coefficient, 1x1 included, runs the generic loop
+
+    @pytest.mark.parametrize("b", [0.1, 0.3, 0.49, 0.4999])
+    def test_scalar_coefficient_runs_generic_loop(self, b):
+        out = standard_solve_maximal(np.array([[b]]))
+        x_plus, _ = scalar_solutions(b)
+        assert abs(out.solution[0, 0] - x_plus) <= 1e-10
+        assert out.iterations == reference_iterations(np.array([[b]]))
+
+    def test_scalar_coefficient_without_solution(self):
+        with pytest.raises(NoSolutionEvidence):
+            standard_solve_maximal(np.array([[0.6]]))
+
+    def test_twin_serves_two_by_two_without_observer(self, rng, monkeypatch):
+        import conric.solver as solver_mod
+
+        calls = []
+        cone_step = solver_mod._cone_step
+
+        def counting(*args):
+            calls.append(None)
+            return cone_step(*args)
+
+        monkeypatch.setattr(solver_mod, "_cone_step", counting)
+        b = random_solvable(rng, 2)
+        standard_solve_maximal(b)
+        solve_maximal(ProblemInstance(random_solvable(rng, 1)))
+        assert calls == []
+        out = standard_solve_maximal(b, observer=lambda w: None)
+        assert len(calls) == out.iterations
+
+
+class TestUnitaryCongruence:
+    # A -> conj(U) A U*, Q -> U Q U* maps every solution X to U X U*
+    @pytest.mark.parametrize("with_q", [False, True])
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_solutions_follow_the_congruence(self, n, seed, with_q):
+        gen = np.random.default_rng(seed)
+        a = random_nonsingular_solvable(gen, n)
+        q = random_psd(gen, n) + np.eye(n) if with_q else np.eye(n)
+        u = random_unitary(gen, n)
+        moved = ProblemInstance(np.conj(u) @ a @ u.conj().T, u @ q @ u.conj().T)
+        for solve in (solve_maximal, solve_minimal):
+            x = solve(ProblemInstance(a, q)).solution
+            expected = u @ x @ u.conj().T
+            gap = np.linalg.norm(solve(moved).solution - expected, 2)
+            assert gap <= 1e-12 * np.linalg.norm(x, 2), solve.__name__
+
+
 class TestSolveMaximal:
     def test_zero_coefficient(self):
         out = solve_maximal(ProblemInstance(np.zeros((2, 2))))
