@@ -18,6 +18,7 @@ solution falls below the bracket.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -54,19 +55,19 @@ class NoSolutionEvidence(ConricError):
     solution exists, so leaving the cone certifies non-existence.
     """
 
-    def __init__(self, message: str, iterations: int = 0, trace: list[float] | None = None):
+    def __init__(self, message: str, iterations: int = 0, trace: array[float] | None = None):
         super().__init__(message)
         self.iterations = iterations
-        self.trace = trace if trace is not None else []
+        self.trace = trace if trace is not None else array("d")
 
 
 class MaxIterationsExceeded(ConricError):
     """Iteration cap reached before the stopping rule certified a solution."""
 
-    def __init__(self, message: str, iterations: int = 0, trace: list[float] | None = None):
+    def __init__(self, message: str, iterations: int = 0, trace: array[float] | None = None):
         super().__init__(message)
         self.iterations = iterations
-        self.trace = trace if trace is not None else []
+        self.trace = trace if trace is not None else array("d")
 
 
 class InternalInconsistency(ConricError):
@@ -114,7 +115,8 @@ class SolveOutcome:
     """A certified solution together with how it was reached.
 
     trace holds the per-step change norms of the iteration that produced the
-    solution.  rate_certificate is the norm of (unit-Q solution)^-1 times the
+    solution, as an ``array('d')`` (8 bytes a step; empty when the trace was
+    not kept).  rate_certificate is the norm of (unit-Q solution)^-1 times the
     conjugated coefficient; when below one, the iteration provably converges
     at least linearly and ``linear_rate_guaranteed`` is set.
     """
@@ -123,7 +125,7 @@ class SolveOutcome:
     kind: str
     iterations: int
     residual: float
-    trace: list[float] = field(default_factory=list)
+    trace: array[float] = field(default_factory=lambda: array("d"))
     rate_certificate: float | None = None
     linear_rate_guaranteed: bool = False
 
@@ -176,11 +178,14 @@ def _fixed_point_generic(
     residual_tol: float,
     observer: Callable[[np.ndarray], None] | None,
     keep_trace: bool,
-) -> tuple[np.ndarray, int, list[float], float]:
+) -> tuple[np.ndarray, int, array[float], float]:
     w = np.eye(coeff.shape[0], dtype=np.complex128)
     if observer is not None:
         observer(w)
-    trace: list[float] = []
+    trace = array("d")
+    # every iterate is positive definite and below I, so ||W|| <= 1 and the
+    # stop test cannot pass while the change exceeds 2 stop_rel
+    near_stop = 2.0 * tol.stop_rel
     for k in range(1, tol.max_iter + 1):
         w_next, margin = _cone_step(w, coeff, False, tol)
         if w_next is None:
@@ -194,7 +199,7 @@ def _fixed_point_generic(
             trace.append(change)
         if observer is not None:
             observer(w_next)
-        if change <= tol.stop_rel * op_norm_2(w):
+        if change <= near_stop and change <= tol.stop_rel * op_norm_2(w):
             # the equation defect of an iterate equals its next update step
             lower, _ = _cholesky_lower(w_next, tol)
             res = math.inf if lower is None else op_norm_2(w_next - _step(lower, coeff, False))
@@ -208,22 +213,62 @@ def _fixed_point_generic(
     )
 
 
+def _fixed_point_scalar(
+    coeff: np.ndarray,
+    tol: Tolerances,
+    residual_tol: float,
+    keep_trace: bool,
+) -> tuple[np.ndarray, int, array[float], float]:
+    """The generic loop for a 1x1 coefficient b: y <- 1 - s/y, s = |b|^2, from y = 1.
+
+    Float arithmetic with the generic loop's pivot floor, stopping rule,
+    residual certificate and errors.  Exists because boundary instances
+    (|b| = 1/2) run to the iteration cap, and a float step costs about a
+    hundredth of a generic matrix step.
+    """
+    s = abs(coeff[0, 0]) ** 2
+    trace = array("d")
+    stop_rel = tol.stop_rel
+    pd_floor = tol.pd_floor
+    y = 1.0
+    for k in range(1, tol.max_iter + 1):
+        if y <= (pd_floor * y if y > 0.0 else pd_floor):
+            raise NoSolutionEvidence(
+                f"iterate {k - 1} lost positive definiteness",
+                iterations=k - 1,
+                trace=trace,
+            )
+        y_next = 1.0 - s / y
+        change = abs(y_next - y)
+        if keep_trace:
+            trace.append(change)
+        if change <= stop_rel * y:
+            res = abs(y_next - (1.0 - s / y_next)) if y_next > 0.0 else math.inf
+            if res <= residual_tol:
+                return np.array([[y_next]], dtype=np.complex128), k, trace, res
+        y = y_next
+    raise MaxIterationsExceeded(
+        f"no certified solution within {tol.max_iter} iterations",
+        iterations=tol.max_iter,
+        trace=trace,
+    )
+
+
 def _fixed_point_small(
     coeff: np.ndarray,
     tol: Tolerances,
     residual_tol: float,
     keep_trace: bool,
-) -> tuple[np.ndarray, int, list[float], float]:
+) -> tuple[np.ndarray, int, array[float], float]:
     """Scalar-arithmetic twin of the generic loop for 2x2 coefficients.
 
-    Serves solve_maximal at n = 1 (its lozenge is 2x2) and the 2x2 classical
-    equation.  Identical semantics: same pivot floor (for 2x2 Hermitian the
-    Cholesky pivots are exactly [w11, det/w11]), same spectral norms (closed
-    form for 2x2 Hermitian), same stopping rule.  Exists because boundary
-    instances converge sublinearly and can legitimately need tens of
-    millions of iterations.
+    Serves the 2x2 classical equation.  Identical semantics: same pivot floor
+    (for 2x2 Hermitian the Cholesky pivots are exactly [w11, det/w11]), same
+    spectral norms (closed form for 2x2 Hermitian), same stopping rule.
+    Exists because boundary instances converge sublinearly and can
+    legitimately need tens of millions of iterations.
     """
-    trace: list[float] = []
+    trace = array("d")
     a11 = complex(coeff[0, 0])
     a12 = complex(coeff[0, 1])
     a21 = complex(coeff[1, 0])
@@ -308,11 +353,14 @@ def standard_solve_maximal(
     NoSolutionEvidence; running out of iterations raises
     MaxIterationsExceeded (slow boundary instances land here by design).
     ``observer``, if given, is called with every iterate including the
-    starting identity.
+    starting identity.  Without one, a 1x1 coefficient runs the scalar loop
+    and a 2x2 one the scalar twin; every other case runs the generic loop.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
     rtol = tol.residual_tol if residual_tol is None else residual_tol
-    if observer is None and b.shape[0] == 2:
+    if observer is None and b.shape[0] == 1:
+        w, iterations, trace, res = _fixed_point_scalar(b, tol, rtol, keep_trace)
+    elif observer is None and b.shape[0] == 2:
         w, iterations, trace, res = _fixed_point_small(b, tol, rtol, keep_trace)
     else:
         w, iterations, trace, res = _fixed_point_generic(b, tol, rtol, observer, keep_trace)
@@ -358,12 +406,15 @@ def solve_maximal(
     """Maximal positive definite solution of X + A* conj(X)^-1 A = Q.
 
     Normalizes Q away, runs the real embedded iteration on lozenge(a_q) and
-    extracts the complex solution.  Doubling on the same lozenge gives the
-    iterate 2^J - 1 >= max_iter, J = max_iter.bit_length(); the iterates
-    decrease, so a correct engine's solution lies on or above it, and one
-    more than 1e-8 below is an internal inconsistency.  The residual already
-    bounds how far above the maximal solution the engine stopped, so the
-    check is one-sided.  ``observer`` receives the embedded run's iterates.
+    extracts the complex solution.  At n = 1 without an observer the lozenge
+    iterates are y I_2 with y <- 1 - |a_q|^2 / y, so the engine runs the 1x1
+    classical equation with coefficient |a_q| instead.  Doubling on the
+    lozenge gives the iterate 2^J - 1 >= max_iter, J = max_iter.bit_length();
+    the iterates decrease, so a correct engine's solution lies on or above
+    it, and one more than 1e-8 below is an internal inconsistency.  The
+    residual already bounds how far above the maximal solution the engine
+    stopped, so the check is one-sided.  ``observer`` receives the embedded
+    run's iterates.
     """
     mapping = normalize_q(p)
     a_q = mapping.a_q
@@ -371,12 +422,18 @@ def solve_maximal(
     engine_rtol = p.tol.residual_tol / q_scale
 
     b = lozenge(a_q)
-    embedded = standard_solve_maximal(b, p.tol, observer=observer, residual_tol=engine_rtol)
-    x_unit = unheart(embedded.solution)
-    x_unit = (x_unit + x_unit.conj().T) / 2.0
+    if observer is None and p.n == 1:
+        embedded = standard_solve_maximal(np.abs(a_q), p.tol, residual_tol=engine_rtol)
+        x_unit = embedded.solution
+        w = x_unit.real[0, 0] * np.eye(2)
+    else:
+        embedded = standard_solve_maximal(b, p.tol, observer=observer, residual_tol=engine_rtol)
+        x_unit = unheart(embedded.solution)
+        x_unit = (x_unit + x_unit.conj().T) / 2.0
+        w = embedded.solution.real
 
     bracket = _doubling(b, p.tol.max_iter.bit_length())
-    margin = np.linalg.eigvalsh(embedded.solution.real - bracket)[0]
+    margin = np.linalg.eigvalsh(w - bracket)[0]
     if margin < -CROSS_CHECK_TOL:
         raise InternalInconsistency(
             f"engine solution lies {-margin:.3e} below the doubling bracket"

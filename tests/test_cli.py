@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conric import cli
 from conric.cli import _emit, main
 from conric.kernel import Tolerances
-from conric.solver import ProblemInstance, residual
+from conric.solver import ProblemInstance, residual, solve_maximal
 from helpers import EX1_A, EX1_X_PLUS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -116,6 +116,15 @@ class TestSolveCommand:
         main(["solve", str(example_file), "--no-meta"])
         second = capsys.readouterr().out
         assert first == second
+
+    @pytest.mark.parametrize("a", [np.array([[-0.4j]]), EX1_A], ids=["n1", "n2"])
+    def test_trace_key_is_step_change_pairs(self, tmp_path, capsys, a):
+        path = write_json_instance(tmp_path / "a.json", a)
+        assert main(["solve", str(path), "--format", "json", "--no-meta"]) == 0
+        trace = json.loads(capsys.readouterr().out)["trace"]
+        expected = solve_maximal(ProblemInstance(a)).trace
+        assert trace == [[k + 1, v] for k, v in enumerate(expected)]
+        assert all(type(k) is int and type(v) is float for k, v in trace)
 
     def test_meta_included_by_default(self, example_file, capsys):
         main(["solve", str(example_file)])
@@ -360,6 +369,15 @@ class TestTraceCommand:
         floats = [float(v) for v in values]
         # eventually decreasing
         assert floats[-1] < floats[0]
+
+    @pytest.mark.parametrize("a", [np.array([[0.3 + 0.2j]]), EX1_A], ids=["n1", "n2"])
+    def test_lines_are_repr_floats(self, tmp_path, capsys, a):
+        path = write_json_instance(tmp_path / "a.json", a)
+        assert main(["trace", str(path)]) == 0
+        expected = solve_maximal(ProblemInstance(a)).trace
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == [f"{k + 1} {v!r}" for k, v in enumerate(expected)]
+        assert all(type(float(line.split()[1])) is float for line in lines)
 
     def test_failure_emits_partial_trace(self, tmp_path, capsys):
         path = write_json_instance(tmp_path / "big.json", 0.8 * np.eye(2))

@@ -130,15 +130,15 @@ class TestStandardSolve:
 
     def test_keep_trace_disabled(self):
         out = standard_solve_maximal(np.array([[0.3]]), keep_trace=False)
-        assert out.trace == []
+        assert len(out.trace) == 0
 
 
 class TestEngineDispatch:
-    # a 2x2 coefficient without an observer runs the scalar twin; every
-    # other coefficient, 1x1 included, runs the generic loop
+    # without an observer a 1x1 coefficient runs the scalar loop and a 2x2 one
+    # the scalar twin; with an observer, or at any other size, the generic loop
 
     @pytest.mark.parametrize("b", [0.1, 0.3, 0.49, 0.4999])
-    def test_scalar_coefficient_runs_generic_loop(self, b):
+    def test_scalar_coefficient_runs_scalar_loop(self, b):
         out = standard_solve_maximal(np.array([[b]]))
         x_plus, _ = scalar_solutions(b)
         assert abs(out.solution[0, 0] - x_plus) <= 1e-10
@@ -147,6 +147,23 @@ class TestEngineDispatch:
     def test_scalar_coefficient_without_solution(self):
         with pytest.raises(NoSolutionEvidence):
             standard_solve_maximal(np.array([[0.6]]))
+
+    def test_observer_sends_scalar_coefficient_to_generic_loop(self, monkeypatch):
+        import conric.solver as solver_mod
+
+        calls = []
+        cone_step = solver_mod._cone_step
+
+        def counting(*args):
+            calls.append(None)
+            return cone_step(*args)
+
+        monkeypatch.setattr(solver_mod, "_cone_step", counting)
+        b = np.array([[0.3 - 0.2j]])
+        plain = standard_solve_maximal(b)
+        assert calls == []
+        observed = standard_solve_maximal(b, observer=lambda w: None)
+        assert len(calls) == observed.iterations == plain.iterations
 
     def test_twin_serves_two_by_two_without_observer(self, rng, monkeypatch):
         import conric.solver as solver_mod
@@ -165,6 +182,46 @@ class TestEngineDispatch:
         assert calls == []
         out = standard_solve_maximal(b, observer=lambda w: None)
         assert len(calls) == out.iterations
+
+
+class TestScalarRoute:
+    # at n = 1 solve_maximal runs the scalar loop; an observer forces the
+    # lozenge route through the generic loop, which must give the same answer
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    @pytest.mark.parametrize("modulus", [0.0, 0.1, 0.3, 0.45, 0.49, 0.499, 0.5 - 1e-4])
+    def test_routes_agree(self, rng, modulus, with_q):
+        # with Q = [[q]] the unit-Q coefficient is a / q
+        q = rng.uniform(0.5, 4.0) if with_q else 1.0
+        a = q * modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        p = ProblemInstance(np.array([[a]]), np.array([[q]]) if with_q else None)
+        scalar, lozenge_route = solve_maximal(p), solve_maximal(p, observer=lambda w: None)
+        assert scalar.iterations == lozenge_route.iterations
+        gap = np.abs(scalar.solution - lozenge_route.solution).max()
+        assert gap <= 1e-14 * np.abs(lozenge_route.solution).max()
+        assert scalar.rate_certificate == pytest.approx(lozenge_route.rate_certificate, rel=1e-12)
+        assert len(scalar.trace) == scalar.iterations
+
+    def test_boundary_runs_to_the_cap_on_both_routes(self):
+        tol = Tolerances(max_iter=2000)
+        p = ProblemInstance(np.array([[0.5j]]), None, tol)
+        for observer in (None, lambda w: None):
+            with pytest.raises(MaxIterationsExceeded) as info:
+                solve_maximal(p, observer=observer)
+            assert info.value.iterations == tol.max_iter
+            assert len(info.value.trace) == tol.max_iter
+
+    @pytest.mark.parametrize("modulus", [0.5 + 1e-3, 0.6, 2.0])
+    def test_no_solution_at_the_same_iterate(self, rng, modulus):
+        a = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        p = ProblemInstance(np.array([[a]]))
+        errors = []
+        for observer in (None, lambda w: None):
+            with pytest.raises(NoSolutionEvidence) as info:
+                solve_maximal(p, observer=observer)
+            errors.append(info.value)
+        assert errors[0].iterations == errors[1].iterations
+        assert len(errors[0].trace) == len(errors[1].trace) == errors[0].iterations
 
 
 class TestUnitaryCongruence:
@@ -498,6 +555,22 @@ class TestConeStep:
         calls.clear()
         assert build_ladder(a, "lower", 8).depth == 8
         assert calls == setup
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_wnorm_only_near_the_stop(self, rng, monkeypatch, n):
+        # ||W|| is taken only once the change is within 2 stop_rel; the
+        # stopping decisions, hence the iteration counts, stay the same
+        import conric.solver as solver_mod
+
+        calls = []
+        norm = solver_mod.op_norm_2
+        monkeypatch.setattr(solver_mod, "op_norm_2", lambda m: calls.append(None) or norm(m))
+        b = lozenge(random_solvable(rng, n, min_norm=0.3))
+        out = standard_solve_maximal(b)
+        # one change norm a step, then ||W|| and the residual near the stop
+        # and the rate certificate
+        assert out.iterations + 3 <= len(calls) <= out.iterations + 6
+        assert out.iterations == reference_iterations(b)
 
     def test_iteration_counts_match_reference_near_critical(self):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
