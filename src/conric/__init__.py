@@ -67,6 +67,7 @@ from .solver import (
     ProblemInstance,
     QNormalization,
     SingularCoefficient,
+    SolveFailure,
     SolveOutcome,
     extremality_check,
     normalize_q,

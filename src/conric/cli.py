@@ -5,7 +5,8 @@ either a JSON document ({"n": ..., "re": [[...]], "im": [[...]], optional
 "q_re"/"q_im"}) or a plain text form (a line with n, then n lines of n
 "re,im" pairs).  Reports go to stdout (or --out) as JSON or key/value text;
 every float serializes round-trippably.  Exit codes are part of the
-contract: 0 success, 1 input error, 2 no-solution-evidence, 3 max-iterations.
+contract: EXIT_CODES gives the code of each report classification, and an
+input error exits 1.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from .bounds import DEFAULT_DEPTH, LadderBreakdown, build_ladder, sandwich_report
 from .conditions import check_existence
+from .embedding import NotHeartStructuredError
 from .kernel import (
     ConricError,
     TOLERANCE_PROFILES,
@@ -30,19 +32,26 @@ from .kernel import (
     cmatrix,
 )
 from .solver import (
+    InternalInconsistency,
     MaxIterationsExceeded,
     NoSolutionEvidence,
     ProblemInstance,
     SingularCoefficient,
+    SolveFailure,
     normalize_q,
     solve_maximal,
     solve_minimal,
 )
 
-EXIT_OK = 0
+SUCCESS = "success"
+# exit code of each report classification; an input error writes no report
+EXIT_CODES = {
+    SUCCESS: 0,
+    NoSolutionEvidence.classification: 2,
+    MaxIterationsExceeded.classification: 3,
+    InternalInconsistency.classification: 4,
+}
 EXIT_INPUT = 1
-EXIT_NO_SOLUTION = 2
-EXIT_MAX_ITER = 3
 
 TOL_PROFILE_ENV = "CONRIC_TOL_PROFILE"
 
@@ -106,10 +115,7 @@ def _matrix_from_fields(doc: dict, re_key: str, im_key: str, n: int) -> np.ndarr
             f"fields {re_key}/{im_key} must be {n}x{n} arrays, "
             f"got {re_part.shape} and {im_part.shape}"
         )
-    try:
-        return cmatrix(re_part + 1j * im_part)
-    except (ValueError, ConricError) as exc:
-        raise InputError(str(exc)) from exc
+    return cmatrix(re_part + 1j * im_part)
 
 
 def _load_instance(args, tol: Tolerances) -> ProblemInstance:
@@ -130,10 +136,7 @@ def _load_instance(args, tol: Tolerances) -> ProblemInstance:
         drift = np.linalg.norm(q - q.conj().T)
         if drift > 1e-10 * max(1.0, np.linalg.norm(q)):
             raise InputError(f"q is not Hermitian (drift {drift:.3e})")
-    try:
-        return ProblemInstance(a, q, tol)
-    except (ValueError, ConricError) as exc:
-        raise InputError(str(exc)) from exc
+    return ProblemInstance(a, q, tol)
 
 
 def _build_tolerances(args) -> Tolerances:
@@ -143,15 +146,10 @@ def _build_tolerances(args) -> Tolerances:
             f"unknown {TOL_PROFILE_ENV} value {profile!r}; "
             f"expected one of {sorted(TOLERANCE_PROFILES)}"
         )
-    tol = TOLERANCE_PROFILES[profile]
-    overrides = {}
-    if getattr(args, "tol", None) is not None:
-        overrides["residual_tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
-        overrides["max_iter"] = args.max_iter
-    if overrides:
-        tol = dataclasses.replace(tol, **overrides)
-    return tol
+    overrides = {"residual_tol": args.tol, "max_iter": args.max_iter}
+    return dataclasses.replace(
+        TOLERANCE_PROFILES[profile], **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def _mat_json(m: np.ndarray) -> dict:
@@ -166,16 +164,6 @@ def _existence_json(report) -> dict:
         "exact_invertible": None if exact is None else exact._asdict(),
         "verdict": report.verdict,
     }
-
-
-def _base_report(args, tol: Tolerances) -> dict:
-    report = {
-        "command": " ".join(args.echo),
-        "tolerances": dataclasses.asdict(tol),
-    }
-    if not args.no_meta:
-        report["meta"] = {"generated_at": datetime.now(timezone.utc).isoformat()}
-    return report
 
 
 def _indented_json(value, level: int = 0) -> str:
@@ -206,6 +194,18 @@ def _indented_json(value, level: int = 0) -> str:
     return "[" + inner + ("," + inner).join(items) + outer + "]"
 
 
+def _trace_rows(trace) -> list[list]:
+    return [[k + 1, v] for k, v in enumerate(trace)]
+
+
+def _write(text: str, args) -> None:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(report: dict, args) -> None:
     if args.format == "json":
         text = _indented_json(report) + "\n"
@@ -223,41 +223,22 @@ def _emit(report: dict, args) -> None:
 
         walk("", report)
         text = "\n".join(lines) + "\n"
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
-def cmd_solve(args) -> int:
-    tol = _build_tolerances(args)
-    instance = _load_instance(args, tol)
-    report = _base_report(args, tol)
-    existence = check_existence(normalize_q(instance).a_q, tol)
+def cmd_solve(args, report: dict) -> None:
+    instance = args.instance
+    existence = check_existence(normalize_q(instance).a_q, instance.tol)
     report["existence"] = _existence_json(existence)
     if existence.verdict == "not_exists":
         failed = [c.name for c in existence.necessary_failures()]
         if not failed and existence.exact_invertible is not None:
             failed = [existence.exact_invertible.name]
-        report["exit_classification"] = "no-solution-evidence"
+        report["exit_classification"] = NoSolutionEvidence.classification
         report["failed_conditions"] = failed
-        _emit(report, args)
-        return EXIT_NO_SOLUTION
+        return
 
-    try:
-        outcome = solve_maximal(instance)
-    except NoSolutionEvidence as exc:
-        report["exit_classification"] = "no-solution-evidence"
-        report["error"] = str(exc)
-        _emit(report, args)
-        return EXIT_NO_SOLUTION
-    except MaxIterationsExceeded as exc:
-        report["exit_classification"] = "max-iterations"
-        report["error"] = str(exc)
-        _emit(report, args)
-        return EXIT_MAX_ITER
-
+    outcome = solve_maximal(instance)
     payload = {
         "x_plus": _mat_json(outcome.solution),
         "residual": outcome.residual,
@@ -274,20 +255,12 @@ def cmd_solve(args) -> int:
             payload["x_minus"] = None
             payload["x_minus_note"] = str(exc)
     report["outcome"] = payload
-    report["trace"] = [[k + 1, v] for k, v in enumerate(outcome.trace)]
-    report["exit_classification"] = "success"
-    _emit(report, args)
-    return EXIT_OK
+    report["trace"] = _trace_rows(outcome.trace)
 
 
-def cmd_check(args) -> int:
-    tol = _build_tolerances(args)
-    instance = _load_instance(args, tol)
-    report = _base_report(args, tol)
-    report["existence"] = _existence_json(check_existence(normalize_q(instance).a_q, tol))
-    report["exit_classification"] = "success"
-    _emit(report, args)
-    return EXIT_OK
+def cmd_check(args, report: dict) -> None:
+    instance = args.instance
+    report["existence"] = _existence_json(check_existence(normalize_q(instance).a_q, instance.tol))
 
 
 def _ladder_json(ladder) -> dict:
@@ -299,17 +272,9 @@ def _ladder_json(ladder) -> dict:
     }
 
 
-def cmd_bounds(args) -> int:
-    tol = _build_tolerances(args)
-    instance = _load_instance(args, tol)
-    report = _base_report(args, tol)
-    try:
-        lower = build_ladder(instance.a, "lower", args.depth, tol, instance.q)
-    except LadderBreakdown as exc:
-        report["exit_classification"] = "no-solution-evidence"
-        report["error"] = str(exc)
-        _emit(report, args)
-        return EXIT_NO_SOLUTION
+def cmd_bounds(args, report: dict) -> None:
+    instance, tol = args.instance, args.instance.tol
+    lower = build_ladder(instance.a, "lower", args.depth, tol, instance.q)
     ladders = {"lower": _ladder_json(lower)}
     upper = None
     try:
@@ -332,33 +297,15 @@ def cmd_bounds(args) -> int:
     except ConricError as exc:
         report["sandwich"] = None
         report["sandwich_note"] = str(exc)
-    report["exit_classification"] = "success"
-    _emit(report, args)
-    return EXIT_OK
 
 
-def cmd_trace(args) -> int:
-    tol = _build_tolerances(args)
-    instance = _load_instance(args, tol)
+def cmd_trace(args, report: dict) -> None:
     try:
-        outcome = solve_maximal(instance)
-        trace = outcome.trace
-        code = EXIT_OK
-    except NoSolutionEvidence as exc:
-        trace = exc.trace
-        code = EXIT_NO_SOLUTION
-        print(f"error: {exc}", file=sys.stderr)
-    except MaxIterationsExceeded as exc:
-        trace = exc.trace
-        code = EXIT_MAX_ITER
-        print(f"error: {exc}", file=sys.stderr)
-    lines = "\n".join(f"{k + 1} {v!r}" for k, v in enumerate(trace))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(lines + "\n")
-    else:
-        sys.stdout.write(lines + "\n")
-    return code
+        outcome = solve_maximal(args.instance)
+    except SolveFailure as exc:
+        report["trace"] = _trace_rows(exc.trace)
+        raise
+    report["trace"] = _trace_rows(outcome.trace)
 
 
 # parse_args leaves a parser as it was, so every main call in a process shares one
@@ -398,15 +345,39 @@ def _make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = _make_parser().parse_args(argv)
-    args.echo = argv
     try:
-        return args.func(args)
-    except InputError as exc:
+        tol = _build_tolerances(args)
+        # a command reads its instance from args, next to its options
+        args.instance = _load_instance(args, tol)
+    except (InputError, ValueError, ConricError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    report = {"command": " ".join(argv), "tolerances": dataclasses.asdict(tol)}
+    if not args.no_meta:
+        report["meta"] = {"generated_at": datetime.now(timezone.utc).isoformat()}
+    try:
+        args.func(args, report)
+    except (SolveFailure, InternalInconsistency, NotHeartStructuredError) as exc:
+        # unheart refuses an iterate that lost its block structure: an internal error
+        if isinstance(exc, NotHeartStructuredError):
+            classification = InternalInconsistency.classification
+        else:
+            classification = exc.classification
+        report["exit_classification"] = classification
+        report["error"] = str(exc)
+        # trace writes no report; an internal error keeps its "error: " line as well
+        if args.subcommand == "trace" or classification == InternalInconsistency.classification:
+            print(f"error: {exc}", file=sys.stderr)
     except (ValueError, ConricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    classification = report.setdefault("exit_classification", SUCCESS)
+    if args.subcommand == "trace":
+        # trace writes 'k value' lines instead of the report
+        _write("\n".join(f"{k} {v!r}" for k, v in report.get("trace", ())) + "\n", args)
+    else:
+        _emit(report, args)
+    return EXIT_CODES[classification]
 
 
 if __name__ == "__main__":

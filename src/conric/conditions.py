@@ -37,10 +37,9 @@ from .kernel import (
     _require_square,
 )
 from .solver import (
-    MaxIterationsExceeded,
-    NoSolutionEvidence,
     ProblemInstance,
     SingularCoefficient,
+    SolveFailure,
     SolveOutcome,
     solve_maximal,
 )
@@ -181,11 +180,8 @@ def cross_validate(a, tol: Tolerances = DEFAULT_TOLERANCES) -> CrossValidation:
     try:
         outcome = solve_maximal(ProblemInstance(a, None, tol))
         succeeded = True
-    except NoSolutionEvidence as exc:
-        error = f"no-solution-evidence: {exc}"
-        succeeded = False
-    except MaxIterationsExceeded as exc:
-        error = f"max-iterations: {exc}"
+    except SolveFailure as exc:
+        error = f"{exc.classification}: {exc}"
         succeeded = False
 
     if report.verdict == "exists":

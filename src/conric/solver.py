@@ -48,30 +48,40 @@ from .kernel import (
 CROSS_CHECK_TOL = 1e-8
 
 
-class NoSolutionEvidence(ConricError):
+class SolveFailure(ConricError):
+    """A solve that ended without a certified solution, with how far it got.
+
+    ``classification`` is the name a report gives the failure.
+    """
+
+    classification: str
+
+    def __init__(self, message: str, iterations: int = 0, trace: array[float] | None = None):
+        super().__init__(message)
+        self.iterations = iterations
+        self.trace = trace if trace is not None else array("d")
+
+
+class NoSolutionEvidence(SolveFailure):
     """An iterate left the positive definite cone.
 
     The iteration is monotone inside the cone whenever a positive definite
     solution exists, so leaving the cone certifies non-existence.
     """
 
-    def __init__(self, message: str, iterations: int = 0, trace: array[float] | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.trace = trace if trace is not None else array("d")
+    classification = "no-solution-evidence"
 
 
-class MaxIterationsExceeded(ConricError):
+class MaxIterationsExceeded(SolveFailure):
     """Iteration cap reached before the stopping rule certified a solution."""
 
-    def __init__(self, message: str, iterations: int = 0, trace: array[float] | None = None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.trace = trace if trace is not None else array("d")
+    classification = "max-iterations"
 
 
 class InternalInconsistency(ConricError):
     """Two checks that must agree did not; the result cannot be trusted."""
+
+    classification = "internal-error"
 
 
 class SingularCoefficient(ConricError):
@@ -172,6 +182,17 @@ def _cone_step(
     return (None if lower is None else _step(lower, coeff, conjugate_iterate)), margin
 
 
+# the three engines refuse through these two, so every route words a failure alike
+def _left_the_cone(iterate: int, margin: float, trace: array[float]) -> NoSolutionEvidence:
+    message = f"iterate {iterate} lost positive definiteness (pivot margin {margin:.3e})"
+    return NoSolutionEvidence(message, iterate, trace)
+
+
+def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExceeded:
+    message = f"no certified solution within {tol.max_iter} iterations"
+    return MaxIterationsExceeded(message, tol.max_iter, trace)
+
+
 def _fixed_point_generic(
     coeff: np.ndarray,
     tol: Tolerances,
@@ -189,11 +210,7 @@ def _fixed_point_generic(
     for k in range(1, tol.max_iter + 1):
         w_next, margin = _cone_step(w, coeff, False, tol)
         if w_next is None:
-            raise NoSolutionEvidence(
-                f"iterate {k - 1} lost positive definiteness (pivot margin {margin:.3e})",
-                iterations=k - 1,
-                trace=trace,
-            )
+            raise _left_the_cone(k - 1, margin, trace)
         change = op_norm_2(w_next - w)
         if keep_trace:
             trace.append(change)
@@ -206,11 +223,7 @@ def _fixed_point_generic(
             if res <= residual_tol:
                 return w_next, k, trace, res
         w = w_next
-    raise MaxIterationsExceeded(
-        f"no certified solution within {tol.max_iter} iterations",
-        iterations=tol.max_iter,
-        trace=trace,
-    )
+    raise _out_of_iterations(tol, trace)
 
 
 def _fixed_point_scalar(
@@ -233,11 +246,8 @@ def _fixed_point_scalar(
     y = 1.0
     for k in range(1, tol.max_iter + 1):
         if y <= (pd_floor * y if y > 0.0 else pd_floor):
-            raise NoSolutionEvidence(
-                f"iterate {k - 1} lost positive definiteness",
-                iterations=k - 1,
-                trace=trace,
-            )
+            # y fails the floor only once y <= 0, where the pivot loop's scale is 1
+            raise _left_the_cone(k - 1, y, trace)
         y_next = 1.0 - s / y
         change = abs(y_next - y)
         if keep_trace:
@@ -247,11 +257,7 @@ def _fixed_point_scalar(
             if res <= residual_tol:
                 return np.array([[y_next]], dtype=np.complex128), k, trace, res
         y = y_next
-    raise MaxIterationsExceeded(
-        f"no certified solution within {tol.max_iter} iterations",
-        iterations=tol.max_iter,
-        trace=trace,
-    )
+    raise _out_of_iterations(tol, trace)
 
 
 def _fixed_point_small(
@@ -308,11 +314,9 @@ def _fixed_point_small(
         floor = pd_floor * scale if scale > 0.0 else pd_floor
         det = w11 * w22 - (w12.real * w12.real + w12.imag * w12.imag)
         if w11 <= floor or (det / w11 if w11 > 0.0 else -1.0) <= floor:
-            raise NoSolutionEvidence(
-                f"iterate {k - 1} lost positive definiteness",
-                iterations=k - 1,
-                trace=trace,
-            )
+            # the margin of the first failing pivot, as the pivot loop reports it
+            pivot = w11 if w11 <= floor else det / w11
+            raise _left_the_cone(k - 1, pivot / (scale if scale > 0.0 else 1.0), trace)
         n11, n12, n22 = step(w11, w12, w22)
         change = herm_norm(n11 - w11, n12 - w12, n22 - w22)
         if keep_trace:
@@ -329,11 +333,7 @@ def _fixed_point_small(
                 )
                 return solution, k, trace, res
         w11, w12, w22 = n11, n12, n22
-    raise MaxIterationsExceeded(
-        f"no certified solution within {tol.max_iter} iterations",
-        iterations=tol.max_iter,
-        trace=trace,
-    )
+    raise _out_of_iterations(tol, trace)
 
 
 def standard_solve_maximal(
@@ -458,10 +458,7 @@ def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
         )
 
 
-def solve_minimal(
-    p: ProblemInstance,
-    observer: Callable[[np.ndarray], None] | None = None,
-) -> SolveOutcome:
+def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     """Minimal positive definite solution, available for nonsingular A.
 
     Uses the substitution Y = I - conj(X), which turns the unit-Q equation
@@ -470,14 +467,15 @@ def solve_minimal(
     X = I - conj(Y).  That difference cancels when X is small, so X is taken
     as the Hermitian part of the equal product conj(A) Y^-1 A^T (Y solves
     Y + A conj(Y)^-1 A* = I).  The result is certified by its residual in the
-    original equation.
+    original equation.  It takes no observer: the iterates of the dual solve
+    are not those of the original equation.
     """
     _require_nonsingular(p.a, p.tol, "solve_minimal")
     mapping = normalize_q(p)
     a_q = mapping.a_q
 
     dual = ProblemInstance(adjoint(a_q), None, p.tol)
-    dual_out = solve_maximal(dual, observer=observer)
+    dual_out = solve_maximal(dual)
     y_plus = dual_out.solution
 
     x_unit = np.conj(a_q) @ mat_inverse(y_plus, p.tol) @ a_q.T

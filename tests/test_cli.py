@@ -239,6 +239,22 @@ class TestCheckCommand:
             listed += "," + line
         assert {name.strip() for name in listed.split(",") if name.strip()} == keys
 
+    def test_exit_code_table_matches_readme(self):
+        # README's table: every report classification with its code, and 1 for input errors
+        lines = README.read_text().splitlines()
+        start = lines.index("| code | meaning |") + 2
+        listed = {}
+        for line in lines[start:]:
+            if not line.startswith("|"):
+                break
+            code, meaning = (cell.strip() for cell in line.strip("|").split("|", 1))
+            listed[int(code)] = meaning
+        expected = {code: name for name, code in cli.EXIT_CODES.items()}
+        expected[cli.EXIT_INPUT] = "input error"
+        assert listed.keys() == expected.keys()
+        for code, name in expected.items():
+            assert listed[code].split(" (")[0] == name
+
 
 class TestBoundsCommand:
     def test_example_depth_three(self, example_file, capsys):
@@ -356,6 +372,44 @@ class TestJsonReports:
         with redirect_stdout(out):
             _emit({"value": value}, SimpleNamespace(format="json", out=None))
         assert out.getvalue() == json.dumps({"value": value}, indent=2) + "\n"
+
+
+class TestInternalErrors:
+    # an internal inconsistency is reported as such, never as an input error
+
+    @staticmethod
+    def sabotage(monkeypatch, broken):
+        import conric.solver as solver_mod
+        from conric.embedding import NotHeartStructuredError
+
+        def drifted(w):
+            raise NotHeartStructuredError("block structure drift 1.000e-03 exceeds tolerance")
+
+        if broken == "doubling":
+            doubling = solver_mod._doubling
+            monkeypatch.setattr(
+                solver_mod, "_doubling", lambda b, steps: doubling(b, steps) + 0.1 * np.eye(len(b))
+            )
+        else:
+            monkeypatch.setattr(solver_mod, "unheart", drifted)
+
+    @pytest.mark.parametrize("broken", ["doubling", "unheart"])
+    def test_solve_exits_four_with_a_report(self, example_file, capsys, monkeypatch, broken):
+        self.sabotage(monkeypatch, broken)
+        code = main(["solve", str(example_file), "--minimal", "--no-meta"])
+        captured = capsys.readouterr()
+        assert code == 4
+        report = json.loads(captured.out)
+        assert report["exit_classification"] == "internal-error"
+        assert "outcome" not in report
+        assert captured.err == f"error: {report['error']}\n"
+        expected = "below the doubling bracket" if broken == "doubling" else "drift"
+        assert expected in report["error"]
+
+    def test_trace_exits_four(self, example_file, capsys, monkeypatch):
+        self.sabotage(monkeypatch, "doubling")
+        assert main(["trace", str(example_file)]) == 4
+        assert capsys.readouterr().err.startswith("error: engine solution lies")
 
 
 class TestTraceCommand:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conric.bounds import build_ladder
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
@@ -222,6 +224,44 @@ class TestScalarRoute:
             errors.append(info.value)
         assert errors[0].iterations == errors[1].iterations
         assert len(errors[0].trace) == len(errors[1].trace) == errors[0].iterations
+        assert str(errors[0]) == str(errors[1])
+
+
+class TestFailureAgreement:
+    # every engine refuses through _left_the_cone, so the scalar loop and the
+    # twin report the generic loop's iterate and pivot margin
+
+    @staticmethod
+    def refusals(monkeypatch, b):
+        """(iterate, margin) of the refusal without an observer, then with one."""
+        import conric.solver as solver_mod
+
+        seen = []
+        left_the_cone = solver_mod._left_the_cone
+
+        def recording(iterate, margin, trace):
+            seen.append((iterate, margin))
+            return left_the_cone(iterate, margin, trace)
+
+        monkeypatch.setattr(solver_mod, "_left_the_cone", recording)
+        for observer in (None, lambda w: None):
+            with pytest.raises(NoSolutionEvidence):
+                standard_solve_maximal(b, observer=observer)
+        return seen
+
+    def test_scalar_loop_matches_generic_loop(self, monkeypatch):
+        (k0, m0), (k1, m1) = self.refusals(monkeypatch, np.array([[0.6]]))
+        assert k0 == k1 == 4
+        assert m0 == pytest.approx(m1, rel=1e-12)
+
+    # the first pivot fails, the second fails, and a non-diagonal coefficient
+    @pytest.mark.parametrize("diagonal", [(0.6, 0.1), (0.1, 0.6), None])
+    def test_twin_matches_generic_loop(self, rng, monkeypatch, diagonal):
+        b = random_with_norm(rng, 2, 0.8) if diagonal is None else np.diag(diagonal)
+        (k0, m0), (k1, m1) = self.refusals(monkeypatch, b)
+        assert k0 == k1
+        assert m0 < 0.0
+        assert m0 == pytest.approx(m1, rel=1e-12)
 
 
 class TestUnitaryCongruence:
@@ -240,6 +280,31 @@ class TestUnitaryCongruence:
             expected = u @ x @ u.conj().T
             gap = np.linalg.norm(solve(moved).solution - expected, 2)
             assert gap <= 1e-12 * np.linalg.norm(x, 2), solve.__name__
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=1.0, max_value=10.0),
+)
+def test_solutions_follow_q_congruence(n, seed, cond):
+    # (A, Q) -> (P^T A P, P* Q P) maps every solution X to P* X P; cond(P) = cond.
+    # ||P* Q P|| reaches about 3000 here, and the residual acceptance is absolute:
+    # with the default 1e-9, about 1% of the moved minimal solves are refused
+    # (InternalInconsistency, dual-route residual up to 4e-8), so both problems
+    # accept a residual of 1e-9 relative to ||Q||.
+    def instance(a, q):
+        return ProblemInstance(a, q, Tolerances(residual_tol=1e-9 * op_norm_2(q)))
+
+    gen = np.random.default_rng(seed)
+    a = random_nonsingular_solvable(gen, n)
+    q = random_psd(gen, n) + np.eye(n)
+    p = random_unitary(gen, n) @ np.diag(np.geomspace(1.0, cond, n)) @ random_unitary(gen, n)
+    moved = instance(p.T @ a @ p, p.conj().T @ q @ p)
+    for solve in (solve_maximal, solve_minimal):
+        expected = p.conj().T @ solve(instance(a, q)).solution @ p
+        gap = np.linalg.norm(solve(moved).solution - expected, 2)
+        assert gap <= 1e-10 * np.linalg.norm(expected, 2), solve.__name__
 
 
 class TestSolveMaximal:
