@@ -34,7 +34,9 @@ CO_RHO_BAND = 1e-8
 
 
 class NotHeartStructuredError(ConricError):
-    pass
+    """A matrix that must be heart-structured is not: the iteration drifted."""
+
+    classification = "internal-error"
 
 
 def heart(a) -> np.ndarray:

@@ -9,10 +9,10 @@ Two equations are solved here:
   standard one through the lozenge embedding (:func:`solve_maximal`) and to
   its dual through ``Y = I - conj(X)`` (:func:`solve_minimal`).
 
-:func:`solve_maximal` certifies the returned matrix by its equation residual,
-never by iterate stagnation alone, and checks the engine against a doubling
-bracket of the same real equation; it refuses to answer if the engine's
-solution falls below the bracket.
+Both solves run one unit-Q core on their own coefficient, which checks the
+engine against a doubling bracket of the same real equation and refuses to
+answer if the engine's solution falls below the bracket.  Each certifies the
+returned matrix by its equation residual, never by iterate stagnation alone.
 """
 
 from __future__ import annotations
@@ -196,7 +196,6 @@ def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExc
 def _fixed_point_generic(
     coeff: np.ndarray,
     tol: Tolerances,
-    residual_tol: float,
     observer: Callable[[np.ndarray], None] | None,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, array[float], float]:
@@ -220,7 +219,7 @@ def _fixed_point_generic(
             # the equation defect of an iterate equals its next update step
             lower, _ = _cholesky_lower(w_next, tol)
             res = math.inf if lower is None else op_norm_2(w_next - _step(lower, coeff, False))
-            if res <= residual_tol:
+            if res <= tol.residual_tol:
                 return w_next, k, trace, res
         w = w_next
     raise _out_of_iterations(tol, trace)
@@ -229,7 +228,6 @@ def _fixed_point_generic(
 def _fixed_point_scalar(
     coeff: np.ndarray,
     tol: Tolerances,
-    residual_tol: float,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, array[float], float]:
     """The generic loop for a 1x1 coefficient b: y <- 1 - s/y, s = |b|^2, from y = 1.
@@ -254,7 +252,7 @@ def _fixed_point_scalar(
             trace.append(change)
         if change <= stop_rel * y:
             res = abs(y_next - (1.0 - s / y_next)) if y_next > 0.0 else math.inf
-            if res <= residual_tol:
+            if res <= tol.residual_tol:
                 return np.array([[y_next]], dtype=np.complex128), k, trace, res
         y = y_next
     raise _out_of_iterations(tol, trace)
@@ -263,7 +261,6 @@ def _fixed_point_scalar(
 def _fixed_point_small(
     coeff: np.ndarray,
     tol: Tolerances,
-    residual_tol: float,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, array[float], float]:
     """Scalar-arithmetic twin of the generic loop for 2x2 coefficients.
@@ -327,7 +324,7 @@ def _fixed_point_small(
                 res = herm_norm(n11 - r11, n12 - r12, n22 - r22)
             except ZeroDivisionError:
                 res = math.inf
-            if res <= residual_tol:
+            if res <= tol.residual_tol:
                 solution = np.array(
                     [[n11, n12], [n12.conjugate(), n22]], dtype=np.complex128
                 )
@@ -340,7 +337,6 @@ def standard_solve_maximal(
     b,
     tol: Tolerances = DEFAULT_TOLERANCES,
     observer: Callable[[np.ndarray], None] | None = None,
-    residual_tol: float | None = None,
     keep_trace: bool = True,
 ) -> SolveOutcome:
     """Maximal positive definite solution of X + B* X^-1 B = I.
@@ -357,13 +353,12 @@ def standard_solve_maximal(
     and a 2x2 one the scalar twin; every other case runs the generic loop.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
-    rtol = tol.residual_tol if residual_tol is None else residual_tol
     if observer is None and b.shape[0] == 1:
-        w, iterations, trace, res = _fixed_point_scalar(b, tol, rtol, keep_trace)
+        w, iterations, trace, res = _fixed_point_scalar(b, tol, keep_trace)
     elif observer is None and b.shape[0] == 2:
-        w, iterations, trace, res = _fixed_point_small(b, tol, rtol, keep_trace)
+        w, iterations, trace, res = _fixed_point_small(b, tol, keep_trace)
     else:
-        w, iterations, trace, res = _fixed_point_generic(b, tol, rtol, observer, keep_trace)
+        w, iterations, trace, res = _fixed_point_generic(b, tol, observer, keep_trace)
     certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
     return SolveOutcome(
         solution=w,
@@ -399,55 +394,55 @@ def _doubling(b: np.ndarray, steps: int) -> np.ndarray:
     return q
 
 
-def solve_maximal(
-    p: ProblemInstance,
-    observer: Callable[[np.ndarray], None] | None = None,
-) -> SolveOutcome:
-    """Maximal positive definite solution of X + A* conj(X)^-1 A = Q.
+def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> SolveOutcome:
+    """Maximal solution of Y + a_q* conj(Y)^-1 a_q = I, checked against a doubling bracket.
 
-    Normalizes Q away, runs the real embedded iteration on lozenge(a_q) and
-    extracts the complex solution.  At n = 1 without an observer the lozenge
-    iterates are y I_2 with y <- 1 - |a_q|^2 / y, so the engine runs the 1x1
-    classical equation with coefficient |a_q| instead.  Doubling on the
-    lozenge gives the iterate 2^J - 1 >= max_iter, J = max_iter.bit_length();
-    the iterates decrease, so a correct engine's solution lies on or above
-    it, and one more than 1e-8 below is an internal inconsistency.  The
-    residual already bounds how far above the maximal solution the engine
-    stopped, so the check is one-sided.  ``observer`` receives the embedded
-    run's iterates.
+    Runs the real embedded iteration on lozenge(a_q) and extracts the complex
+    solution.  At n = 1 the lozenge iterates are y I_2 with y <- 1 - |a_q|^2 / y,
+    so the engine runs the 1x1 classical equation with coefficient |a_q|
+    instead.  Doubling on the lozenge gives the iterate 2^J - 1 >= max_iter,
+    J = max_iter.bit_length(); the iterates decrease, so a correct engine's
+    solution lies on or above it, and one more than 1e-8 below is an internal
+    inconsistency.  The residual already bounds how far above the maximal
+    solution the engine stopped, so the check is one-sided.
     """
-    mapping = normalize_q(p)
-    a_q = mapping.a_q
-    q_scale = max(1.0, op_norm_2(p.q))
-    engine_rtol = p.tol.residual_tol / q_scale
-
     b = lozenge(a_q)
-    if observer is None and p.n == 1:
-        embedded = standard_solve_maximal(np.abs(a_q), p.tol, residual_tol=engine_rtol)
-        x_unit = embedded.solution
-        w = x_unit.real[0, 0] * np.eye(2)
+    if a_q.shape[0] == 1:
+        engine = standard_solve_maximal(np.abs(a_q), tol)
+        y = engine.solution
     else:
-        embedded = standard_solve_maximal(b, p.tol, observer=observer, residual_tol=engine_rtol)
-        x_unit = unheart(embedded.solution)
-        x_unit = (x_unit + x_unit.conj().T) / 2.0
-        w = embedded.solution.real
+        engine = standard_solve_maximal(b, tol)
+        y = unheart(engine.solution)
+        y = (y + y.conj().T) / 2.0
 
-    bracket = _doubling(b, p.tol.max_iter.bit_length())
-    margin = np.linalg.eigvalsh(w - bracket)[0]
+    bracket = unheart(_doubling(b, tol.max_iter.bit_length()))
+    margin = np.linalg.eigvalsh(y - bracket)[0]
     if margin < -CROSS_CHECK_TOL:
         raise InternalInconsistency(
             f"engine solution lies {-margin:.3e} below the doubling bracket"
         )
+    # the embedded certificate ||W^-1 lozenge(a_q)|| equals ||y^-1 conj(a_q)||:
+    # W = heart(y), lozenge(a_q) = E heart(a_q) and E is orthogonal
+    return replace(engine, solution=y)
 
-    x = mapping.back(x_unit)
+
+def solve_maximal(p: ProblemInstance) -> SolveOutcome:
+    """Maximal positive definite solution of X + A* conj(X)^-1 A = Q.
+
+    Normalizes Q away, solves the unit-Q equation and maps the solution back.
+    The unit solve certifies its residual below residual_tol / max(1, ||Q||),
+    and the back-mapped solution is certified again in the original equation.
+    """
+    mapping = normalize_q(p)
+    unit_tol = replace(p.tol, residual_tol=p.tol.residual_tol / max(1.0, op_norm_2(p.q)))
+    unit = _unit_maximal(mapping.a_q, unit_tol)
+    x = mapping.back(unit.solution)
     res = residual(x, p)
     if res > p.tol.residual_tol:
         raise InternalInconsistency(
             f"back-mapped residual {res:.3e} exceeds tolerance {p.tol.residual_tol:.3e}"
         )
-    # the embedded certificate ||W^-1 lozenge(a_q)|| equals ||x_unit^-1 conj(a_q)||:
-    # W = heart(x_unit), lozenge(a_q) = E heart(a_q) and E is orthogonal
-    return replace(embedded, solution=x, residual=res)
+    return replace(unit, solution=x, residual=res)
 
 
 def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
@@ -467,18 +462,14 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     X = I - conj(Y).  That difference cancels when X is small, so X is taken
     as the Hermitian part of the equal product conj(A) Y^-1 A^T (Y solves
     Y + A conj(Y)^-1 A* = I).  The result is certified by its residual in the
-    original equation.  It takes no observer: the iterates of the dual solve
-    are not those of the original equation.
+    original equation.
     """
     _require_nonsingular(p.a, p.tol, "solve_minimal")
     mapping = normalize_q(p)
     a_q = mapping.a_q
+    dual = _unit_maximal(adjoint(a_q), p.tol)
 
-    dual = ProblemInstance(adjoint(a_q), None, p.tol)
-    dual_out = solve_maximal(dual)
-    y_plus = dual_out.solution
-
-    x_unit = np.conj(a_q) @ mat_inverse(y_plus, p.tol) @ a_q.T
+    x_unit = np.conj(a_q) @ mat_inverse(dual.solution, p.tol) @ a_q.T
     x_unit = (x_unit + x_unit.conj().T) / 2.0
     x = mapping.back(x_unit)
 
@@ -486,15 +477,15 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     if not ok:
         raise NoSolutionEvidence(
             f"minimal candidate is not positive definite (pivot margin {margin:.3e})",
-            iterations=dual_out.iterations,
-            trace=dual_out.trace,
+            iterations=dual.iterations,
+            trace=dual.trace,
         )
     res = residual(x, p)
     if res > p.tol.residual_tol:
         raise InternalInconsistency(
             f"dual-route residual {res:.3e} exceeds tolerance {p.tol.residual_tol:.3e}"
         )
-    return replace(dual_out, solution=x, kind="minimal", residual=res)
+    return replace(dual, solution=x, kind="minimal", residual=res)
 
 
 def residual(x, p: ProblemInstance) -> float:

@@ -17,6 +17,7 @@ from conric.embedding import (
     heart_structure_drift,
     lozenge,
     p_matrix,
+    unheart,
 )
 from conric.kernel import (
     Tolerances,
@@ -170,13 +171,14 @@ def test_criterion_05_monotone_envelope_and_structure():
         n = int(rng.integers(1, 4))
         a = random_solvable(rng, n)
         iterates = []
-        out = solve_maximal(ProblemInstance(a), observer=iterates.append)
+        # at Q = I solve_maximal's engine runs this sequence
+        out = standard_solve_maximal(lozenge(a), observer=iterates.append)
         for w_prev, w_next in zip(iterates, iterates[1:]):
             assert np.linalg.eigvalsh(w_prev - w_next)[0] >= -1e-12
         for w in iterates:
             assert heart_structure_drift(w) <= 1e-10
         direct = direct_unit_maximal(a)
-        assert op_norm_2(out.solution - direct) <= 1e-8
+        assert op_norm_2(unheart(out.solution) - direct) <= 1e-8
     print(
         "ACCEPTANCE 05 PASS: monotone envelope, heart structure, and "
         "embedded-vs-direct agreement on 100 instances"

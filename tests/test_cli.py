@@ -195,6 +195,7 @@ class TestInputHandling:
         }
         path.write_text(json.dumps(doc))
         assert main(["solve", str(path)]) == 1
+        assert "deviates from Hermitian" in capsys.readouterr().err
 
     def test_unknown_profile_env(self, example_file, monkeypatch, capsys):
         monkeypatch.setenv("CONRIC_TOL_PROFILE", "loose")
@@ -269,6 +270,36 @@ class TestBoundsCommand:
     def test_breakdown_exits_two(self, tmp_path, capsys):
         path = write_json_instance(tmp_path / "big.json", 0.8 * np.eye(2))
         assert main(["bounds", str(path), "--no-meta"]) == 2
+
+    def test_no_solution_past_the_ladders_exits_two(self, tmp_path, capsys):
+        # both depth-6 ladders stay positive definite; the sandwich's own solve refuses
+        gen = np.random.default_rng(7)
+        a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        path = write_json_instance(tmp_path / "a.json", a * (0.6 / np.linalg.norm(a, 2)))
+        assert main(["solve", str(path), "--no-meta"]) == 2
+        capsys.readouterr()
+        assert main(["bounds", str(path), "--depth", "6", "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["ladders"]["lower"]["depth"] == report["ladders"]["upper"]["depth"] == 6
+        assert "sandwich" not in report
+        assert report["exit_classification"] == "no-solution-evidence"
+        assert report["error"].startswith("iterate 6 lost positive definiteness")
+        assert captured.err == ""
+
+    def test_capped_sandwich_exits_three(self, tmp_path, capsys):
+        path = write_json_instance(tmp_path / "edge.json", np.array([[0.5j]]))
+        assert main(["bounds", str(path), "--max-iter", "2000", "--no-meta"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["exit_classification"] == "max-iterations"
+        assert "ladders" in report and "sandwich" not in report
+
+    def test_singular_coefficient_notes_the_sandwich(self, tmp_path, capsys):
+        path = write_json_instance(tmp_path / "singular.json", np.diag([0.3, 0.0]))
+        assert main(["bounds", str(path), "--no-meta"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["sandwich"] is None
+        assert "nonsingular coefficient" in report["sandwich_note"]
 
     def test_ladders_bound_the_q_equation(self, tmp_path, capsys):
         demo = Path(__file__).resolve().parents[1] / "scripts" / "demo_2x2.json"

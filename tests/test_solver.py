@@ -38,6 +38,7 @@ from helpers import (
     random_psd,
     random_solvable,
     random_unitary,
+    random_well_conditioned_solvable,
     random_with_norm,
     reference_iterations,
     reference_step,
@@ -187,29 +188,37 @@ class TestEngineDispatch:
 
 
 class TestScalarRoute:
-    # at n = 1 solve_maximal runs the scalar loop; an observer forces the
-    # lozenge route through the generic loop, which must give the same answer
+    # at n = 1 solve_maximal runs the scalar loop; the generic loop on the
+    # lozenge of a_q, forced by an observer, must give the same answer
+
+    @staticmethod
+    def generic_route(p):
+        """The generic loop on lozenge(a_q) at the unit tolerance solve_maximal uses."""
+        scale = max(1.0, p.q[0, 0].real)
+        tol = dataclasses.replace(p.tol, residual_tol=p.tol.residual_tol / scale)
+        return standard_solve_maximal(lozenge(normalize_q(p).a_q), tol, observer=lambda w: None)
 
     @pytest.mark.parametrize("with_q", [False, True])
     @pytest.mark.parametrize("modulus", [0.0, 0.1, 0.3, 0.45, 0.49, 0.499, 0.5 - 1e-4])
     def test_routes_agree(self, rng, modulus, with_q):
-        # with Q = [[q]] the unit-Q coefficient is a / q
+        # with Q = [[q]] the unit-Q coefficient is a / q and X = q y
         q = rng.uniform(0.5, 4.0) if with_q else 1.0
         a = q * modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         p = ProblemInstance(np.array([[a]]), np.array([[q]]) if with_q else None)
-        scalar, lozenge_route = solve_maximal(p), solve_maximal(p, observer=lambda w: None)
-        assert scalar.iterations == lozenge_route.iterations
-        gap = np.abs(scalar.solution - lozenge_route.solution).max()
-        assert gap <= 1e-14 * np.abs(lozenge_route.solution).max()
-        assert scalar.rate_certificate == pytest.approx(lozenge_route.rate_certificate, rel=1e-12)
+        scalar, generic = solve_maximal(p), self.generic_route(p)
+        assert scalar.iterations == generic.iterations
+        expected = q * unheart(generic.solution)
+        gap = np.abs(scalar.solution - expected).max()
+        assert gap <= 1e-14 * np.abs(expected).max()
+        assert scalar.rate_certificate == pytest.approx(generic.rate_certificate, rel=1e-12)
         assert len(scalar.trace) == scalar.iterations
 
     def test_boundary_runs_to_the_cap_on_both_routes(self):
         tol = Tolerances(max_iter=2000)
         p = ProblemInstance(np.array([[0.5j]]), None, tol)
-        for observer in (None, lambda w: None):
+        for solve in (solve_maximal, self.generic_route):
             with pytest.raises(MaxIterationsExceeded) as info:
-                solve_maximal(p, observer=observer)
+                solve(p)
             assert info.value.iterations == tol.max_iter
             assert len(info.value.trace) == tol.max_iter
 
@@ -218,9 +227,9 @@ class TestScalarRoute:
         a = modulus * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
         p = ProblemInstance(np.array([[a]]))
         errors = []
-        for observer in (None, lambda w: None):
+        for solve in (solve_maximal, self.generic_route):
             with pytest.raises(NoSolutionEvidence) as info:
-                solve_maximal(p, observer=observer)
+                solve(p)
             errors.append(info.value)
         assert errors[0].iterations == errors[1].iterations
         assert len(errors[0].trace) == len(errors[1].trace) == errors[0].iterations
@@ -307,6 +316,37 @@ def test_solutions_follow_q_congruence(n, seed, cond):
         assert gap <= 1e-10 * np.linalg.norm(expected, 2), solve.__name__
 
 
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+def test_minimal_is_the_dual_maximal(n, seed):
+    # X-(A) = I - conj(Y+(A*)): solve_minimal takes X- as conj(A) Y+^-1 A^T instead
+    a = random_well_conditioned_solvable(np.random.default_rng(seed), n)
+    x_minus = solve_minimal(ProblemInstance(a)).solution
+    expected = np.eye(n) - np.conj(solve_maximal(ProblemInstance(a.conj().T)).solution)
+    gap = np.linalg.norm(x_minus - expected, 2)
+    assert gap <= 1e-11 * np.linalg.norm(expected, 2)
+
+
+def test_minimal_solve_normalizes_once_and_skips_the_public_maximal(monkeypatch):
+    import conric.solver as solver_mod
+
+    normalized = []
+    normalize = solver_mod.normalize_q
+
+    def counting(p):
+        normalized.append(p)
+        return normalize(p)
+
+    def public_maximal(p):
+        raise AssertionError("solve_minimal went through solve_maximal")
+
+    monkeypatch.setattr(solver_mod, "normalize_q", counting)
+    monkeypatch.setattr(solver_mod, "solve_maximal", public_maximal)
+    q = np.diag([2.0, 3.0])
+    out = solve_minimal(ProblemInstance(EX1_A, q))
+    assert len(normalized) == 1
+    assert out.kind == "minimal"
+
+
 class TestSolveMaximal:
     def test_zero_coefficient(self):
         out = solve_maximal(ProblemInstance(np.zeros((2, 2))))
@@ -351,7 +391,7 @@ class TestSolveMaximal:
     def test_embedded_iterates_stay_heart_structured(self, rng):
         a = random_solvable(rng, 3)
         iterates = []
-        solve_maximal(ProblemInstance(a), observer=iterates.append)
+        standard_solve_maximal(lozenge(a), observer=iterates.append)
         for w in iterates:
             assert heart_structure_drift(w) <= 1e-10
 
@@ -503,9 +543,9 @@ def test_internal_inconsistency_is_exposed(monkeypatch):
 
     engine = solver_mod.standard_solve_maximal
 
-    def minimal_engine(b, tol, observer=None, residual_tol=None):
+    def minimal_engine(b, tol):
         # W- = I - Y+ with Y+ the maximal solution of Y + B Y^-1 B^T = I
-        dual = engine(b.T, tol, residual_tol=residual_tol)
+        dual = engine(b.T, tol)
         eye = np.eye(b.shape[0], dtype=np.complex128)
         return dataclasses.replace(dual, solution=eye - dual.solution)
 
@@ -535,9 +575,9 @@ class TestDoublingBracket:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_step_j_is_fixed_point_iterate(self, rng, n):
         a = random_solvable(rng, n, min_norm=0.4)
-        iterates = []
-        solve_maximal(ProblemInstance(a), observer=iterates.append)
         b = lozenge(a)
+        iterates = []
+        standard_solve_maximal(b, observer=iterates.append)
         j = 0
         while 2**j - 1 < len(iterates):
             assert np.abs(_doubling(b, j) - iterates[2**j - 1]).max() <= 1e-13
