@@ -19,8 +19,9 @@ definite solution exists and raises :class:`LadderBreakdown` with
 ``truncated_at = k``, keeping rungs 1..k-1.
 
 A right-hand side Q runs the recurrence on a_q of :func:`normalize_q` and
-maps each rung back by X = q^(1/2) Y q^(1/2); the congruence preserves the
-Loewner order, so the rungs bound every solution of the Q equation.
+maps each rung back by X = L Y L*, with L the Cholesky factor of Q = L L*;
+the congruence preserves the Loewner order, so the rungs bound every
+solution of the Q equation.
 """
 
 from __future__ import annotations

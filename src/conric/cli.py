@@ -280,7 +280,7 @@ def cmd_bounds(args, report: dict) -> None:
         ladders["upper"] = None
         ladders["upper_note"] = str(exc)
     report["ladders"] = ladders
-    # only a singular A leaves the sandwich out; a failed solve classifies the report
+    # only a singular A or X- leaves the sandwich out; a failed solve classifies the report
     try:
         sandwich = sandwich_report(
             instance.a, args.depth, tol, instance.q, lower=lower, upper=upper

@@ -23,6 +23,7 @@ import numpy as np
 
 from .embedding import is_con_normal, lozenge
 from .kernel import (
+    BAND,
     ConricError,
     DEFAULT_TOLERANCES,
     Tolerances,
@@ -43,9 +44,6 @@ from .solver import (
     SolveOutcome,
     solve_maximal,
 )
-
-# Classification band around each threshold (1/4, 1/2, 1).
-BAND = 1e-8
 
 
 class NotConNormal(ConricError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kernel import (
+    BAND,
     CheckResult,
     ConricError,
     DimensionError,
@@ -29,8 +30,6 @@ from .kernel import (
 
 # Relative drift at which a matrix stops counting as heart-structured.
 HEART_RTOL = 1e-10
-# Half-width of the classification band around 1 for the co-spectral test.
-CO_RHO_BAND = 1e-8
 
 
 class NotHeartStructuredError(ConricError):
@@ -133,12 +132,12 @@ def co_spectral_radius_vs_one(a) -> tuple[str, float]:
     """Classify the con-spectral radius of a against 1.
 
     Returns ("below" | "at" | "above", rho) where rho is the spectral radius
-    of a @ conj(a); the classification carries a +-1e-8 band around 1.
+    of a @ conj(a); the classification carries the +-BAND band around 1.
     """
     a = _require_square(a, "co_spectral_radius_vs_one")
     rho = spectral_radius(a @ np.conj(a))
-    if rho < 1.0 - CO_RHO_BAND:
+    if rho < 1.0 - BAND:
         return "below", rho
-    if rho > 1.0 + CO_RHO_BAND:
+    if rho > 1.0 + BAND:
         return "above", rho
     return "at", rho

@@ -39,6 +39,8 @@ class NotPositiveDefiniteError(ConricError):
 
 # Relative tolerance for treating a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-10
+# The one classification band around every verdict threshold (1/4, 1/2, 1).
+BAND = 1e-8
 # Relative floor on the smallest eigenvalue accepted by psd_sqrt.
 PSD_RTOL = 1e-10
 # numerical_radius: the level sits this far (relative) above the best value

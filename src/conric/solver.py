@@ -34,12 +34,11 @@ from .kernel import (
     cholesky_solve,
     cmatrix,
     is_positive_definite,
-    mat_inverse,
     op_norm_2,
     pd_cholesky,
-    psd_sqrt,
     _cholesky_lower,
     _nonsingular,
+    _require_hermitian,
     _require_square,
 )
 
@@ -94,26 +93,28 @@ class NotASolution(ConricError):
 
 @dataclass
 class ProblemInstance:
-    """Equation data: coefficient ``a``, right-hand side ``q`` (default I)."""
+    """Equation data: coefficient ``a``, right-hand side ``q`` (default I).
+
+    ``q_factor`` is the Cholesky factor L of Q = L L* from the pivot-floor check (I for Q = I).
+    """
 
     a: np.ndarray
     q: np.ndarray | None = None
     tol: Tolerances = DEFAULT_TOLERANCES
+    q_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.a = _require_square(cmatrix(self.a), "ProblemInstance")
-        n = self.a.shape[0]
         if self.q is None:
-            self.q = np.eye(n, dtype=np.complex128)
-        else:
-            self.q = cmatrix(self.q)
-            if self.q.shape != self.a.shape:
-                raise ValueError(f"q shape {self.q.shape} does not match a shape {self.a.shape}")
-            ok, margin = is_positive_definite(self.q, self.tol)
-            if not ok:
-                raise NotPositiveDefiniteError(
-                    f"q must be positive definite (pivot margin {margin:.3e})"
-                )
+            self.q = self.q_factor = np.eye(self.n, dtype=np.complex128)
+            return
+        self.q = cmatrix(self.q)
+        if self.q.shape != self.a.shape:
+            raise ValueError(f"q shape {self.q.shape} does not match a shape {self.a.shape}")
+        lower, margin = _cholesky_lower(_require_hermitian(self.q, "q"), self.tol)
+        if lower is None:
+            raise NotPositiveDefiniteError(f"q must be positive definite (pivot margin {margin:.3e})")
+        self.q_factor = lower
 
     @property
     def n(self) -> int:
@@ -145,23 +146,23 @@ class QNormalization:
     """Coefficient of the unit right-hand side problem plus the way back."""
 
     a_q: np.ndarray
-    q_sqrt: np.ndarray
+    q_factor: np.ndarray
 
     def back(self, y: np.ndarray) -> np.ndarray:
-        x = self.q_sqrt @ y @ self.q_sqrt
+        x = self.q_factor @ y @ self.q_factor.conj().T
         return (x + x.conj().T) / 2.0
 
 
 def normalize_q(p: ProblemInstance) -> QNormalization:
-    """Reduce to right-hand side I: a_q = conj(q)^(-1/2) a q^(-1/2).
+    """Reduce to right-hand side I with the Cholesky factor Q = L L*: a_q = conj(L)^-1 a L^-*.
 
-    The inverse map, applied by the solve routines after the unit solve, is
-    x = q^(1/2) y q^(1/2).
+    a_q comes from two solves against L and conj(L), with no inverse.  The
+    inverse map, applied by the solve routines after the unit solve, is
+    x = L y L*.  Any factor of Q gives a unitarily congruent unit problem.
     """
-    root = psd_sqrt(p.q)
-    root_inv = mat_inverse(root, p.tol)
-    a_q = np.conj(root_inv) @ p.a @ root_inv
-    return QNormalization(a_q, root)
+    lower = p.q_factor
+    a_q = np.linalg.solve(np.conj(lower), np.linalg.solve(lower, adjoint(p.a)).conj().T)
+    return QNormalization(a_q, lower)
 
 
 def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> np.ndarray:
@@ -469,16 +470,19 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     a_q = mapping.a_q
     dual = _unit_maximal(adjoint(a_q), p.tol)
 
-    x_unit = np.conj(a_q) @ mat_inverse(dual.solution, p.tol) @ a_q.T
-    x_unit = (x_unit + x_unit.conj().T) / 2.0
-    x = mapping.back(x_unit)
+    lower, margin = _cholesky_lower(dual.solution, p.tol)
+    if lower is None:
+        # the engine has certified Y positive definite
+        raise InternalInconsistency(f"dual solution fails the pivot floor (pivot margin {margin:.3e})")
+    # conj(a_q) Y^-1 a_q^T = Z* Z with Z = L^-1 a_q^T; back() takes the Hermitian part
+    z = np.linalg.solve(lower, a_q.T)
+    x = mapping.back(z.conj().T @ z)
 
     ok, margin = is_positive_definite(x, p.tol)
     if not ok:
-        raise NoSolutionEvidence(
-            f"minimal candidate is not positive definite (pivot margin {margin:.3e})",
-            iterations=dual.iterations,
-            trace=dual.trace,
+        # Z* Z is positive semidefinite, so X- exists but is singular to the floor
+        raise SingularCoefficient(
+            f"minimal solution is singular to the pivot floor (pivot margin {margin:.3e})"
         )
     res = residual(x, p)
     if res > p.tol.residual_tol:
@@ -513,13 +517,9 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
     if res > p.tol.residual_tol:
         raise NotASolution(f"residual {res:.3e} exceeds tolerance; not a solution")
     mapping = normalize_q(p)
-    root_inv = mat_inverse(mapping.q_sqrt, p.tol)
-    y = root_inv @ np.asarray(x, dtype=np.complex128) @ root_inv
-    y = (y + y.conj().T) / 2.0
-    if kind == "maximal":
-        m = mat_inverse(np.conj(y), p.tol) @ mapping.a_q
-        ordering, value = co_spectral_radius_vs_one(m)
-        return ordering in ("below", "at"), value
-    m = mat_inverse(np.conj(y), p.tol) @ adjoint(mapping.a_q)
-    ordering, value = co_spectral_radius_vs_one(m)
-    return ordering in ("at", "above"), value
+    # L^-1 L_x is lower triangular with a positive diagonal: the Cholesky factor of
+    # the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
+    lower = np.linalg.solve(mapping.q_factor, pd_cholesky(x, p.tol))
+    coeff = mapping.a_q if kind == "maximal" else adjoint(mapping.a_q)
+    ordering, value = co_spectral_radius_vs_one(cholesky_solve(np.conj(lower), coeff))
+    return ordering in (("below", "at") if kind == "maximal" else ("at", "above")), value

@@ -29,6 +29,10 @@ EX1_X_PLUS_STANDARD = np.array(
 # frozen from the 2x2 closed form 0.1875 +- |0.125 - 0.125j|
 EX1_AAH_EIGS = (0.0107233, 0.3642767)
 EX1_NORM = 0.6035533905932738
+# Q = L L^T with L = [[1, 0], [1.3e6, 1]] passes the pivot floor, but its
+# square root is singular to tolerance (sigma_min 7.7e-7, sigma_max 1.3e6)
+ILL_Q_A = np.array([[0.1, 0.05j], [0.02, 0.1]], dtype=np.complex128)
+ILL_Q = np.array([[1.0, 1.3e6], [1.3e6, 1.3e6**2 + 1.0]])
 
 
 def scalar_solutions(a: complex) -> tuple[float, float]:

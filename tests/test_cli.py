@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 from conric import cli
 from conric.cli import _emit, main
-from conric.kernel import Tolerances
+from conric.embedding import lozenge
+from conric.kernel import Tolerances, numerical_radius
 from conric.solver import ProblemInstance, residual, solve_maximal
-from helpers import EX1_A, EX1_X_PLUS
+from helpers import EX1_A, EX1_X_PLUS, ILL_Q, ILL_Q_A
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -99,6 +100,18 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["outcome"]["x_minus"] is None
         assert "nonsingular" in report["outcome"]["x_minus_note"]
+
+    def test_minimal_below_the_pivot_floor_notes_skip(self, tmp_path, capsys):
+        # X- = diag(0.1, 9e-16) exists but is singular to the pivot floor
+        path = write_json_instance(tmp_path / "tiny.json", np.diag([0.3, 3e-8]))
+        assert main(["solve", str(path), "--minimal", "--no-meta"]) == 0
+        captured = capsys.readouterr()
+        outcome = json.loads(captured.out)["outcome"]
+        assert outcome["x_plus"] is not None and outcome["x_minus"] is None
+        assert outcome["x_minus_note"] == (
+            "minimal solution is singular to the pivot floor (pivot margin 1.800e-14)"
+        )
+        assert captured.err == ""
 
     def test_round_trip_residual(self, example_file, tmp_path):
         out_path = tmp_path / "report.json"
@@ -301,6 +314,13 @@ class TestBoundsCommand:
         assert report["sandwich"] is None
         assert "nonsingular coefficient" in report["sandwich_note"]
 
+    def test_minimal_below_the_pivot_floor_notes_the_sandwich(self, tmp_path, capsys):
+        path = write_json_instance(tmp_path / "tiny.json", np.diag([0.3, 3e-8]))
+        assert main(["bounds", str(path), "--no-meta"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["sandwich"] is None
+        assert report["sandwich_note"].startswith("minimal solution is singular to the pivot floor")
+
     def test_ladders_bound_the_q_equation(self, tmp_path, capsys):
         demo = Path(__file__).resolve().parents[1] / "scripts" / "demo_2x2.json"
         q_path = write_json_instance(tmp_path / "q.json", np.diag([3.0, 2.0]))
@@ -322,6 +342,85 @@ class TestBoundsCommand:
         assert min_eig(matrix(outcome["x_minus"]) - s_k) >= -1e-10
         assert min_eig(r_k - matrix(outcome["x_plus"])) >= -1e-10
         assert report["sandwich"]["consistent"] is True
+
+
+class TestIllConditionedQ:
+    # Q passes the pivot floor; its Cholesky factor, not its square root,
+    # carries the congruence, so the verdict is read, not an input error
+    @pytest.mark.parametrize("command, code", [("solve", 2), ("check", 0), ("bounds", 2)])
+    def test_exit_codes(self, tmp_path, capsys, command, code):
+        path = write_json_instance(tmp_path / "illq.json", ILL_Q_A, q=ILL_Q)
+        assert main([command, str(path), "--no-meta"]) == code
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["exit_classification"] == ("success" if code == 0 else "no-solution-evidence")
+        assert captured.err == ""
+        if command != "bounds":
+            assert report["existence"]["verdict"] == "not_exists"
+
+
+class TestErrorExits:
+    @staticmethod
+    def run(capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "text, prefix",
+        [
+            ("", "input error: empty matrix file"),
+            ("two\n", "input error: first line must be the dimension, got 'two'"),
+            ("2\n0,0 0,0\n", "input error: expected 2 rows of entries"),
+            ("2\n0,0\n0,0 0,0\n", "input error: expected 2 entries per row, got 1"),
+            ("1\n0.1\n", "input error: entries must be 're,im' pairs, got '0.1'"),
+        ],
+        ids=["empty", "dimension", "rows", "entries", "pairs"],
+    )
+    def test_text_parser_refusals(self, tmp_path, capsys, text, prefix):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = self.run(capsys, ["solve", str(path), "--no-meta"])
+        assert (code, out) == (1, "")
+        assert err.startswith(prefix)
+
+    def test_json_missing_field(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "re": [[0.1]]}))
+        code, out, err = self.run(capsys, ["check", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"input error: {path}: missing field 'im'")
+
+    def test_q_file_of_the_wrong_dimension(self, example_file, tmp_path, capsys):
+        q_path = write_json_instance(tmp_path / "q.json", np.eye(3))
+        code, out, err = self.run(capsys, ["solve", str(example_file), "--q", str(q_path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: q dimension 3 does not match a dimension 2")
+
+    def test_q_re_without_q_im(self, tmp_path, capsys):
+        path = tmp_path / "half.json"
+        doc = {"n": 2, "re": EX1_A.real.tolist(), "im": EX1_A.imag.tolist(), "q_re": np.eye(2).tolist()}
+        path.write_text(json.dumps(doc))
+        code, out, err = self.run(capsys, ["solve", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: q_re and q_im must both be present")
+
+    def test_failed_conditions_from_the_exact_criterion_alone(self, tmp_path, capsys):
+        # omega(lozenge A) = 0.52 while every necessary condition holds by 0.098 or more
+        gen = np.random.default_rng(2)
+        a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        a *= 0.52 / numerical_radius(lozenge(a))
+        path = write_json_instance(tmp_path / "exact.json", a)
+        code, out, err = self.run(capsys, ["solve", str(path), "--no-meta"])
+        assert (code, err) == (2, "")
+        report = json.loads(out)
+        assert all(c["holds"] for c in report["existence"]["necessary"])
+        assert report["failed_conditions"] == ["omega_lozenge_le_half"]
+
+    def test_error_raised_inside_a_command(self, example_file, capsys):
+        code, out, err = self.run(capsys, ["bounds", str(example_file), "--depth", "0"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: depth must be at least 1")
 
 
 class TestParser:

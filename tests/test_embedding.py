@@ -142,6 +142,18 @@ class TestCoSpectralThreshold:
         assert ordering == "below"
         assert value == pytest.approx(0.25, abs=1e-8)
 
+    def test_band_is_the_condition_layers_band(self):
+        from conric import conditions, kernel
+
+        assert conditions.BAND is kernel.BAND
+        for rho, expected in [
+            (1.0 - 2.0 * kernel.BAND, "below"),
+            (1.0 - kernel.BAND / 2.0, "at"),
+            (1.0 + kernel.BAND / 2.0, "at"),
+            (1.0 + 2.0 * kernel.BAND, "above"),
+        ]:
+            assert co_spectral_radius_vs_one(np.sqrt(rho) * np.eye(1))[0] == expected
+
     def test_extremal_solution_classifies_below_or_at(self):
         m = mat_inverse(conj(EX1_X_PLUS)) @ EX1_A
         ordering, value = co_spectral_radius_vs_one(m)

@@ -1,11 +1,13 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conric.bounds import build_ladder
+from conric.bounds import build_ladder, sandwich_report
+from conric.conditions import check_existence
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
     NotPositiveDefiniteError,
@@ -32,6 +34,8 @@ from helpers import (
     EX1_A,
     EX1_X_PLUS,
     EX1_X_PLUS_STANDARD,
+    ILL_Q,
+    ILL_Q_A,
     direct_unit_maximal,
     doubling_all_steps,
     random_nonsingular_solvable,
@@ -62,6 +66,27 @@ class TestProblemInstance:
     def test_rejects_mismatched_q(self):
         with pytest.raises(ValueError):
             ProblemInstance(EX1_A, np.eye(3))
+
+    def test_keeps_the_cholesky_factor_of_q(self, rng):
+        q = random_psd(rng, 3) + np.eye(3)
+        lower = ProblemInstance(np.zeros((3, 3)), q).q_factor
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.all(lower.diagonal().real > 0.0)
+        assert np.allclose(lower @ lower.conj().T, q, atol=1e-12 * np.linalg.norm(q))
+        assert np.array_equal(ProblemInstance(EX1_A).q_factor, np.eye(2))
+
+    def test_ill_conditioned_q_is_factored_not_inverted(self):
+        # cond(Q) is about 3e24: its square root is singular to tolerance, its
+        # Cholesky factor is exact, and the unit problem has no solution
+        lower = np.array([[1.0, 0.0], [1.3e6, 1.0]])
+        p = ProblemInstance(ILL_Q_A, ILL_Q)
+        mapping = normalize_q(p)
+        assert np.array_equal(mapping.q_factor, lower)
+        expected = np.linalg.inv(lower) @ ILL_Q_A @ np.linalg.inv(lower).T
+        assert np.allclose(mapping.a_q, expected, rtol=1e-12, atol=0.0)
+        assert check_existence(mapping.a_q).verdict == "not_exists"
+        with pytest.raises(NoSolutionEvidence):
+            solve_maximal(p)
 
 
 class TestNormalizeQ:
@@ -441,6 +466,15 @@ class TestSolveMinimal:
         with pytest.raises(SingularCoefficient):
             solve_minimal(ProblemInstance(np.diag([0.3, 0.0])))
 
+    def test_solution_below_the_pivot_floor_is_a_singular_coefficient(self):
+        # X- = diag(0.1, 9e-16) exists (the verdict is "exists" and X+ solves),
+        # but its pivot margin 1.8e-14 is below the floor
+        p = ProblemInstance(np.diag([0.3, 3e-8]))
+        assert check_existence(p.a).verdict == "exists"
+        solve_maximal(p)
+        with pytest.raises(SingularCoefficient, match=r"pivot margin 1\.800e-14"):
+            solve_minimal(p)
+
     def test_duality_and_order(self, rng):
         for _ in range(5):
             a = random_nonsingular_solvable(rng, 3)
@@ -468,6 +502,80 @@ class TestSolveMinimal:
         out = solve_minimal(ProblemInstance(u @ np.diag(s) @ u.T))
         assert np.linalg.norm(out.solution - expected) <= 1e-13 * np.linalg.norm(expected)
         assert out.residual <= 1e-9
+
+
+class TestRefusals:
+    # the back-map checks and the twin's cap, each reached on purpose
+
+    @staticmethod
+    def shift_unit_solution(monkeypatch, shift):
+        import conric.solver as solver_mod
+
+        unit_maximal = solver_mod._unit_maximal
+
+        def shifted(a_q, tol):
+            out = unit_maximal(a_q, tol)
+            return dataclasses.replace(out, solution=out.solution + shift * np.eye(len(a_q)))
+
+        monkeypatch.setattr(solver_mod, "_unit_maximal", shifted)
+
+    @pytest.mark.parametrize(
+        "solve, message",
+        [(solve_maximal, "back-mapped residual "), (solve_minimal, "dual-route residual ")],
+    )
+    def test_a_wrong_unit_solution_fails_the_back_mapped_residual(self, monkeypatch, solve, message):
+        self.shift_unit_solution(monkeypatch, 1e-6)
+        with pytest.raises(InternalInconsistency) as info:
+            solve(ProblemInstance(EX1_A, np.diag([2.0, 3.0])))
+        assert str(info.value).startswith(message)
+
+    def test_a_dual_solution_below_the_floor_is_internal(self, monkeypatch):
+        self.shift_unit_solution(monkeypatch, -2.0)
+        with pytest.raises(InternalInconsistency) as info:
+            solve_minimal(ProblemInstance(EX1_A, np.diag([2.0, 3.0])))
+        assert str(info.value).startswith("dual solution fails the pivot floor")
+
+    def test_twin_stops_at_the_cap(self):
+        tol = Tolerances(max_iter=50)
+        with pytest.raises(MaxIterationsExceeded) as info:
+            standard_solve_maximal(0.5 * np.eye(2), tol)
+        assert info.value.iterations == 50
+        assert len(info.value.trace) == 50
+
+
+def test_no_route_inverts_or_roots_q(monkeypatch, tmp_path, capsys):
+    # Q is tested and factored once, by ProblemInstance; no route calls
+    # mat_inverse or psd_sqrt, or takes the singular values of Q
+    import conric
+    from conric import cli
+
+    def refused(*args, **kwargs):
+        raise AssertionError("mat_inverse or psd_sqrt called")
+
+    tested = []
+    nonsingular = conric.kernel._nonsingular
+
+    def recording(a, tol):
+        tested.append(np.array(a))
+        return nonsingular(a, tol)
+
+    for module in (conric, conric.kernel, conric.solver, conric.bounds, conric.conditions, cli):
+        for name, stub in (("mat_inverse", refused), ("psd_sqrt", refused), ("_nonsingular", recording)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, stub)
+    q = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
+    p = ProblemInstance(EX1_A, q)
+    x_plus, x_minus = solve_maximal(p).solution, solve_minimal(p).solution
+    assert extremality_check(x_plus, p, "maximal")[0]
+    assert extremality_check(x_minus, p, "minimal")[0]
+    sandwich_report(EX1_A, 3, q=q)
+    path = tmp_path / "withq.json"
+    doc = {"n": 2, "re": EX1_A.real.tolist(), "im": EX1_A.imag.tolist()}
+    path.write_text(json.dumps({**doc, "q_re": q.real.tolist(), "q_im": q.imag.tolist()}))
+    for command in (["solve", "--minimal"], ["check"], ["bounds"], ["trace"]):
+        assert cli.main([*command, str(path), "--no-meta"]) == 0
+    capsys.readouterr()
+    assert tested and not any(np.array_equal(a, q) for a in tested)
 
 
 class TestResidual:
