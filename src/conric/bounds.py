@@ -113,13 +113,17 @@ def build_ladder(
     q=None,
 ) -> BoundsLadder:
     """Bound ladder of the requested side down to ``depth``; ``q`` None means Q = I."""
+    return _ladder(ProblemInstance(a, q, tol), side, depth)
+
+
+def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
+    """build_ladder on an instance whose Q is already checked and factored."""
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    p = ProblemInstance(a, q, tol)
     if side == "upper":
-        _require_nonsingular(p.a, tol, "upper bound ladder")
+        _require_nonsingular(p.a, p.tol, "upper bound ladder")
     mapping = normalize_q(p)
     coeff = mapping.a_q if side == "upper" else adjoint(mapping.a_q)
     eye = np.eye(p.n, dtype=np.complex128)
@@ -128,7 +132,7 @@ def build_ladder(
     matrices: list[np.ndarray] = []
     truncated_at: int | None = None
     for k in range(1, depth + 1):
-        y_next, margin = _cone_step(y, coeff, True, tol)
+        y_next, margin = _cone_step(y, coeff, True, p.tol)
         if y_next is None:
             if margin <= 0.0:
                 raise LadderBreakdown(
@@ -217,13 +221,17 @@ def sandwich_report(
     ladder both exist.  The lower trend is reported without any claim about
     where S_k converges.
     """
-    instance = ProblemInstance(a, q, tol)
-    x_plus = solve_maximal(instance).solution
-    x_minus = solve_minimal(instance).solution
+    return _sandwich(ProblemInstance(a, q, tol), depth, lower, upper)
+
+
+def _sandwich(p: ProblemInstance, depth: int, lower, upper) -> SandwichReport:
+    """sandwich_report on an instance whose Q is already checked and factored."""
+    x_plus = solve_maximal(p).solution
+    x_minus = solve_minimal(p).solution
     if lower is None:
-        lower = build_ladder(instance.a, "lower", depth, tol, instance.q)
+        lower = _ladder(p, "lower", depth)
     if upper is None:
-        upper = build_ladder(instance.a, "upper", depth, tol, instance.q)
+        upper = _ladder(p, "upper", depth)
     lower_gap = _min_eig(x_minus - lower.matrices[-1])
     upper_gap = _min_eig(upper.matrices[-1] - x_plus)
     trend = lower.monotone_gaps[-2:]

@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import DEFAULT_DEPTH, LadderBreakdown, build_ladder, sandwich_report
+from .bounds import DEFAULT_DEPTH, LadderBreakdown, _ladder, _sandwich
 from .conditions import check_existence
 from .embedding import NotHeartStructuredError
 from .kernel import (
@@ -269,12 +269,11 @@ def _ladder_json(ladder) -> dict:
 
 
 def cmd_bounds(args, report: dict) -> None:
-    instance, tol = args.instance, args.instance.tol
-    lower = build_ladder(instance.a, "lower", args.depth, tol, instance.q)
+    lower = _ladder(args.instance, "lower", args.depth)
     ladders = {"lower": _ladder_json(lower)}
     upper = None
     try:
-        upper = build_ladder(instance.a, "upper", args.depth, tol, instance.q)
+        upper = _ladder(args.instance, "upper", args.depth)
         ladders["upper"] = _ladder_json(upper)
     except (SingularCoefficient, LadderBreakdown) as exc:
         ladders["upper"] = None
@@ -282,9 +281,7 @@ def cmd_bounds(args, report: dict) -> None:
     report["ladders"] = ladders
     # only a singular A or X- leaves the sandwich out; a failed solve classifies the report
     try:
-        sandwich = sandwich_report(
-            instance.a, args.depth, tol, instance.q, lower=lower, upper=upper
-        )
+        sandwich = _sandwich(args.instance, args.depth, lower, upper)
         report["sandwich"] = {
             "lower_gap": sandwich.lower_gap,
             "upper_gap": sandwich.upper_gap,

@@ -181,12 +181,17 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def op_norm_2(a) -> float:
-    """Spectral norm, the square root of the largest eigenvalue of a*a."""
+    """Spectral norm: the root of the top eigenvalue (eigvalsh) of the symmetrised Gram a*a."""
     a = _as_matrix(a)
     gram = a.conj().T @ a
-    # symmetrised here, so hermitian_eigen's Hermitian check could not fire
-    w, _ = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
     return math.sqrt(max(float(w[-1]), 0.0))
+
+
+def hermitian_norm_2(h: np.ndarray) -> float:
+    """Spectral norm max |lambda| of an exactly Hermitian h (eigvalsh reads one triangle)."""
+    w = np.linalg.eigvalsh(h)
+    return max(abs(float(w[0])), abs(float(w[-1])))
 
 
 def spectral_radius(a) -> float:

@@ -33,6 +33,7 @@ from .kernel import (
     adjoint,
     cholesky_solve,
     cmatrix,
+    hermitian_norm_2,
     is_positive_definite,
     op_norm_2,
     pd_cholesky,
@@ -200,26 +201,30 @@ def _fixed_point_generic(
     observer: Callable[[np.ndarray], None] | None,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, array[float], float]:
+    """The matrix loop W <- I - C* W^-1 C from W = I, for any square coefficient C.
+
+    _step symmetrises every iterate, so each norm is hermitian_norm_2 of an exactly Hermitian
+    matrix; iterates are positive definite and below I, so ||W|| <= 1 and no stop fires
+    while the change exceeds 2 stop_rel.
+    """
     w = np.eye(coeff.shape[0], dtype=np.complex128)
     if observer is not None:
         observer(w)
     trace = array("d")
-    # every iterate is positive definite and below I, so ||W|| <= 1 and the
-    # stop test cannot pass while the change exceeds 2 stop_rel
     near_stop = 2.0 * tol.stop_rel
     for k in range(1, tol.max_iter + 1):
         w_next, margin = _cone_step(w, coeff, False, tol)
         if w_next is None:
             raise _left_the_cone(k - 1, margin, trace)
-        change = op_norm_2(w_next - w)
+        change = hermitian_norm_2(w_next - w)
         if keep_trace:
             trace.append(change)
         if observer is not None:
             observer(w_next)
-        if change <= near_stop and change <= tol.stop_rel * op_norm_2(w):
+        if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
             # the equation defect of an iterate equals its next update step
             lower, _ = _cholesky_lower(w_next, tol)
-            res = math.inf if lower is None else op_norm_2(w_next - _step(lower, coeff, False))
+            res = math.inf if lower is None else hermitian_norm_2(w_next - _step(lower, coeff, False))
             if res <= tol.residual_tol:
                 return w_next, k, trace, res
         w = w_next
@@ -495,8 +500,11 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
 def residual(x, p: ProblemInstance) -> float:
     """Equation defect ||x + a* conj(x)^-1 a - q|| in the spectral norm."""
     x = cmatrix(x)
-    # conj(L) is the Cholesky factor of conj(x)
-    lower = pd_cholesky(x, p.tol)
+    return _defect(x, pd_cholesky(x, p.tol), p)
+
+
+def _defect(x: np.ndarray, lower: np.ndarray, p: ProblemInstance) -> float:
+    # the residual of x from its Cholesky factor L; conj(L) factors conj(x)
     return op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(lower), p.a) - p.q)
 
 
@@ -513,13 +521,15 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
 
     if kind not in ("maximal", "minimal"):
         raise ValueError(f"kind must be 'maximal' or 'minimal', got {kind!r}")
-    res = residual(x, p)
+    x = cmatrix(x)
+    x_factor = pd_cholesky(x, p.tol)
+    res = _defect(x, x_factor, p)
     if res > p.tol.residual_tol:
         raise NotASolution(f"residual {res:.3e} exceeds tolerance; not a solution")
     mapping = normalize_q(p)
     # L^-1 L_x is lower triangular with a positive diagonal: the Cholesky factor of
     # the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
-    lower = np.linalg.solve(mapping.q_factor, pd_cholesky(x, p.tol))
+    lower = np.linalg.solve(mapping.q_factor, x_factor)
     coeff = mapping.a_q if kind == "maximal" else adjoint(mapping.a_q)
     ordering, value = co_spectral_radius_vs_one(cholesky_solve(np.conj(lower), coeff))
     return ordering in (("below", "at") if kind == "maximal" else ("at", "above")), value

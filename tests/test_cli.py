@@ -343,6 +343,27 @@ class TestBoundsCommand:
         assert min_eig(r_k - matrix(outcome["x_plus"])) >= -1e-10
         assert report["sandwich"]["consistent"] is True
 
+    @pytest.mark.parametrize("command", [["solve", "--minimal"], ["check"], ["bounds"]])
+    def test_q_is_factored_once(self, tmp_path, capsys, monkeypatch, command):
+        # the loaded instance carries Q's factor into both ladders and the sandwich
+        from conric import kernel, solver
+
+        q = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
+        a_path = write_json_instance(tmp_path / "a.json", EX1_A)
+        q_path = write_json_instance(tmp_path / "q.json", q)
+        seen = []
+        cholesky_lower = kernel._cholesky_lower
+
+        def counting(h, tol):
+            seen.append(np.array_equal(h, q))
+            return cholesky_lower(h, tol)
+
+        for module in (kernel, solver):
+            monkeypatch.setattr(module, "_cholesky_lower", counting)
+        assert main([*command, str(a_path), "--q", str(q_path), "--no-meta"]) == 0
+        capsys.readouterr()
+        assert sum(seen) == 1
+
 
 class TestIllConditionedQ:
     # Q passes the pivot floor; its Cholesky factor, not its square root,

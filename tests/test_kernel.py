@@ -17,6 +17,7 @@ from conric.kernel import (
     cmatrix,
     conj,
     hermitian_eigen,
+    hermitian_norm_2,
     is_positive_definite,
     mat_inverse,
     mat_mul,
@@ -214,6 +215,37 @@ class TestOpNorm:
     def test_matches_numpy_on_rectangular(self, seed, n, m):
         a = sampled(seed, n, m)
         assert op_norm_2(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
+
+
+class TestHermitianNorm:
+    # the solver's change, ||W|| and defect norms: eigvalsh of the matrix itself
+    @staticmethod
+    def exactly_hermitian(rng, n, kind):
+        if kind == "psd":
+            h = random_psd(rng, n)
+        elif kind == "negative-end":
+            # eigenvalues -1 .. 1/2, so |lambda_min| > lambda_max sets the norm
+            u = random_unitary(rng, n)
+            h = (u * np.linspace(-1.0, 0.5, n)) @ u.conj().T
+        else:
+            h = random_hermitian(rng, n)
+        return (h + h.conj().T) / 2.0
+
+    @pytest.mark.parametrize("kind", ["psd", "negative-end", "indefinite"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_matches_op_norm(self, rng, n, kind):
+        h = self.exactly_hermitian(rng, n, kind)
+        assert hermitian_norm_2(h) == pytest.approx(op_norm_2(h), rel=1e-14)
+        if kind == "negative-end":
+            w = np.linalg.eigvalsh(h)
+            assert -w[0] > w[-1]
+            assert hermitian_norm_2(h) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_zero_matrix(self, n):
+        norm = hermitian_norm_2(np.zeros((n, n), dtype=np.complex128))
+        assert norm == 0.0 and math.copysign(1.0, norm) == 1.0
+        assert op_norm_2(np.zeros((n, n))) == 0.0
 
 
 class TestSpectralRadius:

@@ -620,6 +620,21 @@ class TestExtremality:
         with pytest.raises(ValueError):
             extremality_check(EX1_X_PLUS, ProblemInstance(EX1_A), "largest")
 
+    @pytest.mark.parametrize("kind", ["maximal", "minimal"])
+    def test_factors_the_solution_once(self, monkeypatch, kind):
+        # the residual and the unit-Q factor share one Cholesky factor of x
+        import conric.solver as solver_mod
+
+        p = ProblemInstance(EX1_A, np.array([[2.0, 0.5j], [-0.5j, 3.0]]))
+        x = (solve_maximal(p) if kind == "maximal" else solve_minimal(p)).solution
+        factored = []
+        pd_cholesky = solver_mod.pd_cholesky
+        monkeypatch.setattr(
+            solver_mod, "pd_cholesky", lambda h, tol: factored.append(np.array(h)) or pd_cholesky(h, tol)
+        )
+        assert extremality_check(x, p, kind)[0]
+        assert len(factored) == 1 and np.array_equal(factored[0], x)
+
 
 class TestStandardContrast:
     def test_solutions_differ_between_equations(self):
@@ -775,15 +790,30 @@ class TestConeStep:
         # stopping decisions, hence the iteration counts, stay the same
         import conric.solver as solver_mod
 
-        calls = []
-        norm = solver_mod.op_norm_2
-        monkeypatch.setattr(solver_mod, "op_norm_2", lambda m: calls.append(None) or norm(m))
+        calls, certificates = [], []
+        for name, record in (("hermitian_norm_2", calls), ("op_norm_2", certificates)):
+            norm = getattr(solver_mod, name)
+            counting = lambda m, _f=norm, _r=record: _r.append(None) or _f(m)
+            monkeypatch.setattr(solver_mod, name, counting)
         b = lozenge(random_solvable(rng, n, min_norm=0.3))
         out = standard_solve_maximal(b)
-        # one change norm a step, then ||W|| and the residual near the stop
-        # and the rate certificate
-        assert out.iterations + 3 <= len(calls) <= out.iterations + 6
+        # one change norm a step, then ||W|| and the residual near the stop;
+        # the rate certificate is the one general norm
+        assert out.iterations + 2 <= len(calls) <= out.iterations + 5
+        assert len(certificates) == 1
         assert out.iterations == reference_iterations(b)
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    def test_solves_build_no_eigenvectors(self, rng, monkeypatch, with_q):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(None) or eigh(*a, **kw))
+        for n in (1, 2, 3, 6):
+            a = random_nonsingular_solvable(rng, n)
+            q = random_psd(rng, n) + np.eye(n) if with_q else None
+            p = ProblemInstance(a, q)
+            assert solve_maximal(p).iterations > 0 and solve_minimal(p).iterations > 0
+        assert calls == []
 
     def test_iteration_counts_match_reference_near_critical(self):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
