@@ -209,23 +209,19 @@ def sandwich_report(
     depth: int = DEFAULT_DEPTH,
     tol: Tolerances = DEFAULT_TOLERANCES,
     q=None,
-    *,
-    lower: BoundsLadder | None = None,
-    upper: BoundsLadder | None = None,
 ) -> SandwichReport:
     """Bound both extremal solutions by ladders of the given depth.
 
-    ``q`` None means Q = I; ``lower``/``upper`` reuse ladders already built
-    for the same instance and depth.  Needs a solvable instance with
-    nonsingular coefficient so that the minimal solution and the upper
-    ladder both exist.  The lower trend is reported without any claim about
-    where S_k converges.
+    ``q`` None means Q = I.  Needs a solvable instance with nonsingular
+    coefficient so that the minimal solution and the upper ladder both
+    exist.  The lower trend is reported without any claim about where S_k
+    converges.
     """
-    return _sandwich(ProblemInstance(a, q, tol), depth, lower, upper)
+    return _sandwich(ProblemInstance(a, q, tol), depth, None, None)
 
 
 def _sandwich(p: ProblemInstance, depth: int, lower, upper) -> SandwichReport:
-    """sandwich_report on an instance whose Q is already checked and factored."""
+    """sandwich_report on an instance whose Q is checked and factored, reusing any ladder given."""
     x_plus = solve_maximal(p).solution
     x_minus = solve_minimal(p).solution
     if lower is None:

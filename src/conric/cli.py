@@ -24,7 +24,6 @@ import numpy as np
 
 from .bounds import DEFAULT_DEPTH, LadderBreakdown, _ladder, _sandwich
 from .conditions import check_existence
-from .embedding import NotHeartStructuredError
 from .kernel import (
     ConricError,
     TOLERANCE_PROFILES,
@@ -338,7 +337,10 @@ def _make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _make_parser().parse_args(argv)
+    try:
+        args = _make_parser().parse_args(argv)
+    except SystemExit as exc:  # a bad flag exits 2, no-solution-evidence's code; --help exits 0
+        return EXIT_INPUT if exc.code else 0
     try:
         tol = _build_tolerances(args)
         # a command reads its instance from args, next to its options
@@ -351,13 +353,15 @@ def main(argv: list[str] | None = None) -> int:
         report["meta"] = {"generated_at": datetime.now(timezone.utc).isoformat()}
     try:
         args.func(args, report)
-    except (SolveFailure, InternalInconsistency, NotHeartStructuredError) as exc:
-        classification = report["exit_classification"] = exc.classification
+    except (ConricError, np.linalg.LinAlgError) as exc:
+        # a failure after loading that names no classification is internal
+        internal = InternalInconsistency.classification
+        classification = report["exit_classification"] = getattr(exc, "classification", internal)
         report["error"] = str(exc)
         # trace writes no report; an internal error keeps its "error: " line as well
-        if args.subcommand == "trace" or classification == InternalInconsistency.classification:
+        if args.subcommand == "trace" or classification == internal:
             print(f"error: {exc}", file=sys.stderr)
-    except (ValueError, ConricError) as exc:
+    except ValueError as exc:  # an option error, such as --depth 0
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     classification = report.setdefault("exit_classification", SUCCESS)

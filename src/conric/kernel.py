@@ -242,10 +242,6 @@ def numerical_radius(a) -> float:
                 break
         return float(best)
 
-    def congruence(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """L^-1 x L^-* by two triangular-factor solves."""
-        return np.linalg.solve(lower, np.linalg.solve(lower, x).conj().T).conj().T
-
     samples = np.arange(16) * (math.pi / 8.0)
     values = top(samples)
     best = float(values.max())
@@ -261,8 +257,8 @@ def numerical_radius(a) -> float:
         best = max(best, climb(theta))
         level = best + _LEVEL_NUDGE * max(abs(best), scale)
         lower = np.linalg.cholesky(h0 + level * eye)
-        companion[m:, :m] = congruence(lower, h0 - level * eye)
-        companion[m:, m:] = -2.0 * congruence(lower, k0)
+        companion[m:, :m] = _congruence(lower, h0 - level * eye)
+        companion[m:, m:] = -2.0 * _congruence(lower, k0)
         roots = np.linalg.eigvals(companion)
         real = roots[np.abs(roots.imag) <= _REAL_ROOT_RTOL * (1.0 + np.abs(roots))].real
         if real.size == 0:
@@ -274,6 +270,11 @@ def numerical_radius(a) -> float:
         if values.max() <= best:
             return best
         theta = float(midpoints[np.argmax(values)])
+
+
+def _congruence(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^-1 x L^-* by two triangular-factor solves."""
+    return np.linalg.solve(lower, np.linalg.solve(lower, x).conj().T).conj().T
 
 
 def psd_sqrt(h) -> np.ndarray:

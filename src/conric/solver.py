@@ -10,9 +10,9 @@ Two equations are solved here:
   its dual through ``Y = I - conj(X)`` (:func:`solve_minimal`).
 
 Both solves run one unit-Q core on their own coefficient, which checks the
-engine against a doubling bracket of the same real equation and refuses to
-answer if the engine's solution falls below the bracket.  Each certifies the
-returned matrix by its equation residual, never by iterate stagnation alone.
+engine against a doubling bracket of the same real equation, and leave through
+one tail that tests the unit solution against the pivot floor and certifies
+the returned matrix by its equation residual, never by stagnation alone.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .embedding import lozenge, unheart
+from .embedding import co_spectral_radius_vs_one, lozenge, unheart
 from .kernel import (
     ConricError,
     DEFAULT_TOLERANCES,
@@ -34,10 +34,10 @@ from .kernel import (
     cholesky_solve,
     cmatrix,
     hermitian_norm_2,
-    is_positive_definite,
     op_norm_2,
     pd_cholesky,
     _cholesky_lower,
+    _congruence,
     _nonsingular,
     _require_hermitian,
     _require_square,
@@ -443,12 +443,9 @@ def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     unit_tol = replace(p.tol, residual_tol=p.tol.residual_tol / max(1.0, op_norm_2(p.q)))
     unit = _unit_maximal(mapping.a_q, unit_tol)
     x = mapping.back(unit.solution)
-    res = residual(x, p)
-    if res > p.tol.residual_tol:
-        raise InternalInconsistency(
-            f"back-mapped residual {res:.3e} exceeds tolerance {p.tol.residual_tol:.3e}"
-        )
-    return replace(unit, solution=x, residual=res)
+    # the engine has certified the unit solution positive definite
+    refusal = InternalInconsistency, "unit solution fails the pivot floor"
+    return replace(unit, solution=x, residual=_tail(x, unit.solution, p, refusal, "back-mapped")[1])
 
 
 def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
@@ -472,40 +469,48 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     """
     _require_nonsingular(p.a, p.tol, "solve_minimal")
     mapping = normalize_q(p)
-    a_q = mapping.a_q
-    dual = _unit_maximal(adjoint(a_q), p.tol)
-
+    dual = _unit_maximal(adjoint(mapping.a_q), p.tol)
     lower, margin = _cholesky_lower(dual.solution, p.tol)
     if lower is None:
         # the engine has certified Y positive definite
         raise InternalInconsistency(f"dual solution fails the pivot floor (pivot margin {margin:.3e})")
-    # conj(a_q) Y^-1 a_q^T = Z* Z with Z = L^-1 a_q^T; back() takes the Hermitian part
-    z = np.linalg.solve(lower, a_q.T)
-    x = mapping.back(z.conj().T @ z)
+    # conj(a_q) Y^-1 a_q^T = Z* Z with Z = L^-1 a_q^T
+    z = np.linalg.solve(lower, mapping.a_q.T)
+    y = z.conj().T @ z
+    y = (y + y.conj().T) / 2.0
+    x = mapping.back(y)
+    # Z* Z is positive semidefinite, so a Y- below the floor is a singular X-, not a failure
+    refusal = SingularCoefficient, "minimal solution is singular to the pivot floor"
+    return replace(dual, solution=x, kind="minimal", residual=_tail(x, y, p, refusal, "dual-route")[1])
 
-    ok, margin = is_positive_definite(x, p.tol)
-    if not ok:
-        # Z* Z is positive semidefinite, so X- exists but is singular to the floor
-        raise SingularCoefficient(
-            f"minimal solution is singular to the pivot floor (pivot margin {margin:.3e})"
-        )
-    res = residual(x, p)
-    if res > p.tol.residual_tol:
-        raise InternalInconsistency(
-            f"dual-route residual {res:.3e} exceeds tolerance {p.tol.residual_tol:.3e}"
-        )
-    return replace(dual, solution=x, kind="minimal", residual=res)
+
+def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[np.ndarray, float]:
+    """(L_y, residual) of a solution x = L y L*, Q = L L*, from one factor of its unit-Q image y.
+
+    Factoring y is the only pivot-floor test a solution gets (the congruence by L preserves
+    solutions and the Loewner order); y below the floor raises refusal = (class, message).
+    L L_y factors x, so x is never factored.  A solve names its ``route``: residual_tol gates it.
+    """
+    lower, margin = _cholesky_lower(y, p.tol)
+    if lower is None:
+        raise refusal[0](f"{refusal[1]} (pivot margin {margin:.3e})")
+    # conj(L L_y) factors conj(x)
+    res = op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(p.q_factor @ lower), p.a) - p.q)
+    if route is not None and res > p.tol.residual_tol:
+        tol = p.tol.residual_tol
+        raise InternalInconsistency(f"{route} residual {res:.3e} exceeds tolerance {tol:.3e}")
+    return lower, res
+
+
+def _given(x: np.ndarray, p: ProblemInstance) -> tuple[np.ndarray, float]:
+    # a caller's x maps to y = L^-1 x L^-*, and the factor reads y's lower triangle
+    y = _congruence(p.q_factor, _require_hermitian(x, "solution"))
+    return _tail(x, y, p, (NotPositiveDefiniteError, "matrix is not positive definite to tolerance"))
 
 
 def residual(x, p: ProblemInstance) -> float:
-    """Equation defect ||x + a* conj(x)^-1 a - q|| in the spectral norm."""
-    x = cmatrix(x)
-    return _defect(x, pd_cholesky(x, p.tol), p)
-
-
-def _defect(x: np.ndarray, lower: np.ndarray, p: ProblemInstance) -> float:
-    # the residual of x from its Cholesky factor L; conj(L) factors conj(x)
-    return op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(lower), p.a) - p.q)
+    """Equation defect ||x + a* conj(x)^-1 a - q||_2; x must clear the pivot floor in the unit problem."""
+    return _given(cmatrix(x), p)[1]
 
 
 def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
@@ -517,19 +522,13 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
     test runs on the unit-Q normalization and returns the underlying value
     rho(M conj(M)) alongside the verdict.
     """
-    from .embedding import co_spectral_radius_vs_one
-
     if kind not in ("maximal", "minimal"):
         raise ValueError(f"kind must be 'maximal' or 'minimal', got {kind!r}")
-    x = cmatrix(x)
-    x_factor = pd_cholesky(x, p.tol)
-    res = _defect(x, x_factor, p)
+    lower, res = _given(cmatrix(x), p)
     if res > p.tol.residual_tol:
         raise NotASolution(f"residual {res:.3e} exceeds tolerance; not a solution")
     mapping = normalize_q(p)
-    # L^-1 L_x is lower triangular with a positive diagonal: the Cholesky factor of
-    # the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
-    lower = np.linalg.solve(mapping.q_factor, x_factor)
+    # lower factors the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
     coeff = mapping.a_q if kind == "maximal" else adjoint(mapping.a_q)
     ordering, value = co_spectral_radius_vs_one(cholesky_solve(np.conj(lower), coeff))
     return ordering in (("below", "at") if kind == "maximal" else ("at", "above")), value

@@ -33,6 +33,10 @@ EX1_NORM = 0.6035533905932738
 # square root is singular to tolerance (sigma_min 7.7e-7, sigma_max 1.3e6)
 ILL_Q_A = np.array([[0.1, 0.05j], [0.02, 0.1]], dtype=np.complex128)
 ILL_Q = np.array([[1.0, 1.3e6], [1.3e6, 1.3e6**2 + 1.0]])
+# Q spans 12 orders of magnitude: X+ = diag(0.99, 4.3e-13) fails the pivot floor in
+# Q's coordinates (margin 8.7e-13) while its unit-Q image diag(0.99, 0.72) clears it
+SCALED_Q_A = np.diag([0.1, 0.27e-12]).astype(np.complex128)
+SCALED_Q = np.diag([1.0, 0.6e-12])
 
 
 def scalar_solutions(a: complex) -> tuple[float, float]:

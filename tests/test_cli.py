@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from conric import cli
 from conric.cli import _emit, main
 from conric.embedding import lozenge
-from conric.kernel import Tolerances, numerical_radius
+from conric.kernel import NotPositiveDefiniteError, Tolerances, numerical_radius
 from conric.solver import ProblemInstance, residual, solve_maximal
-from helpers import EX1_A, EX1_X_PLUS, ILL_Q, ILL_Q_A
+from helpers import EX1_A, EX1_X_PLUS, ILL_Q, ILL_Q_A, SCALED_Q, SCALED_Q_A
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -379,6 +379,15 @@ class TestIllConditionedQ:
         if command != "bounds":
             assert report["existence"]["verdict"] == "not_exists"
 
+    @pytest.mark.parametrize(
+        "command", [["solve", "--minimal"], ["bounds", "--depth", "3"], ["trace"]], ids=lambda c: c[0]
+    )
+    def test_an_ill_scaled_q_solves(self, tmp_path, capsys, command):
+        # X+ fails the pivot floor in Q's coordinates; positive definiteness is decided in the unit problem
+        path = write_json_instance(tmp_path / "scaledq.json", SCALED_Q_A, q=SCALED_Q)
+        assert main([*command, str(path), "--no-meta"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 class TestErrorExits:
     @staticmethod
@@ -469,8 +478,14 @@ class TestParser:
         fresh = run_all(fresh=True)
         shared = run_all(fresh=False)
         assert cli._make_parser.cache_info().misses == 1
-        assert [code for code, _, _ in shared] == [0, 2, 0]
+        assert [code for code, _, _ in shared] == [0, 1, 0]
         assert shared == fresh
+
+    def test_a_bad_flag_exits_one_and_help_zero(self, example_file, capsys):
+        # argparse's own code 2 would read as no-solution-evidence
+        assert main(["solve", str(example_file), "--bogus"]) == 1
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: conric")
 
 
 class TestJsonReports:
@@ -556,6 +571,19 @@ class TestInternalErrors:
         assert captured.err == f"error: {report['error']}\n"
         expected = "below the doubling bracket" if broken == "doubling" else "drift"
         assert expected in report["error"]
+
+    @pytest.mark.parametrize(
+        "error", [NotPositiveDefiniteError("unclassified"), np.linalg.LinAlgError("unclassified")]
+    )
+    def test_an_unclassified_failure_is_internal(self, example_file, capsys, monkeypatch, error):
+        def failing(p):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_maximal", failing)
+        assert main(["solve", str(example_file), "--no-meta"]) == 4
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["exit_classification"] == "internal-error"
+        assert captured.err == "error: unclassified\n"
 
     def test_trace_exits_four(self, example_file, capsys, monkeypatch):
         self.sabotage(monkeypatch, "doubling")

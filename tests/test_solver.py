@@ -36,6 +36,8 @@ from helpers import (
     EX1_X_PLUS_STANDARD,
     ILL_Q,
     ILL_Q_A,
+    SCALED_Q,
+    SCALED_Q_A,
     direct_unit_maximal,
     doubling_all_steps,
     random_nonsingular_solvable,
@@ -535,6 +537,30 @@ class TestRefusals:
             solve_minimal(ProblemInstance(EX1_A, np.diag([2.0, 3.0])))
         assert str(info.value).startswith("dual solution fails the pivot floor")
 
+    @pytest.mark.parametrize("solve, kind", [(solve_maximal, "maximal"), (solve_minimal, "minimal")])
+    def test_an_ill_scaled_q_is_decided_in_the_unit_problem(self, solve, kind):
+        p = ProblemInstance(SCALED_Q_A, SCALED_Q)
+        x = solve(p).solution
+        assert residual(x, p) <= 1e-9
+        assert extremality_check(x, p, kind)[0]
+
+    @pytest.mark.parametrize("solve, count", [(solve_maximal, 1), (solve_minimal, 2)])
+    def test_the_back_mapped_solution_is_never_factored(self, monkeypatch, solve, count):
+        # after the engine, the maximal solve factors its unit solution, the minimal
+        # solve the dual solution and the unit minimal solution
+        import conric.solver as solver_mod
+
+        factored = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda h: factored.append(np.array(h)) or cholesky(h))
+        unit_maximal = solver_mod._unit_maximal
+        monkeypatch.setattr(
+            solver_mod, "_unit_maximal", lambda a_q, tol: (unit_maximal(a_q, tol), factored.clear())[0]
+        )
+        x = solve(ProblemInstance(EX1_A, np.array([[2.0, 0.5j], [-0.5j, 3.0]]))).solution
+        assert len(factored) == count
+        assert not any(np.array_equal(h, x) for h in factored)
+
     def test_twin_stops_at_the_cap(self):
         tol = Tolerances(max_iter=50)
         with pytest.raises(MaxIterationsExceeded) as info:
@@ -622,18 +648,20 @@ class TestExtremality:
 
     @pytest.mark.parametrize("kind", ["maximal", "minimal"])
     def test_factors_the_solution_once(self, monkeypatch, kind):
-        # the residual and the unit-Q factor share one Cholesky factor of x
+        # the residual and the extremality test share one Cholesky factor of x's unit-Q image
         import conric.solver as solver_mod
 
         p = ProblemInstance(EX1_A, np.array([[2.0, 0.5j], [-0.5j, 3.0]]))
         x = (solve_maximal(p) if kind == "maximal" else solve_minimal(p)).solution
         factored = []
-        pd_cholesky = solver_mod.pd_cholesky
+        cholesky_lower = solver_mod._cholesky_lower
         monkeypatch.setattr(
-            solver_mod, "pd_cholesky", lambda h, tol: factored.append(np.array(h)) or pd_cholesky(h, tol)
+            solver_mod, "_cholesky_lower", lambda h, tol: factored.append(np.array(h)) or cholesky_lower(h, tol)
         )
         assert extremality_check(x, p, kind)[0]
-        assert len(factored) == 1 and np.array_equal(factored[0], x)
+        lower = p.q_factor
+        y = np.linalg.solve(lower, np.linalg.solve(lower, x).conj().T).conj().T
+        assert len(factored) == 1 and np.allclose(factored[0], y, rtol=0.0, atol=1e-14)
 
 
 class TestStandardContrast:
