@@ -103,12 +103,20 @@ def _load_matrix_file(path: str) -> dict:
     for key in ("n", "re", "im"):
         if key not in doc:
             raise InputError(f"{path}: missing field {key!r}")
+    n = doc["n"]
+    if type(n) is not int or n < 1:  # bool is a subclass of int
+        raise InputError(f"{path}: field 'n' must be an integer of at least 1, got {json.dumps(n)}")
     return doc
 
 
 def _matrix_from_fields(doc: dict, re_key: str, im_key: str, n: int) -> np.ndarray:
-    re_part = np.asarray(doc[re_key], dtype=float)
-    im_part = np.asarray(doc[im_key], dtype=float)
+    parts = []
+    for key in (re_key, im_key):
+        try:
+            parts.append(np.asarray(doc[key], dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"field {key!r} must be an array of numbers: {exc}") from exc
+    re_part, im_part = parts
     if re_part.shape != (n, n) or im_part.shape != (n, n):
         raise InputError(
             f"fields {re_key}/{im_key} must be {n}x{n} arrays, "
@@ -119,12 +127,12 @@ def _matrix_from_fields(doc: dict, re_key: str, im_key: str, n: int) -> np.ndarr
 
 def _load_instance(args, tol: Tolerances) -> ProblemInstance:
     doc = _load_matrix_file(args.input)
-    n = int(doc["n"])
+    n = doc["n"]
     a = _matrix_from_fields(doc, "re", "im", n)
     q = None
     if args.q is not None:
         q_doc = _load_matrix_file(args.q)
-        if int(q_doc["n"]) != n:
+        if q_doc["n"] != n:
             raise InputError(f"q dimension {q_doc['n']} does not match a dimension {n}")
         q = _matrix_from_fields(q_doc, "re", "im", n)
     elif "q_re" in doc or "q_im" in doc:

@@ -75,7 +75,8 @@ class Tolerances:
         for name in ("pd_floor", "stop_rel", "residual_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
+        if not integral or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
         object.__setattr__(self, "max_iter", int(self.max_iter))
 

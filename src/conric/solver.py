@@ -9,10 +9,10 @@ Two equations are solved here:
   standard one through the lozenge embedding (:func:`solve_maximal`) and to
   its dual through ``Y = I - conj(X)`` (:func:`solve_minimal`).
 
-Both solves run one unit-Q core on their own coefficient, which checks the
-engine against a doubling bracket of the same real equation, and leave through
-one tail that tests the unit solution against the pivot floor and certifies
-the returned matrix by its equation residual, never by stagnation alone.
+Both solves run one unit-Q core, the loop plus a doubling bracket of the same
+real equation, and leave through one tail: its one factor of the unit solution
+gives the pivot-floor test, the equation residual that certifies the result
+(never stagnation alone) and the rate certificate.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .embedding import co_spectral_radius_vs_one, lozenge, unheart
 from .kernel import (
     ConricError,
     DEFAULT_TOLERANCES,
+    DimensionError,
     NotPositiveDefiniteError,
     Tolerances,
     adjoint,
@@ -128,9 +129,10 @@ class SolveOutcome:
 
     trace holds the per-step change norms of the iteration that produced the
     solution, as an ``array('d')`` (8 bytes a step; empty when the trace was
-    not kept).  rate_certificate is the norm of (unit-Q solution)^-1 times the
-    conjugated coefficient; when below one, the iteration provably converges
-    at least linearly and ``linear_rate_guaranteed`` is set.
+    not kept).  rate_certificate is ||conj(Y)^-1 C|| for the unit-Q solution Y
+    the iteration reached and its coefficient C (||W^-1 B|| for the classical
+    equation); when below one, the iteration provably converges at least
+    linearly and ``linear_rate_guaranteed`` is set.
     """
 
     solution: np.ndarray
@@ -243,7 +245,8 @@ def _fixed_point_scalar(
     (|b| = 1/2) run to the iteration cap, and a float step costs about a
     hundredth of a generic matrix step.
     """
-    s = abs(coeff[0, 0]) ** 2
+    # numpy's array modulus, which can differ from abs() of the element in the last bit
+    s = float(np.abs(coeff)[0, 0] ** 2)
     trace = array("d")
     stop_rel = tol.stop_rel
     pd_floor = tol.pd_floor
@@ -400,25 +403,21 @@ def _doubling(b: np.ndarray, steps: int) -> np.ndarray:
     return q
 
 
-def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> SolveOutcome:
-    """Maximal solution of Y + a_q* conj(Y)^-1 a_q = I, checked against a doubling bracket.
+def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float]]:
+    """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I, checked against a doubling bracket.
 
-    Runs the real embedded iteration on lozenge(a_q) and extracts the complex
-    solution.  At n = 1 the lozenge iterates are y I_2 with y <- 1 - |a_q|^2 / y,
-    so the engine runs the 1x1 classical equation with coefficient |a_q|
-    instead.  Doubling on the lozenge gives the iterate 2^J - 1 >= max_iter,
-    J = max_iter.bit_length(); the iterates decrease, so a correct engine's
-    solution lies on or above it, and one more than 1e-8 below is an internal
-    inconsistency.  The residual already bounds how far above the maximal
-    solution the engine stopped, so the check is one-sided.
+    The generic loop runs on lozenge(a_q) and converges to heart(Y); at n = 1 its iterates are
+    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  Doubling gives the iterate
+    2^J - 1 >= max_iter, J = max_iter.bit_length(), and the iterates decrease, so a correct Y lies
+    on or above it: more than 1e-8 below is an internal inconsistency.  The residual bounds how far
+    above the maximal solution the engine stopped, so the check is one-sided.
     """
     b = lozenge(a_q)
     if a_q.shape[0] == 1:
-        engine = standard_solve_maximal(np.abs(a_q), tol)
-        y = engine.solution
+        y, iterations, trace, _ = _fixed_point_scalar(a_q, tol, True)
     else:
-        engine = standard_solve_maximal(b, tol)
-        y = unheart(engine.solution)
+        w, iterations, trace, _ = _fixed_point_generic(b, tol, None, True)
+        y = unheart(w)
         y = (y + y.conj().T) / 2.0
 
     bracket = unheart(_doubling(b, tol.max_iter.bit_length()))
@@ -427,9 +426,7 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> SolveOutcome:
         raise InternalInconsistency(
             f"engine solution lies {-margin:.3e} below the doubling bracket"
         )
-    # the embedded certificate ||W^-1 lozenge(a_q)|| equals ||y^-1 conj(a_q)||:
-    # W = heart(y), lozenge(a_q) = E heart(a_q) and E is orthogonal
-    return replace(engine, solution=y)
+    return y, iterations, trace
 
 
 def solve_maximal(p: ProblemInstance) -> SolveOutcome:
@@ -441,11 +438,13 @@ def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     """
     mapping = normalize_q(p)
     unit_tol = replace(p.tol, residual_tol=p.tol.residual_tol / max(1.0, op_norm_2(p.q)))
-    unit = _unit_maximal(mapping.a_q, unit_tol)
-    x = mapping.back(unit.solution)
+    y, iterations, trace = _unit_maximal(mapping.a_q, unit_tol)
+    x = mapping.back(y)
     # the engine has certified the unit solution positive definite
     refusal = InternalInconsistency, "unit solution fails the pivot floor"
-    return replace(unit, solution=x, residual=_tail(x, unit.solution, p, refusal, "back-mapped")[1])
+    lower, res = _tail(x, y, p, refusal, "back-mapped")
+    certificate = op_norm_2(cholesky_solve(np.conj(lower), mapping.a_q))
+    return SolveOutcome(x, "maximal", iterations, res, trace, certificate, certificate < 1.0)
 
 
 def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
@@ -469,8 +468,9 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     """
     _require_nonsingular(p.a, p.tol, "solve_minimal")
     mapping = normalize_q(p)
-    dual = _unit_maximal(adjoint(mapping.a_q), p.tol)
-    lower, margin = _cholesky_lower(dual.solution, p.tol)
+    coeff = adjoint(mapping.a_q)
+    dual, iterations, trace = _unit_maximal(coeff, p.tol)
+    lower, margin = _cholesky_lower(dual, p.tol)
     if lower is None:
         # the engine has certified Y positive definite
         raise InternalInconsistency(f"dual solution fails the pivot floor (pivot margin {margin:.3e})")
@@ -481,7 +481,9 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     x = mapping.back(y)
     # Z* Z is positive semidefinite, so a Y- below the floor is a singular X-, not a failure
     refusal = SingularCoefficient, "minimal solution is singular to the pivot floor"
-    return replace(dual, solution=x, kind="minimal", residual=_tail(x, y, p, refusal, "dual-route")[1])
+    res = _tail(x, y, p, refusal, "dual-route")[1]
+    certificate = op_norm_2(cholesky_solve(np.conj(lower), coeff))
+    return SolveOutcome(x, "minimal", iterations, res, trace, certificate, certificate < 1.0)
 
 
 def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[np.ndarray, float]:
@@ -503,6 +505,8 @@ def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[
 
 
 def _given(x: np.ndarray, p: ProblemInstance) -> tuple[np.ndarray, float]:
+    if x.shape != p.a.shape:
+        raise DimensionError(f"solution shape {x.shape} does not match coefficient shape {p.a.shape}")
     # a caller's x maps to y = L^-1 x L^-*, and the factor reads y's lower triangle
     y = _congruence(p.q_factor, _require_hermitian(x, "solution"))
     return _tail(x, y, p, (NotPositiveDefiniteError, "matrix is not positive definite to tolerance"))

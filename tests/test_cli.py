@@ -421,6 +421,37 @@ class TestErrorExits:
         assert (code, out) == (1, "")
         assert err.startswith(f"input error: {path}: missing field 'im'")
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"n": None}, "field 'n' must be an integer of at least 1, got null"),
+            ({"n": 1.7}, "field 'n' must be an integer of at least 1, got 1.7"),
+            ({"n": True}, "field 'n' must be an integer of at least 1, got true"),
+            ({"n": "1"}, "field 'n' must be an integer of at least 1, got \"1\""),
+            ({"n": 0}, "field 'n' must be an integer of at least 1, got 0"),
+            ({"re": [[{"a": 1}]]}, "field 're' must be an array of numbers"),
+            ({"im": [[None, [1]]]}, "field 'im' must be an array of numbers"),
+            ({"q_re": [["x"]], "q_im": [[0.0]]}, "field 'q_re' must be an array of numbers"),
+        ],
+        ids=["null", "fraction", "bool", "string", "zero", "object", "ragged", "q-string"],
+    )
+    def test_malformed_json_fields(self, tmp_path, capsys, fields, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 1, "re": [[0.1]], "im": [[0.0]], **fields}))
+        code, out, err = self.run(capsys, ["solve", str(path), "--no-meta"])
+        assert (code, out) == (1, "")
+        assert err.startswith("input error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", [None, 1.7, True])
+    def test_malformed_q_dimension(self, tmp_path, capsys, n):
+        a_path = write_json_instance(tmp_path / "a.json", np.array([[0.1]]))
+        q_path = tmp_path / "q.json"
+        q_path.write_text(json.dumps({"n": n, "re": [[1.0]], "im": [[0.0]]}))
+        code, out, err = self.run(capsys, ["solve", str(a_path), "--q", str(q_path)])
+        assert (code, out) == (1, "")
+        assert err == f"input error: {q_path}: field 'n' must be an integer of at least 1, got {json.dumps(n)}\n"
+
     def test_q_file_of_the_wrong_dimension(self, example_file, tmp_path, capsys):
         q_path = write_json_instance(tmp_path / "q.json", np.eye(3))
         code, out, err = self.run(capsys, ["solve", str(example_file), "--q", str(q_path)])

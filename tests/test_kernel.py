@@ -84,6 +84,7 @@ class TestTolerances:
             {"max_iter": math.nan},
             {"max_iter": 2.5},
             {"max_iter": 100.0},
+            {"max_iter": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -10,6 +10,7 @@ from conric.bounds import build_ladder, sandwich_report
 from conric.conditions import check_existence
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
+    DimensionError,
     NotPositiveDefiniteError,
     Tolerances,
     op_norm_2,
@@ -400,6 +401,39 @@ class TestSolveMaximal:
         expected = np.linalg.norm(np.linalg.solve(x_unit, np.conj(a_q)), 2)
         assert out.rate_certificate == pytest.approx(expected, rel=1e-12)
         assert out.linear_rate_guaranteed == (expected < 1.0)
+        # the minimal solve iterates on the dual Y = I - conj(X-_unit): ||(I - X-_unit)^-1 a_q*||
+        minimal = solve_minimal(ProblemInstance(a, q))
+        x_minus_unit = root_inv @ minimal.solution @ root_inv
+        expected = np.linalg.norm(np.linalg.solve(np.eye(n) - x_minus_unit, a_q.conj().T), 2)
+        assert minimal.rate_certificate == pytest.approx(expected, rel=1e-12)
+        assert minimal.linear_rate_guaranteed == (expected < 1.0)
+
+    @pytest.mark.parametrize("with_q", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 6])
+    def test_the_conjugate_solves_bypass_the_classical_solver(self, rng, monkeypatch, n, with_q):
+        # both solves run the loops themselves and take the certificate from a factor they hold
+        import conric.solver as solver_mod
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a conjugate solve went through the classical solver")
+
+        monkeypatch.setattr(solver_mod, "standard_solve_maximal", refused)
+        monkeypatch.setattr(solver_mod, "pd_cholesky", refused)
+        a = random_nonsingular_solvable(rng, n)
+        p = ProblemInstance(a, random_psd(rng, n) + np.eye(n) if with_q else None)
+        for solve in (solve_maximal, solve_minimal):
+            out = solve(p)
+            assert out.residual <= p.tol.residual_tol
+            assert out.iterations == len(out.trace) > 0
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_extremality_value_is_bounded_by_the_certificate(self, rng, n):
+        # rho(M conj(M)) <= ||M||^2 for M = conj(Y)^-1 a_q, the operator both read
+        p = ProblemInstance(random_solvable(rng, n), random_psd(rng, n) + np.eye(n))
+        out = solve_maximal(p)
+        ok, value = extremality_check(out.solution, p, "maximal")
+        assert ok
+        assert value <= out.rate_certificate**2 * (1.0 + 1e-12)
 
     def test_diagonal_oracle(self):
         out = solve_maximal(ProblemInstance(np.diag([0.3, 0.4j])))
@@ -516,8 +550,8 @@ class TestRefusals:
         unit_maximal = solver_mod._unit_maximal
 
         def shifted(a_q, tol):
-            out = unit_maximal(a_q, tol)
-            return dataclasses.replace(out, solution=out.solution + shift * np.eye(len(a_q)))
+            y, iterations, trace = unit_maximal(a_q, tol)
+            return y + shift * np.eye(len(a_q)), iterations, trace
 
         monkeypatch.setattr(solver_mod, "_unit_maximal", shifted)
 
@@ -619,6 +653,10 @@ class TestResidual:
         with pytest.raises(NotPositiveDefiniteError):
             residual(np.diag([1.0, -1.0]), ProblemInstance(EX1_A))
 
+    def test_rejects_a_solution_of_another_shape(self):
+        with pytest.raises(DimensionError, match=r"\(3, 3\) does not match coefficient shape \(2, 2\)"):
+            residual(np.eye(3), ProblemInstance(EX1_A))
+
 
 class TestExtremality:
     def test_example_maximal(self):
@@ -645,6 +683,10 @@ class TestExtremality:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             extremality_check(EX1_X_PLUS, ProblemInstance(EX1_A), "largest")
+
+    def test_rejects_a_solution_of_another_shape(self):
+        with pytest.raises(DimensionError, match=r"\(3, 3\) does not match coefficient shape \(2, 2\)"):
+            extremality_check(np.eye(3), ProblemInstance(EX1_A), "maximal")
 
     @pytest.mark.parametrize("kind", ["maximal", "minimal"])
     def test_factors_the_solution_once(self, monkeypatch, kind):
@@ -692,15 +734,14 @@ def test_internal_inconsistency_is_exposed(monkeypatch):
     # residual check; only the doubling bracket can tell it is not maximal
     import conric.solver as solver_mod
 
-    engine = solver_mod.standard_solve_maximal
+    loop = solver_mod._fixed_point_generic
 
-    def minimal_engine(b, tol):
+    def minimal_engine(b, tol, observer, keep_trace):
         # W- = I - Y+ with Y+ the maximal solution of Y + B Y^-1 B^T = I
-        dual = engine(b.T, tol)
-        eye = np.eye(b.shape[0], dtype=np.complex128)
-        return dataclasses.replace(dual, solution=eye - dual.solution)
+        dual, iterations, trace, res = loop(b.T, tol, observer, keep_trace)
+        return np.eye(b.shape[0], dtype=np.complex128) - dual, iterations, trace, res
 
-    monkeypatch.setattr(solver_mod, "standard_solve_maximal", minimal_engine)
+    monkeypatch.setattr(solver_mod, "_fixed_point_generic", minimal_engine)
     with pytest.raises(InternalInconsistency, match="below the doubling bracket"):
         solve_maximal(ProblemInstance(EX1_A))
 
