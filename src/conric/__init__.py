@@ -65,7 +65,6 @@ from .solver import (
     NoSolutionEvidence,
     NotASolution,
     ProblemInstance,
-    QNormalization,
     SingularCoefficient,
     SolveFailure,
     SolveOutcome,

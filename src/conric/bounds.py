@@ -18,10 +18,10 @@ definite solution exists and raises :class:`LadderBreakdown` with
 ``rung = k``; a positive margin below the floor stops the ladder with
 ``truncated_at = k``, keeping rungs 1..k-1.
 
-A right-hand side Q runs the recurrence on a_q of :func:`normalize_q` and
-maps each rung back by X = L Y L*, with L the Cholesky factor of Q = L L*;
-the congruence preserves the Loewner order, so the rungs bound every
-solution of the Q equation.
+A right-hand side Q runs the recurrence on the instance's unit coefficient
+``p.a_q`` and maps each rung back by ``p.back``, X = L Y L* with L the
+Cholesky factor of Q = L L*; the congruence preserves the Loewner order, so
+the rungs bound every solution of the Q equation.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .solver import (
     ProblemInstance,
     _cone_step,
     _require_nonsingular,
-    normalize_q,
     solve_maximal,
     solve_minimal,
 )
@@ -124,8 +123,7 @@ def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
         raise ValueError("depth must be at least 1")
     if side == "upper":
         _require_nonsingular(p.a, p.tol, "upper bound ladder")
-    mapping = normalize_q(p)
-    coeff = mapping.a_q if side == "upper" else adjoint(mapping.a_q)
+    coeff = p.a_q if side == "upper" else adjoint(p.a_q)
     eye = np.eye(p.n, dtype=np.complex128)
 
     y = eye
@@ -143,11 +141,11 @@ def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
             truncated_at = k
             break
         y = y_next
-        matrices.append(mapping.back(y if side == "upper" else eye - np.conj(y)))
+        matrices.append(p.back(y if side == "upper" else eye - np.conj(y)))
 
     sign = -1.0 if side == "upper" else 1.0
     gaps = [_min_eig(sign * (later - earlier)) for earlier, later in zip(matrices, matrices[1:])]
-    return BoundsLadder(side, len(matrices), matrices, gaps, mapping.a_q, truncated_at)
+    return BoundsLadder(side, len(matrices), matrices, gaps, p.a_q, truncated_at)
 
 
 def closed_form_bounds(a, which: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:

@@ -37,7 +37,6 @@ from .solver import (
     ProblemInstance,
     SingularCoefficient,
     SolveFailure,
-    normalize_q,
     solve_maximal,
     solve_minimal,
 )
@@ -67,8 +66,8 @@ def _parse_text_matrix(text: str) -> dict:
         n = int(lines[0])
     except ValueError as exc:
         raise InputError(f"first line must be the dimension, got {lines[0]!r}") from exc
-    if n < 1 or len(lines) < 1 + n:
-        raise InputError(f"expected {n} rows of entries after the dimension line")
+    if n < 1 or len(lines) != 1 + n:
+        raise InputError(f"expected {n} rows of entries after the dimension line, got {len(lines) - 1}")
     re_rows, im_rows = [], []
     for row_text in lines[1 : 1 + n]:
         pairs = row_text.split()
@@ -201,15 +200,21 @@ def _trace_rows(trace) -> list[list]:
     return [[k + 1, v] for k, v in enumerate(trace)]
 
 
-def _write(text: str, args) -> None:
-    if args.out is not None:
+def _write(text: str, args) -> bool:
+    """Write to --out or stdout; False, after an error line, when --out cannot be written."""
+    if args.out is None:
+        sys.stdout.write(text)
+        return True
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
-def _emit(report: dict, args) -> None:
+def _emit(report: dict, args) -> bool:
     if args.format == "json":
         text = _indented_json(report) + "\n"
     else:
@@ -226,12 +231,12 @@ def _emit(report: dict, args) -> None:
 
         walk("", report)
         text = "\n".join(lines) + "\n"
-    _write(text, args)
+    return _write(text, args)
 
 
 def cmd_solve(args, report: dict) -> None:
     instance = args.instance
-    existence = check_existence(normalize_q(instance).a_q, instance.tol)
+    existence = check_existence(instance.a_q, instance.tol)
     report["existence"] = _existence_json(existence)
     if existence.verdict == "not_exists":
         failed = [c.name for c in existence.necessary_failures()]
@@ -263,7 +268,7 @@ def cmd_solve(args, report: dict) -> None:
 
 def cmd_check(args, report: dict) -> None:
     instance = args.instance
-    report["existence"] = _existence_json(check_existence(normalize_q(instance).a_q, instance.tol))
+    report["existence"] = _existence_json(check_existence(instance.a_q, instance.tol))
 
 
 def _ladder_json(ladder) -> dict:
@@ -375,10 +380,10 @@ def main(argv: list[str] | None = None) -> int:
     classification = report.setdefault("exit_classification", SUCCESS)
     if args.subcommand == "trace":
         # trace writes 'k value' lines instead of the report
-        _write("\n".join(f"{k} {v!r}" for k, v in report.get("trace", ())) + "\n", args)
+        written = _write("\n".join(f"{k} {v!r}" for k, v in report.get("trace", ())) + "\n", args)
     else:
-        _emit(report, args)
-    return EXIT_CODES[classification]
+        written = _emit(report, args)
+    return EXIT_CODES[classification] if written else EXIT_INPUT
 
 
 if __name__ == "__main__":

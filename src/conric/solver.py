@@ -9,6 +9,8 @@ Two equations are solved here:
   standard one through the lozenge embedding (:func:`solve_maximal`) and to
   its dual through ``Y = I - conj(X)`` (:func:`solve_minimal`).
 
+A ProblemInstance factors Q = L L* and forms the unit-Q coefficient a_q once;
+every route reads ``p.a_q`` and maps a unit solution back with ``p.back``.
 Both solves run one unit-Q core, the loop plus a doubling bracket of the same
 real equation, and leave through one tail: its one factor of the unit solution
 gives the pivot-floor test, the equation residual that certifies the result
@@ -93,34 +95,47 @@ class NotASolution(ConricError):
     """The supplied matrix does not solve the equation to tolerance."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemInstance:
-    """Equation data: coefficient ``a``, right-hand side ``q`` (default I).
+    """Equation data: coefficient ``a``, right-hand side ``q`` (default I), and its unit problem.
 
-    ``q_factor`` is the Cholesky factor L of Q = L L* from the pivot-floor check (I for Q = I).
+    ``q_factor`` is the Cholesky factor L of Q = L L* from the pivot-floor check (I for Q = I),
+    ``a_q`` the unit-Q coefficient of :func:`normalize_q`; both are computed once, and the
+    instance and its arrays are frozen so that they cannot go stale.
     """
 
     a: np.ndarray
     q: np.ndarray | None = None
     tol: Tolerances = DEFAULT_TOLERANCES
     q_factor: np.ndarray = field(init=False, repr=False)
+    a_q: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.a = _require_square(cmatrix(self.a), "ProblemInstance")
+        a = _require_square(cmatrix(self.a), "ProblemInstance")
         if self.q is None:
-            self.q = self.q_factor = np.eye(self.n, dtype=np.complex128)
-            return
-        self.q = cmatrix(self.q)
-        if self.q.shape != self.a.shape:
-            raise ValueError(f"q shape {self.q.shape} does not match a shape {self.a.shape}")
-        lower, margin = _cholesky_lower(_require_hermitian(self.q, "q"), self.tol)
-        if lower is None:
-            raise NotPositiveDefiniteError(f"q must be positive definite (pivot margin {margin:.3e})")
-        self.q_factor = lower
+            q = lower = np.eye(a.shape[0], dtype=np.complex128)
+        else:
+            q = cmatrix(self.q)
+            if q.shape != a.shape:
+                raise ValueError(f"q shape {q.shape} does not match a shape {a.shape}")
+            lower, margin = _cholesky_lower(_require_hermitian(q, "q"), self.tol)
+            if lower is None:
+                raise NotPositiveDefiniteError(f"q must be positive definite (pivot margin {margin:.3e})")
+        for name, value in (("a", a), ("q", q), ("q_factor", lower)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "a_q", normalize_q(self))
+        # the arrays too, so that an entry written in place cannot leave the factor or a_q stale
+        for value in (a, q, lower, self.a_q):
+            value.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    def back(self, y: np.ndarray) -> np.ndarray:
+        """The solution x = L y L* of the Q equation from a unit solution y, symmetrised."""
+        x = self.q_factor @ y @ self.q_factor.conj().T
+        return (x + x.conj().T) / 2.0
 
 
 @dataclass
@@ -144,28 +159,15 @@ class SolveOutcome:
     linear_rate_guaranteed: bool = False
 
 
-@dataclass
-class QNormalization:
-    """Coefficient of the unit right-hand side problem plus the way back."""
+def normalize_q(p: ProblemInstance) -> np.ndarray:
+    """Coefficient of the unit right-hand side problem, a_q = conj(L)^-1 a L^-* with Q = L L*.
 
-    a_q: np.ndarray
-    q_factor: np.ndarray
-
-    def back(self, y: np.ndarray) -> np.ndarray:
-        x = self.q_factor @ y @ self.q_factor.conj().T
-        return (x + x.conj().T) / 2.0
-
-
-def normalize_q(p: ProblemInstance) -> QNormalization:
-    """Reduce to right-hand side I with the Cholesky factor Q = L L*: a_q = conj(L)^-1 a L^-*.
-
-    a_q comes from two solves against L and conj(L), with no inverse.  The
-    inverse map, applied by the solve routines after the unit solve, is
-    x = L y L*.  Any factor of Q gives a unitarily congruent unit problem.
+    a_q comes from two solves against L and conj(L), with no inverse; ``p.back`` maps a unit
+    solution y to x = L y L*.  Any factor of Q gives a unitarily congruent unit problem.
+    ProblemInstance calls this once, and every route reads ``p.a_q``.
     """
     lower = p.q_factor
-    a_q = np.linalg.solve(np.conj(lower), np.linalg.solve(lower, adjoint(p.a)).conj().T)
-    return QNormalization(a_q, lower)
+    return np.linalg.solve(np.conj(lower), np.linalg.solve(lower, adjoint(p.a)).conj().T)
 
 
 def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> np.ndarray:
@@ -432,18 +434,17 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
 def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     """Maximal positive definite solution of X + A* conj(X)^-1 A = Q.
 
-    Normalizes Q away, solves the unit-Q equation and maps the solution back.
+    Solves the unit-Q equation of p.a_q and maps the solution back.
     The unit solve certifies its residual below residual_tol / max(1, ||Q||),
     and the back-mapped solution is certified again in the original equation.
     """
-    mapping = normalize_q(p)
     unit_tol = replace(p.tol, residual_tol=p.tol.residual_tol / max(1.0, op_norm_2(p.q)))
-    y, iterations, trace = _unit_maximal(mapping.a_q, unit_tol)
-    x = mapping.back(y)
+    y, iterations, trace = _unit_maximal(p.a_q, unit_tol)
+    x = p.back(y)
     # the engine has certified the unit solution positive definite
     refusal = InternalInconsistency, "unit solution fails the pivot floor"
     lower, res = _tail(x, y, p, refusal, "back-mapped")
-    certificate = op_norm_2(cholesky_solve(np.conj(lower), mapping.a_q))
+    certificate = op_norm_2(cholesky_solve(np.conj(lower), p.a_q))
     return SolveOutcome(x, "maximal", iterations, res, trace, certificate, certificate < 1.0)
 
 
@@ -467,18 +468,17 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     original equation.
     """
     _require_nonsingular(p.a, p.tol, "solve_minimal")
-    mapping = normalize_q(p)
-    coeff = adjoint(mapping.a_q)
+    coeff = adjoint(p.a_q)
     dual, iterations, trace = _unit_maximal(coeff, p.tol)
     lower, margin = _cholesky_lower(dual, p.tol)
     if lower is None:
         # the engine has certified Y positive definite
         raise InternalInconsistency(f"dual solution fails the pivot floor (pivot margin {margin:.3e})")
     # conj(a_q) Y^-1 a_q^T = Z* Z with Z = L^-1 a_q^T
-    z = np.linalg.solve(lower, mapping.a_q.T)
+    z = np.linalg.solve(lower, p.a_q.T)
     y = z.conj().T @ z
     y = (y + y.conj().T) / 2.0
-    x = mapping.back(y)
+    x = p.back(y)
     # Z* Z is positive semidefinite, so a Y- below the floor is a singular X-, not a failure
     refusal = SingularCoefficient, "minimal solution is singular to the pivot floor"
     res = _tail(x, y, p, refusal, "dual-route")[1]
@@ -531,8 +531,7 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
     lower, res = _given(cmatrix(x), p)
     if res > p.tol.residual_tol:
         raise NotASolution(f"residual {res:.3e} exceeds tolerance; not a solution")
-    mapping = normalize_q(p)
     # lower factors the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
-    coeff = mapping.a_q if kind == "maximal" else adjoint(mapping.a_q)
+    coeff = p.a_q if kind == "maximal" else adjoint(p.a_q)
     ordering, value = co_spectral_radius_vs_one(cholesky_solve(np.conj(lower), coeff))
     return ordering in (("below", "at") if kind == "maximal" else ("at", "above")), value

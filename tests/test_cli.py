@@ -404,8 +404,9 @@ class TestErrorExits:
             ("2\n0,0 0,0\n", "input error: expected 2 rows of entries"),
             ("2\n0,0\n0,0 0,0\n", "input error: expected 2 entries per row, got 1"),
             ("1\n0.1\n", "input error: entries must be 're,im' pairs, got '0.1'"),
+            ("1\n0.1,0\n0.2,0\n7 8 9\n", "input error: expected 1 rows of entries after the dimension line, got 3"),
         ],
-        ids=["empty", "dimension", "rows", "entries", "pairs"],
+        ids=["empty", "dimension", "rows", "entries", "pairs", "extra-lines"],
     )
     def test_text_parser_refusals(self, tmp_path, capsys, text, prefix):
         path = tmp_path / "bad.txt"
@@ -477,6 +478,14 @@ class TestErrorExits:
         report = json.loads(out)
         assert all(c["holds"] for c in report["existence"]["necessary"])
         assert report["failed_conditions"] == ["omega_lozenge_le_half"]
+
+    @pytest.mark.parametrize("command", [["check"], ["trace"]], ids=lambda c: c[0])
+    def test_unwritable_out_exits_one(self, example_file, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.json"
+        code, stdout, err = self.run(capsys, [*command, str(example_file), "--out", str(out)])
+        assert (code, stdout) == (1, "")
+        assert err.startswith("error: cannot write report: ") and err.count("\n") == 1
+        assert not out.parent.exists()
 
     def test_error_raised_inside_a_command(self, example_file, capsys):
         code, out, err = self.run(capsys, ["bounds", str(example_file), "--depth", "0"])

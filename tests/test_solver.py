@@ -70,6 +70,19 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(EX1_A, np.eye(3))
 
+    @pytest.mark.parametrize(
+        "name, value", [("a", 0.1 * np.eye(2)), ("q", np.diag([5.0, 7.0])), ("tol", Tolerances(max_iter=5))]
+    )
+    def test_is_frozen(self, name, value):
+        # q_factor and a_q are computed once, so the fields they come from cannot be reassigned
+        p = ProblemInstance(EX1_A, np.diag([2.0, 3.0]))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(p, name, value)
+        if name != "tol":
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[...] = value
+        assert solve_maximal(p).residual <= 1e-9
+
     def test_keeps_the_cholesky_factor_of_q(self, rng):
         q = random_psd(rng, 3) + np.eye(3)
         lower = ProblemInstance(np.zeros((3, 3)), q).q_factor
@@ -83,25 +96,25 @@ class TestProblemInstance:
         # Cholesky factor is exact, and the unit problem has no solution
         lower = np.array([[1.0, 0.0], [1.3e6, 1.0]])
         p = ProblemInstance(ILL_Q_A, ILL_Q)
-        mapping = normalize_q(p)
-        assert np.array_equal(mapping.q_factor, lower)
+        assert np.array_equal(p.q_factor, lower)
         expected = np.linalg.inv(lower) @ ILL_Q_A @ np.linalg.inv(lower).T
-        assert np.allclose(mapping.a_q, expected, rtol=1e-12, atol=0.0)
-        assert check_existence(mapping.a_q).verdict == "not_exists"
+        assert np.allclose(p.a_q, expected, rtol=1e-12, atol=0.0)
+        assert check_existence(p.a_q).verdict == "not_exists"
         with pytest.raises(NoSolutionEvidence):
             solve_maximal(p)
 
 
 class TestNormalizeQ:
     def test_identity_q_is_noop(self):
-        mapping = normalize_q(ProblemInstance(EX1_A))
-        assert np.allclose(mapping.a_q, EX1_A)
+        p = ProblemInstance(EX1_A)
+        assert np.allclose(p.a_q, EX1_A)
+        assert np.array_equal(normalize_q(p), p.a_q)
 
     def test_scalar_scaling(self):
-        mapping = normalize_q(ProblemInstance(EX1_A, 4.0 * np.eye(2)))
-        assert np.allclose(mapping.a_q, EX1_A / 4.0, atol=1e-12)
+        p = ProblemInstance(EX1_A, 4.0 * np.eye(2))
+        assert np.allclose(p.a_q, EX1_A / 4.0, atol=1e-12)
         y = np.eye(2, dtype=np.complex128)
-        assert np.allclose(mapping.back(y), 4.0 * np.eye(2), atol=1e-12)
+        assert np.allclose(p.back(y), 4.0 * np.eye(2), atol=1e-12)
 
     def test_zero_coefficient_solution_is_q(self, rng):
         q = random_psd(rng, 3) + np.eye(3)
@@ -224,7 +237,7 @@ class TestScalarRoute:
         """The generic loop on lozenge(a_q) at the unit tolerance solve_maximal uses."""
         scale = max(1.0, p.q[0, 0].real)
         tol = dataclasses.replace(p.tol, residual_tol=p.tol.residual_tol / scale)
-        return standard_solve_maximal(lozenge(normalize_q(p).a_q), tol, observer=lambda w: None)
+        return standard_solve_maximal(lozenge(p.a_q), tol, observer=lambda w: None)
 
     @pytest.mark.parametrize("with_q", [False, True])
     @pytest.mark.parametrize("modulus", [0.0, 0.1, 0.3, 0.45, 0.49, 0.499, 0.5 - 1e-4])
@@ -342,6 +355,32 @@ def test_solutions_follow_q_congruence(n, seed, cond):
         expected = p.conj().T @ solve(instance(a, q)).solution @ p
         gap = np.linalg.norm(solve(moved).solution - expected, 2)
         assert gap <= 1e-10 * np.linalg.norm(expected, 2), solve.__name__
+
+
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_solutions_and_ladders_scale_with_a_and_q(rng, n, with_q):
+    # (A, Q) -> (tA, tQ) leaves a_q unchanged up to rounding and scales every solution and rung by t.
+    # t stays at most 4 because the residual acceptance is absolute.
+    a = random_well_conditioned_solvable(rng, n)
+    q = random_psd(rng, n) + np.eye(n) if with_q else None
+    base = ProblemInstance(a, q)
+
+    def gap(moved, expected):
+        return np.linalg.norm(moved - expected, 2) / np.linalg.norm(expected, 2)
+
+    for t in (0.25, 0.5, 2.0, 4.0):
+        scaled = ProblemInstance(t * a, t * base.q)
+        for solve in (solve_maximal, solve_minimal):
+            outcome, moved = solve(base), solve(scaled)
+            assert moved.iterations == outcome.iterations, (t, solve.__name__)
+            assert gap(moved.solution, t * outcome.solution) <= 1e-13, (t, solve.__name__)
+        for side in ("lower", "upper"):
+            ladder = build_ladder(a, side, 6, q=q)
+            moved = build_ladder(t * a, side, 6, q=t * base.q)
+            assert moved.depth == ladder.depth == 6, (t, side)
+            for rung, moved_rung in zip(ladder.matrices, moved.matrices):
+                assert gap(moved_rung, t * rung) <= 1e-13, (t, side)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
@@ -604,10 +643,12 @@ class TestRefusals:
 
 
 def test_no_route_inverts_or_roots_q(monkeypatch, tmp_path, capsys):
-    # Q is tested and factored once, by ProblemInstance; no route calls
-    # mat_inverse or psd_sqrt, or takes the singular values of Q
+    # Q is tested, factored and normalised once, by ProblemInstance; no route
+    # calls mat_inverse or psd_sqrt, takes the singular values of Q or
+    # normalises Q again
     import conric
     from conric import cli
+    from conric.bounds import _ladder
 
     def refused(*args, **kwargs):
         raise AssertionError("mat_inverse or psd_sqrt called")
@@ -623,17 +664,24 @@ def test_no_route_inverts_or_roots_q(monkeypatch, tmp_path, capsys):
         for name, stub in (("mat_inverse", refused), ("psd_sqrt", refused), ("_nonsingular", recording)):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, stub)
+    normalized = []
+    normalize = conric.solver.normalize_q
+    monkeypatch.setattr(conric.solver, "normalize_q", lambda p: normalized.append(p) or normalize(p))
     q = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
     p = ProblemInstance(EX1_A, q)
     x_plus, x_minus = solve_maximal(p).solution, solve_minimal(p).solution
     assert extremality_check(x_plus, p, "maximal")[0]
     assert extremality_check(x_minus, p, "minimal")[0]
+    assert _ladder(p, "lower", 3).depth == _ladder(p, "upper", 3).depth == 3
+    assert len(normalized) == 1 and normalized[0] is p
     sandwich_report(EX1_A, 3, q=q)
     path = tmp_path / "withq.json"
     doc = {"n": 2, "re": EX1_A.real.tolist(), "im": EX1_A.imag.tolist()}
     path.write_text(json.dumps({**doc, "q_re": q.real.tolist(), "q_im": q.imag.tolist()}))
     for command in (["solve", "--minimal"], ["check"], ["bounds"], ["trace"]):
+        normalized.clear()
         assert cli.main([*command, str(path), "--no-meta"]) == 0
+        assert len(normalized) == 1, command
     capsys.readouterr()
     assert tested and not any(np.array_equal(a, q) for a in tested)
 
@@ -847,7 +895,7 @@ class TestConeStep:
         a = random_solvable(rng, 4, min_norm=0.3)
         assert standard_solve_maximal(lozenge(a)).iterations > 8
         assert calls == []
-        normalize_q(ProblemInstance(a))
+        ProblemInstance(a)
         setup = list(calls)  # the ladder's one Q normalisation
         calls.clear()
         assert build_ladder(a, "lower", 8).depth == 8
