@@ -99,9 +99,10 @@ class BoundsLadder:
         return [h[: k * n, : k * n].copy() for k in range(1, self.depth + 1)]
 
 
-def _min_eig(h: np.ndarray) -> float:
+def _min_eig(h: np.ndarray):
+    """Smallest eigenvalue of the Hermitian part of h, or a list of them for a stack, in one call."""
     # symmetrised here, so hermitian_eigen's Hermitian check could not fire
-    return float(np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0])
+    return np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0)[..., 0].tolist()
 
 
 def build_ladder(
@@ -124,13 +125,12 @@ def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
     if side == "upper":
         _require_nonsingular(p.a, p.tol, "upper bound ladder")
     coeff = p.a_q if side == "upper" else adjoint(p.a_q)
-    eye = np.eye(p.n, dtype=np.complex128)
 
-    y = eye
+    y = np.eye(p.n, dtype=np.complex128)
     matrices: list[np.ndarray] = []
     truncated_at: int | None = None
     for k in range(1, depth + 1):
-        y_next, margin = _cone_step(y, coeff, True, p.tol)
+        y_next, margin, gram = _cone_step(y, coeff, True, p.tol)
         if y_next is None:
             if margin <= 0.0:
                 raise LadderBreakdown(
@@ -141,10 +141,11 @@ def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
             truncated_at = k
             break
         y = y_next
-        matrices.append(p.back(y if side == "upper" else eye - np.conj(y)))
-
+        # I - conj(Y_k) = conj(G_k) in exact arithmetic, and the Gram keeps the digits
+        # that the difference cancels when the rung is small
+        matrices.append(p.back(y if side == "upper" else np.conj((gram + gram.conj().T) / 2.0)))
     sign = -1.0 if side == "upper" else 1.0
-    gaps = [_min_eig(sign * (later - earlier)) for earlier, later in zip(matrices, matrices[1:])]
+    gaps = _min_eig(sign * np.diff(matrices, axis=0)) if len(matrices) > 1 else []
     return BoundsLadder(side, len(matrices), matrices, gaps, p.a_q, truncated_at)
 
 

@@ -168,13 +168,17 @@ def _existence_json(report) -> dict:
     }
 
 
+_NUMBERS = {int, float}
+
+
 def _indented_json(value, level: int = 0) -> str:
     """The bytes of json.dumps(value, indent=2) for a report.
 
     The standard library's indenting encoder is pure Python.  Here a list of
-    non-empty float lists (a matrix from _mat_json) is encoded by one call to
-    the C encoder and re-indented by string replacement, which is safe
-    because the repr of a float contains neither ", " nor "[".
+    numbers, or a list of non-empty number lists (a matrix from _mat_json, a
+    trace of [k, change] rows), is encoded by one call to the C encoder and
+    re-indented by string replacement, which is safe because the repr of an
+    int or a float contains neither ", " nor "[".
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
@@ -185,9 +189,11 @@ def _indented_json(value, level: int = 0) -> str:
             f"{json.dumps(key)}: {_indented_json(item, level + 1)}" for key, item in value.items()
         ]
         return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if type(value) is list and set(map(type, value)) <= _NUMBERS:
+        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + outer + "]"
     if all(type(row) is list and row for row in value) and set(
         map(type, itertools.chain.from_iterable(value))
-    ) == {float}:
+    ) <= _NUMBERS:
         deep = inner + "  "
         body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deep}")
         body = body.replace(", ", "," + deep)

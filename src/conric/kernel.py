@@ -195,6 +195,16 @@ def hermitian_norm_2(h: np.ndarray) -> float:
     return max(abs(float(w[0])), abs(float(w[-1])))
 
 
+def hermitian_norms_2(stack: np.ndarray) -> list[float]:
+    """hermitian_norm_2 of each matrix of a stack, from one stacked eigvalsh.
+
+    The stacked call runs the same LAPACK routine on each matrix, so every
+    norm is bitwise the one hermitian_norm_2 returns.
+    """
+    w = np.linalg.eigvalsh(stack)
+    return np.maximum(np.abs(w[:, 0]), np.abs(w[:, -1])).tolist()
+
+
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus, from LAPACK's nonsymmetric eigensolver."""
     a = _require_square(a, "spectral_radius")
@@ -299,14 +309,15 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
     L_kk^2 is at or below the floor, so every refusal keeps its signed margin.
     """
     n = h.shape[0]
-    scale = float(np.trace(h).real) / n
+    scale = float(h.trace().real) / n
     if scale <= 0.0:
         # a PD matrix has positive trace; keep margins finite and signed
         scale = 1.0
     floor = tol.pd_floor * scale
     try:
         lower = np.linalg.cholesky(h)
-        smallest = float((lower.diagonal().real ** 2).min())
+        # LAPACK's pivots are positive, so the smallest square is the square of the smallest
+        smallest = float(lower.diagonal().real.min()) ** 2
     except np.linalg.LinAlgError:
         smallest = -math.inf
     if smallest > floor:

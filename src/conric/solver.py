@@ -19,6 +19,7 @@ gives the pivot-floor test, the equation residual that certifies the result
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass, field, replace
@@ -37,6 +38,7 @@ from .kernel import (
     cholesky_solve,
     cmatrix,
     hermitian_norm_2,
+    hermitian_norms_2,
     op_norm_2,
     pd_cholesky,
     _cholesky_lower,
@@ -142,12 +144,14 @@ class ProblemInstance:
 class SolveOutcome:
     """A certified solution together with how it was reached.
 
-    trace holds the per-step change norms of the iteration that produced the
-    solution, as an ``array('d')`` (8 bytes a step; empty when the trace was
-    not kept).  rate_certificate is ||conj(Y)^-1 C|| for the unit-Q solution Y
-    the iteration reached and its coefficient C (||W^-1 B|| for the classical
-    equation); when below one, the iteration provably converges at least
-    linearly and ``linear_rate_guaranteed`` is set.
+    trace holds the per-step change norms ||W_k - W_(k-1)||_2 of the iteration
+    that produced the solution, as an ``array('d')`` (8 bytes a step; empty
+    when the trace was not kept).  The generic loop evaluates them in stacked
+    blocks, bitwise equal to one norm per step.  rate_certificate is
+    ||conj(Y)^-1 C|| for the unit-Q solution Y the iteration reached and its
+    coefficient C (||W^-1 B|| for the classical equation); when below one,
+    the iteration provably converges at least linearly and
+    ``linear_rate_guaranteed`` is set.
     """
 
     solution: np.ndarray
@@ -170,22 +174,35 @@ def normalize_q(p: ProblemInstance) -> np.ndarray:
     return np.linalg.solve(np.conj(lower), np.linalg.solve(lower, adjoint(p.a)).conj().T)
 
 
-def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> np.ndarray:
-    """Symmetrised I - Z* Z, Z = inner(L)^-1 C: conj(L) factors conj(W) when L factors W."""
+@functools.lru_cache(maxsize=8)
+def _identity(m: int) -> np.ndarray:
+    eye = np.eye(m, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
+
+
+def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(symmetrised I - G, G), G = Z* Z, Z = inner(L)^-1 C: conj(L) factors conj(W) when L factors W."""
     z = np.linalg.solve(np.conj(lower) if conjugate_iterate else lower, coeff)
-    w_next = np.eye(coeff.shape[0], dtype=np.complex128) - z.conj().T @ z
-    return (w_next + w_next.conj().T) / 2.0
+    gram = z.conj().T @ z
+    w_next = _identity(coeff.shape[0]) - gram
+    return (w_next + w_next.conj().T) / 2.0, gram
 
 
 def _cone_step(
     w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool, tol: Tolerances
-) -> tuple[np.ndarray | None, float]:
+) -> tuple[np.ndarray | None, float, np.ndarray | None]:
     """W -> I - C* inner(W)^-1 C, inner(W) = W or conj(W), from one Cholesky factor of W.
 
-    (None, margin) if W fails the pivot floor.  The solver loop and the ladders step here.
+    Returns (next iterate, margin, Gram C* inner(W)^-1 C), the first and last None if W fails the
+    pivot floor.  The solver loop and the ladders step here; the lower ladder reads the Gram,
+    which carries the small rungs without the cancellation of I - conj(next iterate).
     """
     lower, margin = _cholesky_lower(w, tol)
-    return (None if lower is None else _step(lower, coeff, conjugate_iterate)), margin
+    if lower is None:
+        return None, margin, None
+    w_next, gram = _step(lower, coeff, conjugate_iterate)
+    return w_next, margin, gram
 
 
 # the three engines refuse through these two, so every route words a failure alike
@@ -199,6 +216,11 @@ def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExc
     return MaxIterationsExceeded(message, tol.max_iter, trace)
 
 
+# byte budget of the trace block: 32 changes at 2n = 8, 16 at 2n = 16, one at 2n = 64
+_TRACE_BLOCK_BYTES = 1 << 16
+_TRACE_BLOCK_STEPS = 32
+
+
 def _fixed_point_generic(
     coeff: np.ndarray,
     tol: Tolerances,
@@ -207,31 +229,53 @@ def _fixed_point_generic(
 ) -> tuple[np.ndarray, int, array[float], float]:
     """The matrix loop W <- I - C* W^-1 C from W = I, for any square coefficient C.
 
-    _step symmetrises every iterate, so each norm is hermitian_norm_2 of an exactly Hermitian
-    matrix; iterates are positive definite and below I, so ||W|| <= 1 and no stop fires
-    while the change exceeds 2 stop_rel.
+    _step symmetrises every iterate, so each change D_k = W_k - W_(k-1) is exactly Hermitian;
+    iterates are positive definite and below I, so ||W|| <= 1 and no stop fires while
+    ||D_k|| > 2 stop_rel.  As |tr D_k| / m <= ||D_k||, the norm is needed at once only where
+    |tr D_k| <= 2 m (2 stop_rel), a 2x slack for rounding.  Other trace entries wait in a
+    preallocated block, and one stacked eigvalsh gives a block's norms, bitwise those of one
+    call per step.  The block is flushed before each needed norm and before every raise, so a
+    trace is always complete and in order.
     """
-    w = np.eye(coeff.shape[0], dtype=np.complex128)
+    m = coeff.shape[0]
+    w = np.eye(m, dtype=np.complex128)
     if observer is not None:
         observer(w)
     trace = array("d")
     near_stop = 2.0 * tol.stop_rel
+    block = np.empty((max(1, min(_TRACE_BLOCK_STEPS, _TRACE_BLOCK_BYTES // (16 * m * m))), m, m), complex)
+    filled = 0
+
+    def flush() -> None:
+        nonlocal filled
+        trace.extend(hermitian_norms_2(block[:filled]) if filled else ())
+        filled = 0
+
     for k in range(1, tol.max_iter + 1):
-        w_next, margin = _cone_step(w, coeff, False, tol)
+        w_next, margin, _ = _cone_step(w, coeff, False, tol)
         if w_next is None:
+            flush()
             raise _left_the_cone(k - 1, margin, trace)
-        change = hermitian_norm_2(w_next - w)
-        if keep_trace:
-            trace.append(change)
+        # without a trace, block[0] just holds D_k for the |tr D_k| test below
+        d = np.subtract(w_next, w, out=block[filled])
+        filled += keep_trace
         if observer is not None:
             observer(w_next)
-        if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
-            # the equation defect of an iterate equals its next update step
-            lower, _ = _cholesky_lower(w_next, tol)
-            res = math.inf if lower is None else hermitian_norm_2(w_next - _step(lower, coeff, False))
-            if res <= tol.residual_tol:
-                return w_next, k, trace, res
+        if abs(d.trace().real) <= m * near_stop * 2.0:
+            flush()
+            change = trace[-1] if keep_trace else hermitian_norm_2(d)
+            if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
+                # the equation defect of an iterate equals its next update step
+                lower, _ = _cholesky_lower(w_next, tol)
+                res = (
+                    math.inf if lower is None else hermitian_norm_2(w_next - _step(lower, coeff, False)[0])
+                )
+                if res <= tol.residual_tol:
+                    return w_next, k, trace, res
+        elif filled == len(block):
+            flush()
         w = w_next
+    flush()
     raise _out_of_iterations(tol, trace)
 
 
@@ -250,17 +294,20 @@ def _fixed_point_scalar(
     # numpy's array modulus, which can differ from abs() of the element in the last bit
     s = float(np.abs(coeff)[0, 0] ** 2)
     trace = array("d")
+    if tol.pd_floor >= 1.0:
+        # the pivot loop refuses the identity with margin 1; a floor below 1 refuses y only
+        # once y <= 0, where the pivot loop's scale is 1
+        raise _left_the_cone(0, 1.0, trace)
+    record = trace.append if keep_trace else None
     stop_rel = tol.stop_rel
-    pd_floor = tol.pd_floor
     y = 1.0
     for k in range(1, tol.max_iter + 1):
-        if y <= (pd_floor * y if y > 0.0 else pd_floor):
-            # y fails the floor only once y <= 0, where the pivot loop's scale is 1
+        if y <= 0.0:
             raise _left_the_cone(k - 1, y, trace)
         y_next = 1.0 - s / y
         change = abs(y_next - y)
-        if keep_trace:
-            trace.append(change)
+        if record is not None:
+            record(change)
         if change <= stop_rel * y:
             res = abs(y_next - (1.0 - s / y_next)) if y_next > 0.0 else math.inf
             if res <= tol.residual_tol:

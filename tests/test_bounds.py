@@ -65,6 +65,17 @@ class TestBuildLadder:
             assert ladder.truncated_at is None
             assert all(g >= -1e-9 for g in ladder.monotone_gaps)
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_monotone_gaps_are_the_per_pair_values(self, rng, side):
+        # one stacked eigvalsh gives each pair's value exactly
+        a = random_nonsingular_solvable(rng, 4)
+        ladder = build_ladder(a, side, 12)
+        sign = -1.0 if side == "upper" else 1.0
+        pairs = zip(ladder.matrices, ladder.matrices[1:])
+        expected = [float(min_eig(sign * (later - earlier))) for earlier, later in pairs]
+        assert ladder.monotone_gaps == expected
+        assert build_ladder(a, side, 1).monotone_gaps == []
+
     def test_blocks_retained_and_grow(self, rng):
         a = random_solvable(rng, 2)
         ladder = build_ladder(a, "lower", 3)
@@ -176,6 +187,16 @@ class TestClosedForms:
     def test_inner_matrix_must_be_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
             closed_form_bounds(1.5 * np.eye(2), "S2")
+
+    @pytest.mark.parametrize("norm", [1e-6, 1e-4, 1e-2])
+    @pytest.mark.parametrize("which, index", [("S1", 0), ("S2", 1)])
+    def test_small_lower_rungs_keep_their_digits(self, rng, norm, which, index):
+        # the rung comes from the step's Gram, so I - conj(Y_k) does not cancel
+        a = random_complex(rng, 4)
+        a = norm * a / np.linalg.norm(a, 2)
+        rung = build_ladder(a, "lower", 2).matrices[index]
+        expected = closed_form_bounds(a, which)
+        assert np.linalg.norm(rung - expected, 2) <= 1e-14 * np.linalg.norm(expected, 2)
 
     @pytest.mark.parametrize("which,side,index", [
         ("S1", "lower", 0), ("S2", "lower", 1), ("S3", "lower", 2),

@@ -15,7 +15,7 @@ from conric import cli
 from conric.cli import _emit, main
 from conric.embedding import lozenge
 from conric.kernel import NotPositiveDefiniteError, Tolerances, numerical_radius
-from conric.solver import ProblemInstance, residual, solve_maximal
+from conric.solver import ProblemInstance, SolveFailure, residual, solve_maximal
 from helpers import EX1_A, EX1_X_PLUS, ILL_Q, ILL_Q_A, SCALED_Q, SCALED_Q_A
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -563,6 +563,57 @@ class TestJsonReports:
         }
         _emit(report, SimpleNamespace(format="json", out=None))
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    def test_every_subcommand_report_is_the_indented_encoding(self, tmp_path, capsys, monkeypatch):
+        # the fast paths carry matrices, traces, gaps and trends; a deep ladder
+        # and failing solves and traces are included
+        reports = []
+        emit = cli._emit
+        monkeypatch.setattr(cli, "_emit", lambda r, args: reports.append(r) or emit(r, args))
+        rng = np.random.default_rng(48)
+        big = write_json_instance(tmp_path / "big.json", 0.8 * np.eye(2))
+        for n, q in ((1, None), (3, np.diag([3.0, 2.0, 1.0])), (8, None)):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = 0.4 * a / np.linalg.norm(a, 2)
+            path = write_json_instance(tmp_path / f"a{n}.json", a, q=q)
+            for command in (["solve", "--minimal"], ["check"], ["bounds"], ["bounds", "--depth", "48"]):
+                main([command[0], str(path), *command[1:], "--no-meta"])
+            # trace writes lines, not a report; its report dict holds the rows
+            reports.append({"trace": cli._trace_rows(solve_maximal(ProblemInstance(a, q)).trace)})
+        main(["solve", str(big), "--no-meta"])
+        with pytest.raises(SolveFailure) as failure:
+            solve_maximal(ProblemInstance(0.8 * np.eye(2)))
+        reports.append({"trace": cli._trace_rows(failure.value.trace)})
+        capsys.readouterr()
+        assert len(reports) == 17
+        deep = [r for r in reports if r.get("command", "").endswith("--depth 48 --no-meta")]
+        assert len(deep) == 3 and len(deep[-1]["ladders"]["lower"]["monotone_gaps"]) == 47
+        for report in reports:
+            assert cli._indented_json(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize(
+        "value, fast",
+        [
+            ([0.5, -1e-300, 3, math.nan], True),
+            ([[1, 0.25], [2, 1e-17]], True),
+            ([True, False], False),
+            ([None, 1.0], False),
+            (["a, [b]", "c"], False),
+            ([1.5, "x, y"], False),
+            ([[1, True]], False),
+            ([[1.0, None]], False),
+            ([[1.0], ["[2], [3]"]], False),
+        ],
+    )
+    def test_only_number_lists_take_one_encoder_call(self, monkeypatch, value, fast):
+        dumps = json.dumps
+        calls = []
+        monkeypatch.setattr(json, "dumps", lambda v, *args, **kw: calls.append(v) or dumps(v, *args, **kw))
+        value = value * 20
+        text = cli._indented_json({"v": value})
+        assert text == dumps({"v": value}, indent=2)
+        # one call for the key, then one for the whole list or one per element
+        assert len(calls) == 2 if fast else len(calls) > len(value)
 
     @given(
         st.recursive(

@@ -13,6 +13,7 @@ from conric.kernel import (
     DimensionError,
     NotPositiveDefiniteError,
     Tolerances,
+    hermitian_norm_2,
     op_norm_2,
 )
 from conric.solver import (
@@ -303,6 +304,15 @@ class TestFailureAgreement:
         (k0, m0), (k1, m1) = self.refusals(monkeypatch, np.array([[0.6]]))
         assert k0 == k1 == 4
         assert m0 == pytest.approx(m1, rel=1e-12)
+
+    @pytest.mark.parametrize("pd_floor", [1.0, 2.0])
+    def test_a_floor_of_one_refuses_the_identity(self, pd_floor):
+        # y = 1 is the only iterate the floor can refuse while y > 0
+        tol = Tolerances(pd_floor=pd_floor)
+        for observer in (None, lambda w: None):
+            with pytest.raises(NoSolutionEvidence, match=r"iterate 0 .*margin 1\.000e\+00") as info:
+                standard_solve_maximal(np.array([[0.3]]), tol, observer=observer)
+            assert info.value.iterations == 0 and len(info.value.trace) == 0
 
     # the first pivot fails, the second fails, and a non-diagonal coefficient
     @pytest.mark.parametrize("diagonal", [(0.6, 0.1), (0.1, 0.6), None])
@@ -874,6 +884,74 @@ class TestDoublingBracket:
         assert np.linalg.norm(heart(out.solution).real - bracket, 2) <= 1e-10
 
 
+def _critical(rng, n, eps):
+    """Complex-symmetric A = U diag(s) U^T with omega(lozenge A) = ||A|| = 1/2 - eps."""
+    u = random_unitary(rng, n)
+    s = rng.uniform(0.0, 1.0, size=n)
+    return u @ np.diag((0.5 - eps) * s / s.max()) @ u.T
+
+
+class TestBlockedTrace:
+    # the generic loop evaluates its trace in stacked blocks; every entry must
+    # be bitwise the norm one hermitian_norm_2 call per step gives
+
+    @staticmethod
+    def observed(b, tol=Tolerances()):
+        """(outcome or failure, reference change norms) of a generic-loop run."""
+        iterates = []
+        try:
+            out = standard_solve_maximal(b, tol, observer=iterates.append)
+        except (NoSolutionEvidence, MaxIterationsExceeded) as exc:
+            out = exc
+        reference = [hermitian_norm_2(w1 - w0) for w0, w1 in zip(iterates, iterates[1:])]
+        return out, reference
+
+    @staticmethod
+    def flushes(monkeypatch):
+        import conric.solver as solver_mod
+
+        sizes = []
+        norms = solver_mod.hermitian_norms_2
+        monkeypatch.setattr(solver_mod, "hermitian_norms_2", lambda s: sizes.append(len(s)) or norms(s))
+        return sizes
+
+    @pytest.mark.parametrize("n, eps", [(8, 1.3e-4), (32, None)])
+    def test_entries_are_the_per_step_norms(self, rng, monkeypatch, n, eps):
+        a = _critical(rng, n, eps) if eps is not None else random_with_norm(rng, n, 0.45)
+        sizes = self.flushes(monkeypatch)
+        out, reference = self.observed(lozenge(a))
+        assert list(out.trace) == reference and len(reference) == out.iterations
+        # several blocks at n = 8; one matrix a block at n = 32
+        assert max(sizes) == (16 if n == 8 else 1) and sum(sizes) == out.iterations
+        assert out.iterations > (400 if n == 8 else 12)
+        # the route without an observer keeps the same trace
+        assert list(solve_maximal(ProblemInstance(a)).trace) == reference
+
+    @pytest.mark.parametrize("c", [0.502, 0.5005])
+    def test_a_refusal_mid_block_keeps_the_whole_trace(self, rng, monkeypatch, c):
+        u = random_unitary(rng, 3)
+        sizes = self.flushes(monkeypatch)
+        exc, reference = self.observed(lozenge(c * u @ u.T))
+        assert isinstance(exc, NoSolutionEvidence)
+        assert list(exc.trace) == reference and len(reference) == exc.iterations
+        assert len(sizes) >= 2 and 0 < sizes[-1] < sizes[0]
+
+    @pytest.mark.parametrize("max_iter", [45, 1, 33])
+    def test_the_iteration_cap_keeps_the_whole_trace(self, rng, max_iter):
+        exc, reference = self.observed(lozenge(_critical(rng, 4, 1e-4)), Tolerances(max_iter=max_iter))
+        assert isinstance(exc, MaxIterationsExceeded)
+        assert list(exc.trace) == reference and len(reference) == exc.iterations == max_iter
+
+    @pytest.mark.parametrize("n, eps", [(2, 1e-2), (4, 1e-4), (8, 1e-3)])
+    def test_without_a_trace_the_loop_stops_at_the_same_step(self, rng, n, eps):
+        b = lozenge(_critical(rng, n, eps))
+        kept = standard_solve_maximal(b)
+        bare = standard_solve_maximal(b, keep_trace=False)
+        assert len(bare.trace) == 0
+        assert bare.iterations == kept.iterations == reference_iterations(b)
+        assert bare.solution.tobytes() == kept.solution.tobytes() and bare.residual == kept.residual
+
+
 class TestConeStep:
     @pytest.mark.parametrize("conjugate_iterate", [False, True])
     @pytest.mark.parametrize("n", range(1, 9))
@@ -881,10 +959,12 @@ class TestConeStep:
         w = random_psd(rng, n)
         w = w / np.linalg.norm(w, 2) + 0.5 * np.eye(n)
         c = random_with_norm(rng, n, 0.5)
-        step, margin = _cone_step(w, c, conjugate_iterate, Tolerances())
+        step, margin, gram = _cone_step(w, c, conjugate_iterate, Tolerances())
         expected = reference_step(w, c, conjugate_iterate)
         assert margin > 0.0
         assert np.linalg.norm(step - expected, 2) <= 1e-13 * np.linalg.norm(expected, 2)
+        # the Gram is the step's subtrahend C* inner(W)^-1 C
+        assert np.linalg.norm(gram - (np.eye(n) - expected), 2) <= 1e-13 * np.linalg.norm(expected, 2)
 
     def test_recurrence_makes_no_svd_or_inverse(self, rng, monkeypatch):
         calls = []
@@ -907,16 +987,21 @@ class TestConeStep:
         # stopping decisions, hence the iteration counts, stay the same
         import conric.solver as solver_mod
 
-        calls, certificates = [], []
+        calls, certificates, blocks = [], [], []
         for name, record in (("hermitian_norm_2", calls), ("op_norm_2", certificates)):
             norm = getattr(solver_mod, name)
             counting = lambda m, _f=norm, _r=record: _r.append(None) or _f(m)
             monkeypatch.setattr(solver_mod, name, counting)
+        norms = solver_mod.hermitian_norms_2
+        monkeypatch.setattr(solver_mod, "hermitian_norms_2", lambda s: blocks.append(len(s)) or norms(s))
         b = lozenge(random_solvable(rng, n, min_norm=0.3))
         out = standard_solve_maximal(b)
-        # one change norm a step, then ||W|| and the residual near the stop;
-        # the rate certificate is the one general norm
-        assert out.iterations + 2 <= len(calls) <= out.iterations + 5
+        # every change norm comes from a stacked block, once; single norms are
+        # only ||W|| and the residual near the stop; the rate certificate is
+        # the one general norm
+        assert sum(blocks) == len(out.trace) == out.iterations
+        assert len(blocks) < out.iterations
+        assert 2 <= len(calls) <= 5
         assert len(certificates) == 1
         assert out.iterations == reference_iterations(b)
 
