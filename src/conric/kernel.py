@@ -16,6 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+# numpy.linalg's own gufuncs: np.linalg.cholesky and np.linalg.solve call exactly these LAPACK
+# routines, so results are bitwise equal, but their per-call wrapper (type checks, an errstate,
+# result wrapping) costs more than the LAPACK work on the small matrices of an iteration step.
+# _cholesky_lower (one call per iteration step), the step's solve and the doubling call them;
+# a refused factorisation comes back NaN instead of raising.
+from numpy.linalg import _umath_linalg as _lapack
+
 
 class ConricError(Exception):
     """Base class for every error raised by this package."""
@@ -305,8 +312,11 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
 
     Returns (L, margin) where margin is the smallest pivot divided by the
     mean diagonal scale; L is None when some pivot fails the floor.  LAPACK
-    factors first; the pivot loop runs only when LAPACK refuses or a pivot
-    L_kk^2 is at or below the floor, so every refusal keeps its signed margin.
+    factors first, through the gufunc np.linalg.cholesky calls (bitwise its
+    factor, without its per-call wrapper).  A refusal leaves the factor NaN,
+    which fails the floor test, so the pivot loop runs when LAPACK refuses or
+    a pivot L_kk^2 is at or below the floor and every refusal keeps its
+    signed margin.
     """
     n = h.shape[0]
     scale = float(h.trace().real) / n
@@ -314,12 +324,10 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
         # a PD matrix has positive trace; keep margins finite and signed
         scale = 1.0
     floor = tol.pd_floor * scale
-    try:
-        lower = np.linalg.cholesky(h)
+    with np.errstate(invalid="ignore"):
+        lower = _lapack.cholesky_lo(h)
         # LAPACK's pivots are positive, so the smallest square is the square of the smallest
         smallest = float(lower.diagonal().real.min()) ** 2
-    except np.linalg.LinAlgError:
-        smallest = -math.inf
     if smallest > floor:
         return lower, smallest / scale
     return _cholesky_pivots(h, scale, floor)

@@ -43,6 +43,7 @@ from .kernel import (
     pd_cholesky,
     _cholesky_lower,
     _congruence,
+    _lapack,
     _nonsingular,
     _require_hermitian,
     _require_square,
@@ -183,7 +184,8 @@ def _identity(m: int) -> np.ndarray:
 
 def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> tuple[np.ndarray, np.ndarray]:
     """(symmetrised I - G, G), G = Z* Z, Z = inner(L)^-1 C: conj(L) factors conj(W) when L factors W."""
-    z = np.linalg.solve(np.conj(lower) if conjugate_iterate else lower, coeff)
+    # L passed the pivot floor, so it is nonsingular and the gufunc solve cannot refuse it
+    z = _lapack.solve(np.conj(lower) if conjugate_iterate else lower, coeff)
     gram = z.conj().T @ z
     w_next = _identity(coeff.shape[0]) - gram
     return (w_next + w_next.conj().T) / 2.0, gram
@@ -435,17 +437,22 @@ def _doubling(b: np.ndarray, steps: int) -> np.ndarray:
     Q - P stays positive definite whenever the equation has a positive
     definite solution; a step where it does not raises InternalInconsistency.
     Once B is exactly zero every later step leaves Q and P as they are, so
-    the loop stops after that step's check of Q - P.
+    the loop stops after that step's check of Q - P.  The factor and the solve
+    are the gufuncs of np.linalg.cholesky and np.linalg.solve, bitwise equal
+    without the per-call wrapper; LAPACK's refusal shows as a NaN factor.
     """
-    b, q, p = np.array(b.real), np.eye(b.shape[0]), np.zeros(b.shape)
+    n = b.shape[0]
+    b, q, p = np.array(b.real), np.eye(n), np.zeros(b.shape)
     for j in range(steps):
-        try:
-            lower = np.linalg.cholesky(q - p)
-        except np.linalg.LinAlgError:
+        with np.errstate(invalid="ignore"):
+            lower = _lapack.cholesky_lo(q - p)
+        if math.isnan(lower[0, 0]):
             raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
         if not b.any():
             break
-        z1, z2 = np.hsplit(np.linalg.solve(lower, np.hstack([b, b.T])), 2)
+        # an accepted factor has a positive diagonal, so the solve cannot refuse it
+        z = _lapack.solve(lower, np.hstack([b, b.T]))
+        z1, z2 = z[:, :n], z[:, n:]
         q = q - z1.T @ z1
         p = p + z2.T @ z2
         b = z2.T @ z1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from conric.kernel import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     Tolerances,
+    _cholesky_lower,
+    _lapack,
     adjoint,
     cholesky_solve,
     cmatrix,
@@ -456,9 +459,9 @@ class TestPositiveDefinite:
         import conric.kernel as kernel_mod
 
         factor_calls, loop_calls = [], []
-        cholesky = np.linalg.cholesky
+        cholesky = _lapack.cholesky_lo
         pivots = kernel_mod._cholesky_pivots
-        monkeypatch.setattr(np.linalg, "cholesky", lambda h: factor_calls.append(h) or cholesky(h))
+        monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: factor_calls.append(h) or cholesky(h, **kw))
         monkeypatch.setattr(
             kernel_mod, "_cholesky_pivots", lambda *args: loop_calls.append(args) or pivots(*args)
         )
@@ -466,6 +469,58 @@ class TestPositiveDefinite:
         assert (len(factor_calls), len(loop_calls)) == (1, 0)
         assert not is_positive_definite(np.diag([1.0, -0.1])).ok
         assert (len(factor_calls), len(loop_calls)) == (2, 1)
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+class TestDirectLapack:
+    """The per-step factor and solve call np.linalg's gufuncs without its wrapper."""
+
+    @staticmethod
+    def problem(n: int, is_complex: bool) -> tuple[np.ndarray, np.ndarray]:
+        gen = np.random.default_rng(100 + n)
+        h, b = random_psd(gen, n) + np.eye(n), random_complex(gen, n)
+        return (h, b) if is_complex else (h.real.copy(), b.real.copy())
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_factor_is_numpy_linalg_cholesky(self, n, is_complex):
+        h, _ = self.problem(n, is_complex)
+        for matrix in (h, read_only(h)):
+            lower, margin = _cholesky_lower(matrix, Tolerances())
+            expected = np.linalg.cholesky(matrix)
+            assert lower.dtype == expected.dtype and lower.tobytes() == expected.tobytes()
+            assert margin > 0.0
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_solve_is_numpy_linalg_solve(self, n, is_complex):
+        # the callers' operands: conj(L), the doubling's [B, B^T], read-only arrays and a transposed view
+        h, b = self.problem(n, is_complex)
+        lower = np.linalg.cholesky(h)
+        for factor in (lower, np.conj(lower), read_only(lower), lower.conj().T):
+            for rhs in (b, np.hstack([b, b.T]), read_only(b), b.T):
+                x, expected = _lapack.solve(factor, rhs), np.linalg.solve(factor, rhs)
+                assert x.dtype == expected.dtype and x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [1, 2, 5, 16])
+    def test_a_refusal_keeps_its_margin_and_warns_nothing(self, n, is_complex):
+        # LAPACK refuses these (np.linalg raises), so the refusal takes the NaN route
+        h, _ = self.problem(n, is_complex)
+        for shift in (1.0, 1.0 + 1e-9, 2.0):
+            indefinite = h - shift * np.linalg.eigvalsh(h)[-1] * np.eye(n)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(indefinite)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lower, margin = _cholesky_lower(indefinite, Tolerances())
+            assert (lower, margin) == cholesky_pivot_loop(indefinite)
+            assert lower is None and margin <= 0.0
 
 
 class TestPdSolve:

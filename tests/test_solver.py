@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from conric.kernel import (
     DimensionError,
     NotPositiveDefiniteError,
     Tolerances,
+    _lapack,
     hermitian_norm_2,
+    mat_inverse,
     op_norm_2,
 )
 from conric.solver import (
@@ -25,6 +28,7 @@ from conric.solver import (
     SingularCoefficient,
     _cone_step,
     _doubling,
+    _step,
     extremality_check,
     normalize_q,
     residual,
@@ -634,8 +638,10 @@ class TestRefusals:
         import conric.solver as solver_mod
 
         factored = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda h: factored.append(np.array(h)) or cholesky(h))
+        cholesky = _lapack.cholesky_lo
+        monkeypatch.setattr(
+            _lapack, "cholesky_lo", lambda h, **kw: factored.append(np.array(h)) or cholesky(h, **kw)
+        )
         unit_maximal = solver_mod._unit_maximal
         monkeypatch.setattr(
             solver_mod, "_unit_maximal", lambda a_q, tol: (unit_maximal(a_q, tol), factored.clear())[0]
@@ -853,8 +859,8 @@ class TestDoublingBracket:
         # B_j underflows to exact zero for a well-separated A; the steps after
         # it are no-ops, so stopping there changes no bit of the bracket
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda h: calls.append(h) or cholesky(h))
+        cholesky = _lapack.cholesky_lo
+        monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
         b = lozenge(random_with_norm(rng, 4, 0.1))
         bracket = _doubling(b, steps)
@@ -863,14 +869,34 @@ class TestDoublingBracket:
 
     def test_runs_every_step_near_critical(self, rng, monkeypatch):
         calls = []
-        cholesky = np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda h: calls.append(h) or cholesky(h))
+        cholesky = _lapack.cholesky_lo
+        monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
         u = random_unitary(rng, 4)
         b = lozenge(u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T)
         bracket = _doubling(b, steps)
         assert len(calls) == steps
         assert bracket.tobytes() == doubling_all_steps(b, steps).tobytes()
+
+    @pytest.mark.parametrize("excess", [0.3, 1e-2, 1e-4])
+    def test_a_lost_definiteness_raises_at_its_step(self, rng, excess):
+        # omega(lozenge A) = 1/2 + excess: no solution, so Q - P leaves the cone at some step
+        steps = Tolerances().max_iter.bit_length()
+        u = random_unitary(rng, 3)
+        b = lozenge(u @ np.diag([0.1, 0.3, 0.5 + excess]) @ u.T)
+        # the first step j at which np.linalg.cholesky refuses Q - P in the reference doubling
+        for j in range(1, steps + 1):
+            try:
+                doubling_all_steps(b, j)
+            except np.linalg.LinAlgError:
+                break
+        else:
+            pytest.fail("the reference doubling never refused")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InternalInconsistency) as info:
+                _doubling(b, steps)
+        assert str(info.value) == f"doubling step {j}: Q - P is not positive definite"
 
     def test_two_sided_gap_near_critical(self, rng):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
@@ -966,13 +992,30 @@ class TestConeStep:
         # the Gram is the step's subtrahend C* inner(W)^-1 C
         assert np.linalg.norm(gram - (np.eye(n) - expected), 2) <= 1e-13 * np.linalg.norm(expected, 2)
 
+    @pytest.mark.parametrize("conjugate_iterate", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
+    def test_step_is_bitwise_the_numpy_linalg_step(self, rng, n, conjugate_iterate):
+        w = random_psd(rng, n) + np.eye(n)
+        w.flags.writeable = False
+        lower = np.linalg.cholesky(w)
+        c = random_with_norm(rng, n, 0.5)
+        # a real coefficient against the complex factor is promoted as np.linalg.solve promotes it
+        for c in (c, c.real.copy()):
+            z = np.linalg.solve(np.conj(lower) if conjugate_iterate else lower, c)
+            gram = z.conj().T @ z
+            expected = np.eye(n) - gram
+            step, step_gram = _step(lower, c, conjugate_iterate)
+            assert step.tobytes() == ((expected + expected.conj().T) / 2.0).tobytes()
+            assert step_gram.tobytes() == gram.tobytes()
+
     def test_recurrence_makes_no_svd_or_inverse(self, rng, monkeypatch):
-        calls = []
-        for name in ("svd", "inv"):
-            original = getattr(np.linalg, name)
-            counting = lambda *args, _f=original, _n=name, **kw: calls.append(_n) or _f(*args, **kw)
-            monkeypatch.setattr(np.linalg, name, counting)
         a = random_solvable(rng, 4, min_norm=0.3)
+        # the gufuncs, which np.linalg calls too, so neither route goes unseen
+        calls = []
+        for name in ["inv"] + [name for name in dir(_lapack) if name.startswith("svd")]:
+            original = getattr(_lapack, name)
+            counting = lambda *args, _f=original, _n=name, **kw: calls.append(_n) or _f(*args, **kw)
+            monkeypatch.setattr(_lapack, name, counting)
         assert standard_solve_maximal(lozenge(a)).iterations > 8
         assert calls == []
         ProblemInstance(a)
@@ -980,6 +1023,9 @@ class TestConeStep:
         calls.clear()
         assert build_ladder(a, "lower", 8).depth == 8
         assert calls == setup
+        # the watch is live: mat_inverse takes singular values, then inverts
+        mat_inverse(a)
+        assert calls[-1] == "inv" and calls[-2].startswith("svd")
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_wnorm_only_near_the_stop(self, rng, monkeypatch, n):
@@ -1007,15 +1053,20 @@ class TestConeStep:
 
     @pytest.mark.parametrize("with_q", [False, True])
     def test_solves_build_no_eigenvectors(self, rng, monkeypatch, with_q):
+        # the eigenvector gufuncs, which np.linalg.eigh calls too
         calls = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda *a, **kw: calls.append(None) or eigh(*a, **kw))
+        for name in ("eigh_lo", "eigh_up"):
+            eigh = getattr(_lapack, name)
+            monkeypatch.setattr(_lapack, name, lambda *a, _f=eigh, **kw: calls.append(None) or _f(*a, **kw))
         for n in (1, 2, 3, 6):
             a = random_nonsingular_solvable(rng, n)
             q = random_psd(rng, n) + np.eye(n) if with_q else None
             p = ProblemInstance(a, q)
             assert solve_maximal(p).iterations > 0 and solve_minimal(p).iterations > 0
         assert calls == []
+        # the watch is live
+        np.linalg.eigh(np.eye(2))
+        assert len(calls) == 1
 
     def test_iteration_counts_match_reference_near_critical(self):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
