@@ -44,6 +44,10 @@ class NotPositiveDefiniteError(ConricError):
     pass
 
 
+class NonFiniteMatrixError(ConricError, ValueError):
+    """A matrix has a NaN or infinite entry; also a ValueError, which callers may catch."""
+
+
 # Relative tolerance for treating a matrix as Hermitian.
 HERMITIAN_RTOL = 1e-10
 # The one classification band around every verdict threshold (1/4, 1/2, 1).
@@ -109,19 +113,17 @@ class CheckResult(NamedTuple):
 
 
 def cmatrix(entries) -> np.ndarray:
-    """Validating constructor: array-like -> finite complex128 matrix."""
-    a = np.array(entries, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-        raise DimensionError(f"expected a 2-d matrix, got shape {a.shape}")
-    if not np.isfinite(a.real).all() or not np.isfinite(a.imag).all():
-        raise ValueError("matrix entries must be finite")
-    return a
+    """Validating constructor: array-like -> finite complex128 matrix, always a copy."""
+    return _as_matrix(np.array(entries, dtype=np.complex128))
 
 
 def _as_matrix(a) -> np.ndarray:
+    """The one check of every matrix a public function takes: 2-d, not empty, finite."""
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2:
+    if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
         raise DimensionError(f"expected a 2-d matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteMatrixError("matrix entries must be finite")
     return a
 
 
@@ -384,7 +386,7 @@ def pd_cholesky(h, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
 
 def cholesky_solve(lower: np.ndarray, b) -> np.ndarray:
     """Solve (L L*) x = b given a Cholesky factor L: LAPACK solves against L, then L*."""
-    b = _as_matrix(b)
+    lower, b = _as_matrix(lower), _as_matrix(b)
     n = lower.shape[0]
     if b.shape[0] != n:
         raise DimensionError(f"right-hand side rows {b.shape[0]} do not match {n}")

@@ -11,10 +11,11 @@ Two equations are solved here:
 
 A ProblemInstance factors Q = L L* and forms the unit-Q coefficient a_q once;
 every route reads ``p.a_q`` and maps a unit solution back with ``p.back``.
-Both solves run one unit-Q core, the loop plus a doubling bracket of the same
-real equation, and leave through one tail: its one factor of the unit solution
-gives the pivot-floor test, the equation residual that certifies the result
-(never stagnation alone) and the rate certificate.
+Both solves run one unit-Q core, the loop plus a doubling bracket that steps
+the bound ladders' n x n conjugate recurrence, and leave through one tail: its
+one factor of the unit solution gives the pivot-floor test, the equation
+residual that certifies the result (never stagnation alone) and the rate
+certificate.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ from .kernel import (
     _require_square,
 )
 
-# Largest allowed amount by which the engine's solution may fall below the
-# doubling bracket.
+# how far the engine's solution may fall below the doubling bracket
 CROSS_CHECK_TOL = 1e-8
 
 
@@ -431,31 +431,31 @@ def standard_solve_maximal(
     )
 
 
-def _doubling(b: np.ndarray, steps: int) -> np.ndarray:
-    """Doubling (Lin & Xu, SIMAX 2006) for W + B^T W^-1 B = I, real B: Q_steps = W_(2^steps - 1).
+def _doubling(a: np.ndarray, steps: int) -> np.ndarray:
+    """Doubling (Lin & Xu, SIMAX 2006) for Y + a* conj(Y)^-1 a = I: Q_steps = Y_(2^steps - 1), steps >= 1.
 
-    Q - P stays positive definite whenever the equation has a positive
-    definite solution; a step where it does not raises InternalInconsistency.
-    Once B is exactly zero every later step leaves Q and P as they are, so
-    the loop stops after that step's check of Q - P.  The factor and the solve
-    are the gufuncs of np.linalg.cholesky and np.linalg.solve, bitwise equal
-    without the per-call wrapper; LAPACK's refusal shows as a NaN factor.
+    The heart preimage of doubling on lozenge(a): step 1 is Q = I - a* a = R_1, P = conj(a a*),
+    B = conj(a) a, and each later step is complex SDA, Q <- Q - B* (Q - P)^-1 B,
+    P <- P + B (Q - P)^-1 B*, B <- B (Q - P)^-1 B.  Q - P stays positive definite whenever a positive
+    definite solution exists; a step where it does not raises InternalInconsistency.  Once B is
+    exactly zero no later step changes Q or P, so the loop stops after that step's check of Q - P.
+    The factor and the solve are np.linalg's gufuncs without its wrapper; a refusal is a NaN factor.
     """
-    n = b.shape[0]
-    b, q, p = np.array(b.real), np.eye(n), np.zeros(b.shape)
-    for j in range(steps):
+    n = a.shape[0]
+    q, p, b = np.eye(n) - a.conj().T @ a, np.conj(a @ a.conj().T), np.conj(a) @ a
+    for j in range(1, steps):
         with np.errstate(invalid="ignore"):
             lower = _lapack.cholesky_lo(q - p)
-        if math.isnan(lower[0, 0]):
+        if math.isnan(lower[0, 0].real):
             raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
         if not b.any():
             break
         # an accepted factor has a positive diagonal, so the solve cannot refuse it
-        z = _lapack.solve(lower, np.hstack([b, b.T]))
+        z = _lapack.solve(lower, np.hstack([b, b.conj().T]))
         z1, z2 = z[:, :n], z[:, n:]
-        q = q - z1.T @ z1
-        p = p + z2.T @ z2
-        b = z2.T @ z1
+        q = q - z1.conj().T @ z1
+        p = p + z2.conj().T @ z2
+        b = z2.conj().T @ z1
     return q
 
 
@@ -463,21 +463,19 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
     """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I, checked against a doubling bracket.
 
     The generic loop runs on lozenge(a_q) and converges to heart(Y); at n = 1 its iterates are
-    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  Doubling gives the iterate
-    2^J - 1 >= max_iter, J = max_iter.bit_length(), and the iterates decrease, so a correct Y lies
-    on or above it: more than 1e-8 below is an internal inconsistency.  The residual bounds how far
-    above the maximal solution the engine stopped, so the check is one-sided.
+    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  Doubling on a_q gives the
+    iterate 2^J - 1 >= max_iter, J = max_iter.bit_length(), and the iterates decrease, so a correct
+    Y lies on or above it: more than 1e-8 below is an internal inconsistency.  The residual bounds
+    how far above the maximal solution the engine stopped, so the check is one-sided.
     """
-    b = lozenge(a_q)
     if a_q.shape[0] == 1:
         y, iterations, trace, _ = _fixed_point_scalar(a_q, tol, True)
     else:
-        w, iterations, trace, _ = _fixed_point_generic(b, tol, None, True)
+        w, iterations, trace, _ = _fixed_point_generic(lozenge(a_q), tol, None, True)
         y = unheart(w)
         y = (y + y.conj().T) / 2.0
 
-    bracket = unheart(_doubling(b, tol.max_iter.bit_length()))
-    margin = np.linalg.eigvalsh(y - bracket)[0]
+    margin = np.linalg.eigvalsh(y - _doubling(a_q, tol.max_iter.bit_length()))[0]
     if margin < -CROSS_CHECK_TOL:
         raise InternalInconsistency(
             f"engine solution lies {-margin:.3e} below the doubling bracket"

@@ -199,6 +199,21 @@ def doubling_all_steps(b: np.ndarray, steps: int) -> np.ndarray:
     return q
 
 
+def conjugate_doubling_all_steps(a: np.ndarray, steps: int) -> np.ndarray:
+    """Reference doubling for Y + a* conj(Y)^-1 a = I: all ``steps`` >= 1 steps, Q_steps = Y_(2^steps - 1).
+
+    Step 1 in closed form, then complex SDA; the heart preimage of doubling_all_steps(lozenge(a)).
+    """
+    q, p, b = np.eye(a.shape[0]) - a.conj().T @ a, np.conj(a @ a.conj().T), np.conj(a) @ a
+    for _ in range(1, steps):
+        lower = np.linalg.cholesky(q - p)
+        z1, z2 = np.hsplit(np.linalg.solve(lower, np.hstack([b, b.conj().T])), 2)
+        q = q - z1.conj().T @ z1
+        p = p + z2.conj().T @ z2
+        b = z2.conj().T @ z1
+    return q
+
+
 def reference_step(w: np.ndarray, c: np.ndarray, conjugate_iterate: bool) -> np.ndarray:
     """Reference recurrence step I - C* inner(W)^-1 C, inner(W) = conj(W) or W, by LU solve."""
     inner = np.conj(w) if conjugate_iterate else w

@@ -676,6 +676,19 @@ class TestInternalErrors:
         assert json.loads(captured.out)["exit_classification"] == "internal-error"
         assert captured.err == "error: unclassified\n"
 
+    @pytest.mark.parametrize("command", ["solve", "check", "bounds"])
+    def test_a_non_finite_matrix_after_loading_is_internal(self, example_file, capsys, monkeypatch, command):
+        # the kernel refuses it with a ValueError, which at load time would be an input error
+        import conric.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "normalize_q", lambda p: np.full(p.a.shape, np.nan))
+        assert main([command, str(example_file), "--no-meta"]) == 4
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["exit_classification"] == "internal-error"
+        assert report["error"] == "matrix entries must be finite"
+        assert captured.err == "error: matrix entries must be finite\n"
+
     def test_trace_exits_four(self, example_file, capsys, monkeypatch):
         self.sabotage(monkeypatch, "doubling")
         assert main(["trace", str(example_file)]) == 4

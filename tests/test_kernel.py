@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conric
 from conric.embedding import lozenge
 from conric.kernel import (
+    ConricError,
     DimensionError,
+    NonFiniteMatrixError,
     NotHermitianError,
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -67,6 +70,70 @@ class TestConstructor:
     def test_rejects_wrong_rank(self):
         with pytest.raises(DimensionError):
             cmatrix([1.0, 2.0])
+
+
+GOOD = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+
+# every public function that takes a matrix, called with ``bad`` in one matrix argument
+PUBLIC_MATRIX_CALLS = {
+    "cmatrix": cmatrix,
+    "mat_mul(a, .)": lambda bad: mat_mul(GOOD, bad),
+    "mat_mul(., b)": lambda bad: mat_mul(bad, GOOD),
+    "mat_inverse": mat_inverse,
+    "conj": conj,
+    "transpose": transpose,
+    "adjoint": adjoint,
+    "hermitian_eigen": hermitian_eigen,
+    "op_norm_2": op_norm_2,
+    "spectral_radius": spectral_radius,
+    "numerical_radius": numerical_radius,
+    "psd_sqrt": psd_sqrt,
+    "is_positive_definite": is_positive_definite,
+    "pd_cholesky": pd_cholesky,
+    "pd_solve(h, .)": lambda bad: pd_solve(bad, GOOD),
+    "pd_solve(., b)": lambda bad: pd_solve(GOOD, bad),
+    "cholesky_solve(lower, .)": lambda bad: cholesky_solve(bad, GOOD),
+    "cholesky_solve(., b)": lambda bad: cholesky_solve(np.eye(2), bad),
+    "heart": conric.heart,
+    "lozenge": conric.lozenge,
+    "unheart": conric.unheart,
+    "heart_structure_drift": conric.heart_structure_drift,
+    "is_con_normal": conric.is_con_normal,
+    "co_spectral_radius_vs_one": conric.co_spectral_radius_vs_one,
+    "check_existence": conric.check_existence,
+    "con_normal_closed_form": conric.con_normal_closed_form,
+    "closed_form_bounds": lambda bad: conric.closed_form_bounds(bad, "R1"),
+    "build_ladder": lambda bad: conric.build_ladder(bad, "lower"),
+    "ProblemInstance(a)": conric.ProblemInstance,
+    "ProblemInstance(., q)": lambda bad: conric.ProblemInstance(GOOD, bad),
+    "standard_solve_maximal": conric.standard_solve_maximal,
+    "residual": lambda bad: conric.residual(bad, conric.ProblemInstance(GOOD)),
+    "extremality_check": lambda bad: conric.extremality_check(bad, conric.ProblemInstance(GOOD), "maximal"),
+}
+
+
+class TestNonFinite:
+    # a NaN or an infinity is refused where a public function takes the matrix, as a ValueError,
+    # instead of passing the Hermitian and pivot tests, whose comparisons are all False on NaN
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[1.0, math.nan], [math.nan, 1.0]],
+            np.full((2, 2), math.nan),
+            [[math.inf, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -math.inf]],
+            [[1.0, complex(0.0, math.nan)], [complex(0.0, math.nan), 1.0]],
+        ],
+        ids=["nan", "all-nan", "inf", "-inf", "imag-nan"],
+    )
+    @pytest.mark.parametrize("call", PUBLIC_MATRIX_CALLS.values(), ids=PUBLIC_MATRIX_CALLS.keys())
+    def test_refused(self, call, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteMatrixError, match="matrix entries must be finite") as info:
+                call(bad)
+        assert isinstance(info.value, ValueError) and isinstance(info.value, ConricError)
 
 
 class TestTolerances:
@@ -499,11 +566,11 @@ class TestDirectLapack:
     @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("n", range(1, 17))
     def test_solve_is_numpy_linalg_solve(self, n, is_complex):
-        # the callers' operands: conj(L), the doubling's [B, B^T], read-only arrays and a transposed view
+        # the callers' operands: conj(L), the doubling's [B, B*], read-only arrays and a transposed view
         h, b = self.problem(n, is_complex)
         lower = np.linalg.cholesky(h)
         for factor in (lower, np.conj(lower), read_only(lower), lower.conj().T):
-            for rhs in (b, np.hstack([b, b.T]), read_only(b), b.T):
+            for rhs in (b, np.hstack([b, b.conj().T]), read_only(b), b.T):
                 x, expected = _lapack.solve(factor, rhs), np.linalg.solve(factor, rhs)
                 assert x.dtype == expected.dtype and x.tobytes() == expected.tobytes()
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conric.bounds import build_ladder, sandwich_report
+from conric.bounds import build_ladder, closed_form_bounds, sandwich_report
 from conric.conditions import check_existence
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
@@ -44,6 +44,7 @@ from helpers import (
     ILL_Q_A,
     SCALED_Q,
     SCALED_Q_A,
+    conjugate_doubling_all_steps,
     direct_unit_maximal,
     doubling_all_steps,
     random_nonsingular_solvable,
@@ -813,8 +814,8 @@ def test_internal_inconsistency_is_exposed(monkeypatch):
 @pytest.mark.parametrize(
     "sabotage, message",
     [
-        (lambda doubling, b, steps: doubling(b, steps) + 0.1 * np.eye(b.shape[0]), "below"),
-        (lambda doubling, b, steps: doubling(4.0 * b, steps), "not positive definite"),
+        (lambda doubling, a, steps: doubling(a, steps) + 0.1 * np.eye(a.shape[0]), "below"),
+        (lambda doubling, a, steps: doubling(4.0 * a, steps), "not positive definite"),
     ],
     ids=["bracket-too-high", "breakdown"],
 )
@@ -822,23 +823,55 @@ def test_broken_doubling_is_exposed(monkeypatch, sabotage, message):
     import conric.solver as solver_mod
 
     doubling = solver_mod._doubling
-    monkeypatch.setattr(solver_mod, "_doubling", lambda b, steps: sabotage(doubling, b, steps))
+    monkeypatch.setattr(solver_mod, "_doubling", lambda a, steps: sabotage(doubling, a, steps))
     with pytest.raises(InternalInconsistency, match=message):
         solve_maximal(ProblemInstance(EX1_A))
 
 
 class TestDoublingBracket:
+    # the bracket steps the n x n conjugate recurrence; doubling_all_steps on lozenge(a),
+    # in real 2n x 2n arithmetic, is the reference it must match through unheart
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_step_j_is_fixed_point_iterate(self, rng, n):
         a = random_solvable(rng, n, min_norm=0.4)
-        b = lozenge(a)
         iterates = []
-        standard_solve_maximal(b, observer=iterates.append)
-        j = 0
+        standard_solve_maximal(lozenge(a), observer=iterates.append)
+        j = 1
         while 2**j - 1 < len(iterates):
-            assert np.abs(_doubling(b, j) - iterates[2**j - 1]).max() <= 1e-13
+            bracket = _doubling(a, j)
+            assert np.abs(bracket - unheart(iterates[2**j - 1])).max() <= 1e-13
+            real = unheart(doubling_all_steps(lozenge(a), j))
+            assert np.abs(bracket - real).max() <= 1e-13 * np.abs(real).max()
             j += 1
         assert j >= 4
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_steps_the_upper_ladder(self, rng, n):
+        # R_k = Y_k: the bracket and the upper ladder are one recurrence, so step j is rung 2^j - 1
+        a = random_nonsingular_solvable(rng, n)
+        ladder = build_ladder(a, "upper", 2**5 - 1)
+        for j in range(1, 6):
+            rung = ladder.matrices[2**j - 2]
+            assert np.abs(_doubling(a, j) - rung).max() <= 1e-13 * np.abs(rung).max()
+        r1 = closed_form_bounds(a, "R1")
+        assert np.abs(_doubling(a, 1) - r1).max() <= 1e-13 * np.abs(r1).max()
+
+    @pytest.mark.parametrize("n, calls", [(1, 0), (2, 1), (5, 1)])
+    def test_embeds_once_per_solve(self, rng, monkeypatch, n, calls):
+        # only the n >= 2 loop runs on the lozenge; the bracket never embeds
+        import conric.solver as solver_mod
+
+        counts = {"lozenge": 0, "unheart": 0}
+        for name in counts:
+
+            def counting(m, name=name, original=getattr(solver_mod, name)):
+                counts[name] += 1
+                return original(m)
+
+            monkeypatch.setattr(solver_mod, name, counting)
+        solve_maximal(ProblemInstance(random_solvable(rng, n)))
+        assert counts == {"lozenge": calls, "unheart": calls}
 
     @pytest.mark.parametrize("n", [3, 8])
     def test_one_fixed_point_run_per_solve(self, rng, monkeypatch, n):
@@ -862,32 +895,37 @@ class TestDoublingBracket:
         cholesky = _lapack.cholesky_lo
         monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
-        b = lozenge(random_with_norm(rng, 4, 0.1))
-        bracket = _doubling(b, steps)
-        assert len(calls) < steps
-        assert bracket.tobytes() == doubling_all_steps(b, steps).tobytes()
+        a = random_with_norm(rng, 4, 0.1)
+        bracket = _doubling(a, steps)
+        assert len(calls) < steps - 1
+        assert bracket.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
+        real = unheart(doubling_all_steps(lozenge(a), steps))
+        assert np.abs(bracket - real).max() <= 1e-13 * np.abs(real).max()
 
     def test_runs_every_step_near_critical(self, rng, monkeypatch):
+        # step 1 is closed form, so each of the steps after it factors Q - P once
         calls = []
         cholesky = _lapack.cholesky_lo
         monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
         u = random_unitary(rng, 4)
-        b = lozenge(u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T)
-        bracket = _doubling(b, steps)
-        assert len(calls) == steps
-        assert bracket.tobytes() == doubling_all_steps(b, steps).tobytes()
+        a = u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
+        bracket = _doubling(a, steps)
+        assert len(calls) == steps - 1
+        assert bracket.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
+        real = unheart(doubling_all_steps(lozenge(a), steps))
+        assert np.abs(bracket - real).max() <= 1e-13 * np.abs(real).max()
 
     @pytest.mark.parametrize("excess", [0.3, 1e-2, 1e-4])
     def test_a_lost_definiteness_raises_at_its_step(self, rng, excess):
         # omega(lozenge A) = 1/2 + excess: no solution, so Q - P leaves the cone at some step
         steps = Tolerances().max_iter.bit_length()
         u = random_unitary(rng, 3)
-        b = lozenge(u @ np.diag([0.1, 0.3, 0.5 + excess]) @ u.T)
-        # the first step j at which np.linalg.cholesky refuses Q - P in the reference doubling
+        a = u @ np.diag([0.1, 0.3, 0.5 + excess]) @ u.T
+        # the first step j at which np.linalg.cholesky refuses Q - P in the real reference doubling
         for j in range(1, steps + 1):
             try:
-                doubling_all_steps(b, j)
+                doubling_all_steps(lozenge(a), j)
             except np.linalg.LinAlgError:
                 break
         else:
@@ -895,7 +933,7 @@ class TestDoublingBracket:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InternalInconsistency) as info:
-                _doubling(b, steps)
+                _doubling(a, steps)
         assert str(info.value) == f"doubling step {j}: Q - P is not positive definite"
 
     def test_two_sided_gap_near_critical(self, rng):
@@ -905,9 +943,9 @@ class TestDoublingBracket:
         a = u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
         tol = Tolerances()
         out = solve_maximal(ProblemInstance(a, None, tol))
-        bracket = _doubling(lozenge(a), tol.max_iter.bit_length())
+        bracket = _doubling(a, tol.max_iter.bit_length())
         assert out.iterations > 300
-        assert np.linalg.norm(heart(out.solution).real - bracket, 2) <= 1e-10
+        assert np.linalg.norm(out.solution - bracket, 2) <= 1e-10
 
 
 def _critical(rng, n, eps):
