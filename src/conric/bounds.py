@@ -5,15 +5,16 @@ With C = A it decreases onto the maximal solution X+ and stays above every
 solution; with C = A* it decreases onto the dual maximal solution, which
 Y -> I - conj(Y) maps to the minimal solution X-.  Hence the ladders
 
-    upper  R_k = Y_k(A)  (refused for singular A),   lower  S_k = I - conj(Y_k(A*)),
+    upper  R_k = Y_k(A),   lower  S_k = I - conj(Y_k(A*)),
 
 with S_1 <= ... <= S_k <= X- <= X <= X+ <= R_k <= ... <= R_1 for every
 positive definite solution X.  The rungs equal the Schur-complement forms
 of the bordered blocks in :attr:`BoundsLadder.ladder_blocks`; the first
 three have the closed forms of :func:`closed_form_bounds`.
 
-Rung k is one step from a Cholesky factor of Y_{k-1}; its smallest pivot
-over trace/n is the margin.  A margin <= 0 certifies that no positive
+Rung k is one step from a Cholesky factor of Y_{k-1}, which never inverts
+A, so both ladders exist for singular A; its smallest pivot over trace/n is
+the margin.  A margin <= 0 certifies that no positive
 definite solution exists and raises :class:`LadderBreakdown` with
 ``rung = k``; a positive margin below the floor stops the ladder with
 ``truncated_at = k``, keeping rungs 1..k-1.
@@ -44,7 +45,6 @@ from .solver import (
     NoSolutionEvidence,
     ProblemInstance,
     _cone_step,
-    _require_nonsingular,
     solve_maximal,
     solve_minimal,
 )
@@ -122,8 +122,6 @@ def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if side == "upper":
-        _require_nonsingular(p.a, p.tol, "upper bound ladder")
     coeff = p.a_q if side == "upper" else adjoint(p.a_q)
 
     y = np.eye(p.n, dtype=np.complex128)
@@ -212,8 +210,8 @@ def sandwich_report(
     """Bound both extremal solutions by ladders of the given depth.
 
     ``q`` None means Q = I.  Needs a solvable instance with nonsingular
-    coefficient so that the minimal solution and the upper ladder both
-    exist.  The lower trend is reported without any claim about where S_k
+    coefficient, or solve_minimal raises SingularCoefficient on the singular
+    X-.  The lower trend is reported without any claim about where S_k
     converges.
     """
     return _sandwich(ProblemInstance(a, q, tol), depth, None, None)

@@ -293,11 +293,11 @@ def cmd_bounds(args, report: dict) -> None:
     try:
         upper = _ladder(args.instance, "upper", args.depth)
         ladders["upper"] = _ladder_json(upper)
-    except (SingularCoefficient, LadderBreakdown) as exc:
+    except LadderBreakdown as exc:
         ladders["upper"] = None
         ladders["upper_note"] = str(exc)
     report["ladders"] = ladders
-    # only a singular A or X- leaves the sandwich out; a failed solve classifies the report
+    # only a singular X- (so any singular A) leaves the sandwich out; a failed solve classifies the report
     try:
         sandwich = _sandwich(args.instance, args.depth, lower, upper)
         report["sandwich"] = {
@@ -326,7 +326,7 @@ def _make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="matrix file (JSON or plain text)")
     common.add_argument("--q", default=None, help="separate matrix file for Q")
-    common.add_argument("--tol", type=float, default=None, help="residual tolerance")
+    common.add_argument("--tol", type=float, default=None, help="residual tolerance, relative to max(1, ||Q||)")
     common.add_argument("--max-iter", type=int, default=None, dest="max_iter")
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")

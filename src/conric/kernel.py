@@ -70,7 +70,8 @@ class Tolerances:
 
     pd_floor          relative pivot floor for positive definiteness checks
     stop_rel          relative iterate-change stopping threshold
-    residual_tol      equation residual accepted as "solved"
+    residual_tol      equation residual accepted as "solved", relative to
+                      max(1, ||Q||) (ProblemInstance.residual_bound)
     max_iter          fixed point iteration cap
 
     The spectral and numerical radii take no tolerance: both come from

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,6 @@ from .kernel import (
     _cholesky_lower,
     _congruence,
     _lapack,
-    _nonsingular,
     _require_hermitian,
     _require_square,
 )
@@ -134,6 +133,11 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return self.a.shape[0]
+
+    @functools.cached_property
+    def residual_bound(self) -> float:
+        """The largest residual a solution is accepted with; X(tA, tQ) = t X(A, Q), so it scales with Q."""
+        return self.tol.residual_tol * max(1.0, op_norm_2(self.q))
 
     def back(self, y: np.ndarray) -> np.ndarray:
         """The solution x = L y L* of the Q equation from a unit solution y, symmetrised."""
@@ -476,7 +480,8 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
         y = (y + y.conj().T) / 2.0
 
     margin = np.linalg.eigvalsh(y - _doubling(a_q, tol.max_iter.bit_length()))[0]
-    if margin < -CROSS_CHECK_TOL:
+    # written so that a NaN margin fails the check too
+    if not margin >= -CROSS_CHECK_TOL:
         raise InternalInconsistency(
             f"engine solution lies {-margin:.3e} below the doubling bracket"
         )
@@ -486,12 +491,11 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
 def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     """Maximal positive definite solution of X + A* conj(X)^-1 A = Q.
 
-    Solves the unit-Q equation of p.a_q and maps the solution back.
-    The unit solve certifies its residual below residual_tol / max(1, ||Q||),
-    and the back-mapped solution is certified again in the original equation.
+    Solves the unit-Q equation of p.a_q, certified below residual_tol, and
+    maps the solution back; the back-mapped solution is certified again in
+    the original equation, below p.residual_bound = residual_tol * max(1, ||Q||).
     """
-    unit_tol = replace(p.tol, residual_tol=p.tol.residual_tol / max(1.0, op_norm_2(p.q)))
-    y, iterations, trace = _unit_maximal(p.a_q, unit_tol)
+    y, iterations, trace = _unit_maximal(p.a_q, p.tol)
     x = p.back(y)
     # the engine has certified the unit solution positive definite
     refusal = InternalInconsistency, "unit solution fails the pivot floor"
@@ -500,16 +504,8 @@ def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     return SolveOutcome(x, "maximal", iterations, res, trace, certificate, certificate < 1.0)
 
 
-def _require_nonsingular(a: np.ndarray, tol: Tolerances, who: str) -> None:
-    ok, smallest = _nonsingular(a, tol)
-    if not ok:
-        raise SingularCoefficient(
-            f"{who} needs a nonsingular coefficient (smallest singular value {smallest:.3e})"
-        )
-
-
 def solve_minimal(p: ProblemInstance) -> SolveOutcome:
-    """Minimal positive definite solution, available for nonsingular A.
+    """Minimal positive definite solution of X + A* conj(X)^-1 A = Q.
 
     Uses the substitution Y = I - conj(X), which turns the unit-Q equation
     into the same equation with coefficient A*; the maximal solution of that
@@ -517,9 +513,10 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     X = I - conj(Y).  That difference cancels when X is small, so X is taken
     as the Hermitian part of the equal product conj(A) Y^-1 A^T (Y solves
     Y + A conj(Y)^-1 A* = I).  The result is certified by its residual in the
-    original equation.
+    original equation, below p.residual_bound.  X- is singular exactly when A
+    is, so a singular A raises SingularCoefficient from the pivot-floor test of
+    the unit X-.
     """
-    _require_nonsingular(p.a, p.tol, "solve_minimal")
     coeff = adjoint(p.a_q)
     dual, iterations, trace = _unit_maximal(coeff, p.tol)
     lower, margin = _cholesky_lower(dual, p.tol)
@@ -543,16 +540,15 @@ def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[
 
     Factoring y is the only pivot-floor test a solution gets (the congruence by L preserves
     solutions and the Loewner order); y below the floor raises refusal = (class, message).
-    L L_y factors x, so x is never factored.  A solve names its ``route``: residual_tol gates it.
+    L L_y factors x, so x is never factored.  A solve names its ``route``: p.residual_bound gates it.
     """
     lower, margin = _cholesky_lower(y, p.tol)
     if lower is None:
         raise refusal[0](f"{refusal[1]} (pivot margin {margin:.3e})")
     # conj(L L_y) factors conj(x)
     res = op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(p.q_factor @ lower), p.a) - p.q)
-    if route is not None and res > p.tol.residual_tol:
-        tol = p.tol.residual_tol
-        raise InternalInconsistency(f"{route} residual {res:.3e} exceeds tolerance {tol:.3e}")
+    if route is not None and res > p.residual_bound:
+        raise InternalInconsistency(f"{route} residual {res:.3e} exceeds tolerance {p.residual_bound:.3e}")
     return lower, res
 
 
@@ -576,12 +572,13 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
     coefficient has con-spectral radius at most 1; the minimal solution is
     the unique one where the adjoint-coefficient variant is at least 1.  The
     test runs on the unit-Q normalization and returns the underlying value
-    rho(M conj(M)) alongside the verdict.
+    rho(M conj(M)) alongside the verdict.  A residual above p.residual_bound
+    raises NotASolution, the rule that accepts a solve's result.
     """
     if kind not in ("maximal", "minimal"):
         raise ValueError(f"kind must be 'maximal' or 'minimal', got {kind!r}")
     lower, res = _given(cmatrix(x), p)
-    if res > p.tol.residual_tol:
+    if res > p.residual_bound:
         raise NotASolution(f"residual {res:.3e} exceeds tolerance; not a solution")
     # lower factors the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
     coeff = p.a_q if kind == "maximal" else adjoint(p.a_q)

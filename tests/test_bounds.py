@@ -43,9 +43,18 @@ class TestBuildLadder:
         for rung in ladder.matrices:
             assert np.allclose(rung, np.zeros((2, 2)))
 
-    def test_zero_coefficient_upper_refused(self):
-        with pytest.raises(SingularCoefficient):
-            build_ladder(np.zeros((2, 2)), "upper", 2)
+    def test_rank_deficient_coefficient_upper_lies_above_maximal(self, rng):
+        # R_k = Y_k(A) inverts only its iterates, so every rank, zero included, has an upper ladder
+        for n in range(2, 9):
+            for rank in range(n):
+                a = random_complex(rng, n, rank) @ random_complex(rng, rank, n)
+                if rank:
+                    a *= rng.uniform(0.05, 0.45) / np.linalg.norm(a, 2)
+                x_plus = solve_maximal(ProblemInstance(a)).solution
+                ladder = build_ladder(a, "upper", 6)
+                assert ladder.depth == 6, (n, rank)
+                for rung in ladder.matrices:
+                    assert min_eig(rung - x_plus) >= -1e-12 * np.linalg.norm(x_plus, 2), (n, rank)
 
     def test_example_first_rung(self):
         ladder = build_ladder(EX1_A, "lower", 1)

@@ -176,8 +176,10 @@ def test_rank_deficient_coefficient_is_singular(rng, n):
         assert check_existence(a).exact_invertible is None
         with pytest.raises(SingularCoefficient):
             solve_minimal(ProblemInstance(a))
-        with pytest.raises(SingularCoefficient):
-            build_ladder(a, "upper", 2)
+        # the upper ladder inverts only its iterates, so it exists and lies above X+
+        x_plus = solve_maximal(ProblemInstance(a)).solution
+        for rung in build_ladder(a, "upper", 2).matrices:
+            assert np.linalg.eigvalsh(rung - x_plus)[0] >= -1e-12 * np.linalg.norm(x_plus, 2)
 
 
 class TestSoundnessSweeps:

@@ -240,10 +240,8 @@ class TestScalarRoute:
 
     @staticmethod
     def generic_route(p):
-        """The generic loop on lozenge(a_q) at the unit tolerance solve_maximal uses."""
-        scale = max(1.0, p.q[0, 0].real)
-        tol = dataclasses.replace(p.tol, residual_tol=p.tol.residual_tol / scale)
-        return standard_solve_maximal(lozenge(p.a_q), tol, observer=lambda w: None)
+        """The generic loop on lozenge(a_q) at the instance's tolerances, as solve_maximal runs it."""
+        return standard_solve_maximal(lozenge(p.a_q), p.tol, observer=lambda w: None)
 
     @pytest.mark.parametrize("with_q", [False, True])
     @pytest.mark.parametrize("modulus", [0.0, 0.1, 0.3, 0.45, 0.49, 0.499, 0.5 - 1e-4])
@@ -353,21 +351,14 @@ class TestUnitaryCongruence:
     st.floats(min_value=1.0, max_value=10.0),
 )
 def test_solutions_follow_q_congruence(n, seed, cond):
-    # (A, Q) -> (P^T A P, P* Q P) maps every solution X to P* X P; cond(P) = cond.
-    # ||P* Q P|| reaches about 3000 here, and the residual acceptance is absolute:
-    # with the default 1e-9, about 1% of the moved minimal solves are refused
-    # (InternalInconsistency, dual-route residual up to 4e-8), so both problems
-    # accept a residual of 1e-9 relative to ||Q||.
-    def instance(a, q):
-        return ProblemInstance(a, q, Tolerances(residual_tol=1e-9 * op_norm_2(q)))
-
+    # (A, Q) -> (P^T A P, P* Q P) maps every solution X to P* X P; cond(P) = cond
     gen = np.random.default_rng(seed)
     a = random_nonsingular_solvable(gen, n)
     q = random_psd(gen, n) + np.eye(n)
     p = random_unitary(gen, n) @ np.diag(np.geomspace(1.0, cond, n)) @ random_unitary(gen, n)
-    moved = instance(p.T @ a @ p, p.conj().T @ q @ p)
+    moved = ProblemInstance(p.T @ a @ p, p.conj().T @ q @ p)
     for solve in (solve_maximal, solve_minimal):
-        expected = p.conj().T @ solve(instance(a, q)).solution @ p
+        expected = p.conj().T @ solve(ProblemInstance(a, q)).solution @ p
         gap = np.linalg.norm(solve(moved).solution - expected, 2)
         assert gap <= 1e-10 * np.linalg.norm(expected, 2), solve.__name__
 
@@ -375,8 +366,7 @@ def test_solutions_follow_q_congruence(n, seed, cond):
 @pytest.mark.parametrize("with_q", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_solutions_and_ladders_scale_with_a_and_q(rng, n, with_q):
-    # (A, Q) -> (tA, tQ) leaves a_q unchanged up to rounding and scales every solution and rung by t.
-    # t stays at most 4 because the residual acceptance is absolute.
+    # (A, Q) -> (tA, tQ) leaves a_q unchanged up to rounding and scales every solution and rung by t
     a = random_well_conditioned_solvable(rng, n)
     q = random_psd(rng, n) + np.eye(n) if with_q else None
     base = ProblemInstance(a, q)
@@ -384,12 +374,13 @@ def test_solutions_and_ladders_scale_with_a_and_q(rng, n, with_q):
     def gap(moved, expected):
         return np.linalg.norm(moved - expected, 2) / np.linalg.norm(expected, 2)
 
-    for t in (0.25, 0.5, 2.0, 4.0):
+    for t in (0.25, 0.5, 2.0, 4.0, 1e6):
         scaled = ProblemInstance(t * a, t * base.q)
-        for solve in (solve_maximal, solve_minimal):
+        for solve, kind in ((solve_maximal, "maximal"), (solve_minimal, "minimal")):
             outcome, moved = solve(base), solve(scaled)
-            assert moved.iterations == outcome.iterations, (t, solve.__name__)
-            assert gap(moved.solution, t * outcome.solution) <= 1e-13, (t, solve.__name__)
+            assert moved.iterations == outcome.iterations, (t, kind)
+            assert gap(moved.solution, t * outcome.solution) <= 1e-13, (t, kind)
+            assert extremality_check(moved.solution, scaled, kind)[0], (t, kind)
         for side in ("lower", "upper"):
             ladder = build_ladder(a, side, 6, q=q)
             moved = build_ladder(t * a, side, 6, q=t * base.q)
@@ -816,8 +807,9 @@ def test_internal_inconsistency_is_exposed(monkeypatch):
     [
         (lambda doubling, a, steps: doubling(a, steps) + 0.1 * np.eye(a.shape[0]), "below"),
         (lambda doubling, a, steps: doubling(4.0 * a, steps), "not positive definite"),
+        (lambda doubling, a, steps: np.full((a.shape[0],) * 2, np.nan), "below"),
     ],
-    ids=["bracket-too-high", "breakdown"],
+    ids=["bracket-too-high", "breakdown", "nan-bracket"],
 )
 def test_broken_doubling_is_exposed(monkeypatch, sabotage, message):
     import conric.solver as solver_mod
