@@ -209,22 +209,20 @@ def sandwich_report(
 ) -> SandwichReport:
     """Bound both extremal solutions by ladders of the given depth.
 
-    ``q`` None means Q = I.  Needs a solvable instance with nonsingular
-    coefficient, or solve_minimal raises SingularCoefficient on the singular
-    X-.  The lower trend is reported without any claim about where S_k
-    converges.
+    ``q`` None means Q = I.  Builds the lower, then the upper ladder, as
+    ``conric bounds`` does, so a breakdown of either raises LadderBreakdown
+    before any solve; a solvable instance with singular coefficient raises
+    SingularCoefficient from solve_minimal.  The lower trend is reported
+    without any claim about where S_k converges.
     """
-    return _sandwich(ProblemInstance(a, q, tol), depth, None, None)
+    p = ProblemInstance(a, q, tol)
+    return _sandwich(p, _ladder(p, "lower", depth), _ladder(p, "upper", depth))
 
 
-def _sandwich(p: ProblemInstance, depth: int, lower, upper) -> SandwichReport:
-    """sandwich_report on an instance whose Q is checked and factored, reusing any ladder given."""
+def _sandwich(p: ProblemInstance, lower: BoundsLadder, upper: BoundsLadder) -> SandwichReport:
+    """Both extremal solutions of p measured against the deepest rungs of the ladders given."""
     x_plus = solve_maximal(p).solution
     x_minus = solve_minimal(p).solution
-    if lower is None:
-        lower = _ladder(p, "lower", depth)
-    if upper is None:
-        upper = _ladder(p, "upper", depth)
     lower_gap = _min_eig(x_minus - lower.matrices[-1])
     upper_gap = _min_eig(upper.matrices[-1] - x_plus)
     trend = lower.monotone_gaps[-2:]

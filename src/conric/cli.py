@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import DEFAULT_DEPTH, LadderBreakdown, _ladder, _sandwich
+from .bounds import DEFAULT_DEPTH, _ladder, _sandwich
 from .conditions import check_existence
 from .kernel import (
     ConricError,
@@ -287,19 +287,12 @@ def _ladder_json(ladder) -> dict:
 
 
 def cmd_bounds(args, report: dict) -> None:
-    lower = _ladder(args.instance, "lower", args.depth)
-    ladders = {"lower": _ladder_json(lower)}
-    upper = None
-    try:
-        upper = _ladder(args.instance, "upper", args.depth)
-        ladders["upper"] = _ladder_json(upper)
-    except LadderBreakdown as exc:
-        ladders["upper"] = None
-        ladders["upper_note"] = str(exc)
-    report["ladders"] = ladders
+    # a breakdown of either ladder proves that no solution exists: main classifies it, with no ladders
+    lower, upper = (_ladder(args.instance, side, args.depth) for side in ("lower", "upper"))
+    report["ladders"] = {"lower": _ladder_json(lower), "upper": _ladder_json(upper)}
     # only a singular X- (so any singular A) leaves the sandwich out; a failed solve classifies the report
     try:
-        sandwich = _sandwich(args.instance, args.depth, lower, upper)
+        sandwich = _sandwich(args.instance, lower, upper)
         report["sandwich"] = {
             "lower_gap": sandwich.lower_gap,
             "upper_gap": sandwich.upper_gap,

@@ -515,7 +515,7 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     Y + A conj(Y)^-1 A* = I).  The result is certified by its residual in the
     original equation, below p.residual_bound.  X- is singular exactly when A
     is, so a singular A raises SingularCoefficient from the pivot-floor test of
-    the unit X-.
+    the unit X- = Z* Z, taken on the triangular factor of Z.
     """
     coeff = adjoint(p.a_q)
     dual, iterations, trace = _unit_maximal(coeff, p.tol)
@@ -527,9 +527,14 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     z = np.linalg.solve(lower, p.a_q.T)
     y = z.conj().T @ z
     y = (y + y.conj().T) / 2.0
-    x = p.back(y)
-    # Z* Z is positive semidefinite, so a Y- below the floor is a singular X-, not a failure
+    # Z* Z is positive semidefinite, so a Y- below the floor is a singular X-, not a failure;
+    # Z = Q R gives the pivots |r_kk|^2 of Z* Z without the rounding that squaring adds to them
     refusal = SingularCoefficient, "minimal solution is singular to the pivot floor"
+    scale = max(float(y.trace().real) / p.n, 0.0) or 1.0
+    smallest = float(np.abs(np.linalg.qr(z, mode="r").diagonal()).min()) ** 2
+    if smallest <= p.tol.pd_floor * scale:
+        raise refusal[0](f"{refusal[1]} (pivot margin {smallest / scale:.3e})")
+    x = p.back(y)
     res = _tail(x, y, p, refusal, "dual-route")[1]
     certificate = op_norm_2(cholesky_solve(np.conj(lower), coeff))
     return SolveOutcome(x, "minimal", iterations, res, trace, certificate, certificate < 1.0)

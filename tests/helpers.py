@@ -38,6 +38,13 @@ ILL_Q = np.array([[1.0, 1.3e6], [1.3e6, 1.3e6**2 + 1.0]])
 SCALED_Q_A = np.diag([0.1, 0.27e-12]).astype(np.complex128)
 SCALED_Q = np.diag([1.0, 0.6e-12])
 
+# ||A|| = 1 exactly, so Y_1 = I - A*A and its dual I - AA* are singular; every product is
+# exact and the pivot loop rounds only in sqrt and division, which breaks the named side's
+# ladder at rung 2 (margin <= 0) and truncates the other side's there (margin in (0, floor])
+ONE_SIDED_BREAKDOWN = {
+    "lower": np.array([[-0.375, -0.875], [-0.125, 0.375]]),
+    "upper": np.array([[-0.375, -0.125], [-0.875, 0.375]]),
+}
 
 def scalar_solutions(a: complex) -> tuple[float, float]:
     """Roots of x**2 - x + |a|**2 = 0, the 1x1 equation with q = 1."""
@@ -105,6 +112,23 @@ def random_well_conditioned_solvable(
     u = random_unitary(rng, n)
     v = random_unitary(rng, n)
     return u @ np.diag(rng.uniform(lo, hi, size=n)) @ v.conj().T
+
+
+def singular_tilted_null(rng: np.random.Generator) -> np.ndarray:
+    """Rank-2 A = U diag(0.3, s2, 0) V* at n = 3, s2 in 0.3 * [0.01, 0.32], log-uniform.
+
+    The null vector of A^T, conj(U e3), has a last component of modulus 10^-3.5 to
+    10^-2, so the last Cholesky pivot of the unit X- = Z* Z carries the rounding of
+    the null direction amplified, and on about half the draws clears the floor.
+    """
+    t = 10.0 ** rng.uniform(-3.5, -2.0)
+    basis = random_complex(rng, 3)
+    basis[:2, 0] *= np.sqrt(1.0 - t * t) / np.linalg.norm(basis[:2, 0])
+    basis[2, 0] = t * np.exp(2j * np.pi * rng.uniform())
+    # QR keeps the direction of the first column, which becomes U's third
+    u = np.linalg.qr(basis)[0][:, [1, 2, 0]]
+    s2 = 0.3 * 10.0 ** rng.uniform(-2.0, np.log10(0.32))
+    return (u * np.array([0.3, s2, 0.0])) @ random_unitary(rng, 3).conj().T
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from conric.solver import (
 )
 from helpers import (
     EX1_A,
+    ONE_SIDED_BREAKDOWN,
     random_complex,
     random_nonsingular_solvable,
     random_psd,
@@ -281,6 +282,14 @@ class TestSandwichReport:
         assert report.upper_gap > 0.0
         assert all(g >= -1e-9 for g in report.lower.monotone_gaps)
         assert all(g >= -1e-9 for g in report.upper.monotone_gaps)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_either_ladder_breakdown_raises_before_the_solves(self, monkeypatch, side):
+        from conric import bounds
+
+        monkeypatch.setattr(bounds, "solve_maximal", None)
+        with pytest.raises(LadderBreakdown, match="^ladder iterate 1 "):
+            sandwich_report(ONE_SIDED_BREAKDOWN[side], 6)
 
     def test_zero_coefficient_refused(self):
         with pytest.raises(SingularCoefficient):

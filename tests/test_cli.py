@@ -12,11 +12,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conric import cli
+from conric.bounds import LadderBreakdown, build_ladder, sandwich_report
 from conric.cli import _emit, main
 from conric.embedding import lozenge
 from conric.kernel import NotPositiveDefiniteError, Tolerances, numerical_radius
 from conric.solver import ProblemInstance, SolveFailure, residual, solve_maximal
-from helpers import EX1_A, EX1_X_PLUS, ILL_Q, ILL_Q_A, SCALED_Q, SCALED_Q_A
+from helpers import (
+    EX1_A,
+    EX1_X_PLUS,
+    ILL_Q,
+    ILL_Q_A,
+    ONE_SIDED_BREAKDOWN,
+    SCALED_Q,
+    SCALED_Q_A,
+    singular_tilted_null,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -100,6 +110,16 @@ class TestSolveCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["outcome"]["x_minus"] is None
         assert report["outcome"]["x_minus_note"].startswith("minimal solution is singular to the pivot floor")
+
+    @pytest.mark.parametrize("command, key", [(["solve", "--minimal"], "x_minus"), (["bounds"], "sandwich")])
+    def test_tilted_singular_coefficient_notes_the_minimal_solution(self, tmp_path, capsys, command, key):
+        # the last Cholesky pivot of this draw's unit X- clears the floor; the QR factor of Z refuses it
+        path = write_json_instance(tmp_path / "tilted.json", singular_tilted_null(np.random.default_rng(1)))
+        assert main([*command, str(path), "--no-meta"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        section = report["outcome"] if key == "x_minus" else report
+        assert section[key] is None
+        assert section[f"{key}_note"].startswith("minimal solution is singular to the pivot floor")
 
     def test_minimal_below_the_pivot_floor_notes_skip(self, tmp_path, capsys):
         # X- = diag(0.1, 9e-16) exists but is singular to the pivot floor
@@ -284,6 +304,23 @@ class TestBoundsCommand:
         path = write_json_instance(tmp_path / "big.json", 0.8 * np.eye(2))
         assert main(["bounds", str(path), "--no-meta"]) == 2
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_either_ladder_breakdown_exits_two_without_ladders(self, tmp_path, capsys, side):
+        # the named side breaks at rung 2 while the other survives, truncated
+        a = ONE_SIDED_BREAKDOWN[side]
+        with pytest.raises(LadderBreakdown) as info:
+            build_ladder(a, side, 6)
+        assert build_ladder(a, "upper" if side == "lower" else "lower", 6).truncated_at == 2
+        path = write_json_instance(tmp_path / "edge.json", a)
+        assert main(["bounds", str(path), "--depth", "6", "--no-meta"]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert "ladders" not in report and "sandwich" not in report
+        assert report["exit_classification"] == "no-solution-evidence"
+        assert report["error"] == str(info.value)
+        assert report["error"].startswith("ladder iterate 1 is not positive definite")
+        assert captured.err == ""
+
     def test_no_solution_past_the_ladders_exits_two(self, tmp_path, capsys):
         # both depth-6 ladders stay positive definite; the sandwich's own solve refuses
         gen = np.random.default_rng(7)
@@ -311,7 +348,7 @@ class TestBoundsCommand:
         path = write_json_instance(tmp_path / "singular.json", np.diag([0.3, 0.0]))
         assert main(["bounds", str(path), "--no-meta"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["ladders"]["upper"] is not None and "upper_note" not in report["ladders"]
+        assert set(report["ladders"]) == {"lower", "upper"}
         assert report["sandwich"] is None
         assert report["sandwich_note"].startswith("minimal solution is singular to the pivot floor")
 
@@ -343,6 +380,22 @@ class TestBoundsCommand:
         assert min_eig(matrix(outcome["x_minus"]) - s_k) >= -1e-10
         assert min_eig(r_k - matrix(outcome["x_plus"])) >= -1e-10
         assert report["sandwich"]["consistent"] is True
+
+    @pytest.mark.parametrize("q", [None, np.array([[2.0, 0.5j], [-0.5j, 1.5]])])
+    def test_report_is_the_library_sandwich(self, tmp_path, capsys, q):
+        path = write_json_instance(tmp_path / "ex1.json", EX1_A, q)
+        assert main(["bounds", str(path), "--no-meta"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        expected = sandwich_report(EX1_A, q=q)
+        assert report["sandwich"] == {
+            "lower_gap": expected.lower_gap,
+            "upper_gap": expected.upper_gap,
+            "lower_trend": expected.lower_trend,
+            "consistent": expected.consistent,
+        }
+        for side in ("lower", "upper"):
+            rungs = [np.array(m["re"]) + 1j * np.array(m["im"]) for m in report["ladders"][side]["matrices"]]
+            assert all(map(np.array_equal, rungs, getattr(expected, side).matrices))
 
     @pytest.mark.parametrize("command", [["solve", "--minimal"], ["check"], ["bounds"]])
     def test_q_is_factored_once(self, tmp_path, capsys, monkeypatch, command):

@@ -158,6 +158,15 @@ class TestCrossValidate:
         assert result.consistent
         assert "no-solution-evidence" in result.solver_error
 
+    def test_undetermined_verdict_is_consistent(self):
+        # nilpotent with ||A|| = 0.6: the necessary conditions hold, the norm bound fails
+        # and the exact criterion needs an invertible A
+        result = cross_validate(np.array([[0.0, 0.6], [0.0, 0.0]]))
+        assert result.existence.verdict == "undetermined"
+        assert result.existence.exact_invertible is None
+        assert result.consistent
+        assert result.note == "verdict undetermined; solver outcome is evidence, not proof"
+
     def test_example_instance(self):
         result = cross_validate(EX1_A)
         assert result.existence.verdict == "exists"

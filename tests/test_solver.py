@@ -56,6 +56,7 @@ from helpers import (
     reference_iterations,
     reference_step,
     scalar_solutions,
+    singular_tilted_null,
 )
 
 
@@ -555,6 +556,14 @@ class TestSolveMinimal:
         solve_maximal(p)
         with pytest.raises(SingularCoefficient, match=r"pivot margin 1\.800e-14"):
             solve_minimal(p)
+
+    def test_singular_with_tilted_null_vector(self):
+        # the last Cholesky pivot of Z* Z clears the floor on about half of these draws;
+        # the triangular factor of Z refuses every one
+        gen = np.random.default_rng(31)
+        for _ in range(40):
+            with pytest.raises(SingularCoefficient, match="minimal solution is singular to the pivot floor"):
+                solve_minimal(ProblemInstance(singular_tilted_null(gen)))
 
     def test_duality_and_order(self, rng):
         for _ in range(5):
