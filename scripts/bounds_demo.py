@@ -29,8 +29,8 @@ def main() -> None:
         print(f"== {name}")
         print("   K  min-eig(X- - S_K)   min-eig(R_K - X+)")
         for depth in range(1, 9):
-            lower = build_ladder(a, "lower", depth)
-            upper = build_ladder(a, "upper", depth)
+            lower = build_ladder(p, "lower", depth)
+            upper = build_ladder(p, "upper", depth)
             lo_gap = min_eig(x_minus - lower.matrices[-1])
             up_gap = min_eig(upper.matrices[-1] - x_plus)
             print(f"   {depth}  {lo_gap: .12e}  {up_gap: .12e}")

@@ -16,10 +16,11 @@ Rung k is one step from a Cholesky factor of Y_{k-1}, which never inverts
 A, so both ladders exist for singular A; its smallest pivot over trace/n is
 the margin.  A margin <= 0 certifies that no positive
 definite solution exists and raises :class:`LadderBreakdown` with
-``rung = k``; a positive margin below the floor stops the ladder with
-``truncated_at = k``, keeping rungs 1..k-1.
+``rung = k`` and the side; a positive margin below the floor stops the
+ladder with ``truncated_at = k``, keeping rungs 1..k-1.
 
-A right-hand side Q runs the recurrence on the instance's unit coefficient
+Like the solves, :func:`build_ladder` and :func:`sandwich_report` take a
+:class:`ProblemInstance` p.  The recurrence runs on its unit coefficient
 ``p.a_q`` and maps each rung back by ``p.back``, X = L Y L* with L the
 Cholesky factor of Q = L L*; the congruence preserves the Loewner order, so
 the rungs bound every solution of the Q equation.
@@ -57,12 +58,14 @@ class LadderBreakdown(NoSolutionEvidence):
     """A ladder iterate left the positive definite cone.
 
     On exact arithmetic this certifies that the equation has no positive
-    definite solution.  ``rung`` is the rung that would have inverted it.
+    definite solution.  ``rung`` is the rung that would have inverted it,
+    on the ladder ``side``.
     """
 
-    def __init__(self, message: str, rung: int):
+    def __init__(self, message: str, rung: int, side: str):
         super().__init__(message, iterations=rung - 1)
         self.rung = rung
+        self.side = side
 
 
 @dataclass
@@ -105,19 +108,8 @@ def _min_eig(h: np.ndarray):
     return np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0)[..., 0].tolist()
 
 
-def build_ladder(
-    a,
-    side: str,
-    depth: int = DEFAULT_DEPTH,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    q=None,
-) -> BoundsLadder:
-    """Bound ladder of the requested side down to ``depth``; ``q`` None means Q = I."""
-    return _ladder(ProblemInstance(a, q, tol), side, depth)
-
-
-def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
-    """build_ladder on an instance whose Q is already checked and factored."""
+def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> BoundsLadder:
+    """Bound ladder of the requested side of p's equation, down to ``depth``."""
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if depth < 1:
@@ -132,9 +124,10 @@ def _ladder(p: ProblemInstance, side: str, depth: int) -> BoundsLadder:
         if y_next is None:
             if margin <= 0.0:
                 raise LadderBreakdown(
-                    f"ladder iterate {k - 1} is not positive definite "
+                    f"{side} ladder iterate {k - 1} is not positive definite "
                     f"(pivot margin {margin:.3e}); no positive definite solution exists",
                     rung=k,
+                    side=side,
                 )
             truncated_at = k
             break
@@ -201,26 +194,14 @@ class SandwichReport:
     consistent: bool
 
 
-def sandwich_report(
-    a,
-    depth: int = DEFAULT_DEPTH,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    q=None,
-) -> SandwichReport:
-    """Bound both extremal solutions by ladders of the given depth.
+def sandwich_report(p: ProblemInstance, lower: BoundsLadder, upper: BoundsLadder) -> SandwichReport:
+    """Both extremal solutions of p measured against the deepest rungs of p's ladders.
 
-    ``q`` None means Q = I.  Builds the lower, then the upper ladder, as
-    ``conric bounds`` does, so a breakdown of either raises LadderBreakdown
-    before any solve; a solvable instance with singular coefficient raises
-    SingularCoefficient from solve_minimal.  The lower trend is reported
-    without any claim about where S_k converges.
+    The ladders come from :func:`build_ladder`, so a breakdown of either has
+    raised LadderBreakdown before any solve.  A solvable instance with
+    singular coefficient raises SingularCoefficient from solve_minimal.  The
+    lower trend is reported without any claim about where S_k converges.
     """
-    p = ProblemInstance(a, q, tol)
-    return _sandwich(p, _ladder(p, "lower", depth), _ladder(p, "upper", depth))
-
-
-def _sandwich(p: ProblemInstance, lower: BoundsLadder, upper: BoundsLadder) -> SandwichReport:
-    """Both extremal solutions of p measured against the deepest rungs of the ladders given."""
     x_plus = solve_maximal(p).solution
     x_minus = solve_minimal(p).solution
     lower_gap = _min_eig(x_minus - lower.matrices[-1])

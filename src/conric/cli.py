@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .bounds import DEFAULT_DEPTH, _ladder, _sandwich
+from .bounds import DEFAULT_DEPTH, build_ladder, sandwich_report
 from .conditions import check_existence
 from .kernel import (
     ConricError,
@@ -288,11 +288,11 @@ def _ladder_json(ladder) -> dict:
 
 def cmd_bounds(args, report: dict) -> None:
     # a breakdown of either ladder proves that no solution exists: main classifies it, with no ladders
-    lower, upper = (_ladder(args.instance, side, args.depth) for side in ("lower", "upper"))
+    lower, upper = (build_ladder(args.instance, side, args.depth) for side in ("lower", "upper"))
     report["ladders"] = {"lower": _ladder_json(lower), "upper": _ladder_json(upper)}
     # only a singular X- (so any singular A) leaves the sandwich out; a failed solve classifies the report
     try:
-        sandwich = _sandwich(args.instance, lower, upper)
+        sandwich = sandwich_report(args.instance, lower, upper)
         report["sandwich"] = {
             "lower_gap": sandwich.lower_gap,
             "upper_gap": sandwich.upper_gap,

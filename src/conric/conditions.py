@@ -165,18 +165,18 @@ class CrossValidation:
     note: str
 
 
-def cross_validate(a, tol: Tolerances = DEFAULT_TOLERANCES) -> CrossValidation:
-    """Run the existence checks and the solver and compare their answers.
+def cross_validate(p: ProblemInstance) -> CrossValidation:
+    """Run the existence checks on p's unit problem and the solver on p, and compare their answers.
 
     "exists" must come with a successful solve and "not_exists" with a solver
     failure; an undetermined verdict is consistent with either outcome and
     the solver result is attached as empirical evidence only.
     """
-    report = check_existence(a, tol)
+    report = check_existence(p.a_q, p.tol)
     outcome: SolveOutcome | None = None
     error: str | None = None
     try:
-        outcome = solve_maximal(ProblemInstance(a, None, tol))
+        outcome = solve_maximal(p)
         succeeded = True
     except SolveFailure as exc:
         error = f"{exc.classification}: {exc}"

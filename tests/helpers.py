@@ -114,6 +114,15 @@ def random_well_conditioned_solvable(
     return u @ np.diag(rng.uniform(lo, hi, size=n)) @ v.conj().T
 
 
+def random_non_normal(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Strongly non-normal A = U (lam I + 0.12 N) U^T, N the nilpotent shift, lam in [0.1, 0.3].
+
+    ||A|| <= lam + 0.12 < 1/2, so a solution exists, and det A = lam^n makes A nonsingular.
+    """
+    u = random_unitary(rng, n)
+    return u @ (rng.uniform(0.1, 0.3) * np.eye(n) + 0.12 * np.eye(n, k=1)) @ u.T
+
+
 def singular_tilted_null(rng: np.random.Generator) -> np.ndarray:
     """Rank-2 A = U diag(0.3, s2, 0) V* at n = 3, s2 in 0.3 * [0.01, 0.32], log-uniform.
 

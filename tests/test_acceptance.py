@@ -212,8 +212,9 @@ def test_criterion_06_duality_and_order(nonsingular_instances):
 
 def test_criterion_07_bounds_sandwich(nonsingular_instances):
     for a, x_plus, x_minus in nonsingular_instances:
-        lower = build_ladder(a, "lower", 6)
-        upper = build_ladder(a, "upper", 6)
+        p = ProblemInstance(a)
+        lower = build_ladder(p, "lower", 6)
+        upper = build_ladder(p, "upper", 6)
         assert lower.truncated_at is None and upper.truncated_at is None
         for rung in lower.matrices:
             assert np.linalg.eigvalsh(x_minus - rung)[0] > 0.0
@@ -232,8 +233,9 @@ def test_criterion_07_bounds_sandwich(nonsingular_instances):
     for mag in (0.3, 0.45):
         a = mag * np.exp(1.1j) * np.eye(1)
         low_oracle, up_oracle = scalar_ladder(complex(a[0, 0]), 6)
-        lower = build_ladder(a, "lower", 6)
-        upper = build_ladder(a, "upper", 6)
+        p = ProblemInstance(a)
+        lower = build_ladder(p, "lower", 6)
+        upper = build_ladder(p, "upper", 6)
         for k in range(6):
             assert abs(lower.matrices[k][0, 0].real - low_oracle[k]) <= 1e-12
             assert abs(upper.matrices[k][0, 0].real - up_oracle[k]) <= 1e-12

@@ -37,9 +37,15 @@ def min_eig(h):
     return np.linalg.eigvalsh((h + h.conj().T) / 2.0)[0]
 
 
+def sandwich(a, depth):
+    # the ladders lower first, then the sandwich, as conric bounds builds them
+    p = ProblemInstance(a)
+    return sandwich_report(p, build_ladder(p, "lower", depth), build_ladder(p, "upper", depth))
+
+
 class TestBuildLadder:
     def test_zero_coefficient_lower(self):
-        ladder = build_ladder(np.zeros((2, 2)), "lower", 4)
+        ladder = build_ladder(ProblemInstance(np.zeros((2, 2))), "lower", 4)
         assert ladder.depth == 4
         for rung in ladder.matrices:
             assert np.allclose(rung, np.zeros((2, 2)))
@@ -51,54 +57,55 @@ class TestBuildLadder:
                 a = random_complex(rng, n, rank) @ random_complex(rng, rank, n)
                 if rank:
                     a *= rng.uniform(0.05, 0.45) / np.linalg.norm(a, 2)
-                x_plus = solve_maximal(ProblemInstance(a)).solution
-                ladder = build_ladder(a, "upper", 6)
+                p = ProblemInstance(a)
+                x_plus = solve_maximal(p).solution
+                ladder = build_ladder(p, "upper", 6)
                 assert ladder.depth == 6, (n, rank)
                 for rung in ladder.matrices:
                     assert min_eig(rung - x_plus) >= -1e-12 * np.linalg.norm(x_plus, 2), (n, rank)
 
     def test_example_first_rung(self):
-        ladder = build_ladder(EX1_A, "lower", 1)
+        ladder = build_ladder(ProblemInstance(EX1_A), "lower", 1)
         expected = np.array(
             [[0.1875, -0.125 - 0.125j], [-0.125 + 0.125j, 0.1875]]
         )
         assert np.allclose(ladder.matrices[0], expected, atol=1e-14)
 
     def test_scalar_second_rung(self):
-        ladder = build_ladder(0.3 * np.eye(1), "lower", 2)
+        ladder = build_ladder(ProblemInstance(0.3 * np.eye(1)), "lower", 2)
         assert ladder.matrices[1][0, 0].real == pytest.approx(0.09 / 0.91, abs=1e-12)
 
     def test_monotone_gaps(self, rng):
-        a = random_nonsingular_solvable(rng, 3)
+        p = ProblemInstance(random_nonsingular_solvable(rng, 3))
         for side in ("lower", "upper"):
-            ladder = build_ladder(a, side, 6)
+            ladder = build_ladder(p, side, 6)
             assert ladder.truncated_at is None
             assert all(g >= -1e-9 for g in ladder.monotone_gaps)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_monotone_gaps_are_the_per_pair_values(self, rng, side):
         # one stacked eigvalsh gives each pair's value exactly
-        a = random_nonsingular_solvable(rng, 4)
-        ladder = build_ladder(a, side, 12)
+        p = ProblemInstance(random_nonsingular_solvable(rng, 4))
+        ladder = build_ladder(p, side, 12)
         sign = -1.0 if side == "upper" else 1.0
         pairs = zip(ladder.matrices, ladder.matrices[1:])
         expected = [float(min_eig(sign * (later - earlier))) for earlier, later in pairs]
         assert ladder.monotone_gaps == expected
-        assert build_ladder(a, side, 1).monotone_gaps == []
+        assert build_ladder(p, side, 1).monotone_gaps == []
 
     def test_blocks_retained_and_grow(self, rng):
-        a = random_solvable(rng, 2)
-        ladder = build_ladder(a, "lower", 3)
+        p = ProblemInstance(random_solvable(rng, 2))
+        ladder = build_ladder(p, "lower", 3)
         assert [b.shape[0] for b in ladder.ladder_blocks] == [2, 4, 6]
 
     def test_breakdown_certifies_nonexistence(self):
         with pytest.raises(LadderBreakdown) as info:
-            build_ladder(0.8 * np.eye(2), "lower", 6)
+            build_ladder(ProblemInstance(0.8 * np.eye(2)), "lower", 6)
         assert info.value.rung == 3
         # ||A|| = 0.62: LAPACK refuses iterate 6 and the pivot loop signs its margin
         for side in ("lower", "upper"):
             with pytest.raises(LadderBreakdown, match="pivot margin -6") as info:
-                build_ladder(0.62 * _UNIT_NORM_3, side, 12)
+                build_ladder(ProblemInstance(0.62 * _UNIT_NORM_3), side, 12)
             assert info.value.rung == 7
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -106,7 +113,7 @@ class TestBuildLadder:
         # y_2 = (1 - 2a^2) / (1 - a^2) = 2e-13 for a^2 = 1/2 - 5e-14, so
         # iterate 2 is positive with pivot margin 4e-13, below pd_floor
         a = np.diag([np.sqrt(0.5 - 5e-14), 0.1])
-        ladder = build_ladder(a, side, 6)
+        ladder = build_ladder(ProblemInstance(a), side, 6)
         assert ladder.truncated_at == 3
         assert len(ladder.matrices) == 2
 
@@ -116,7 +123,7 @@ class TestBuildLadder:
 
         for _ in range(5):
             a = random_solvable(rng, 3)
-            ladder = build_ladder(a, "lower", 3)
+            ladder = build_ladder(ProblemInstance(a), "lower", 3)
             assert ladder.truncated_at is None
             n = a.shape[0]
             gram = np.eye(n) - a @ adjoint(a) - np.conj(adjoint(a) @ a)
@@ -124,9 +131,9 @@ class TestBuildLadder:
 
     def test_rejects_bad_side_and_depth(self):
         with pytest.raises(ValueError):
-            build_ladder(EX1_A, "middle", 2)
+            build_ladder(ProblemInstance(EX1_A), "middle", 2)
         with pytest.raises(ValueError):
-            build_ladder(EX1_A, "lower", 0)
+            build_ladder(ProblemInstance(EX1_A), "lower", 0)
 
 
 class TestRecurrence:
@@ -141,7 +148,7 @@ class TestRecurrence:
             iterates = []
             standard_solve_maximal(lozenge(coeff), observer=iterates.append)
             depth = min(8, len(iterates) - 1)
-            ladder = build_ladder(a, side, depth)
+            ladder = build_ladder(ProblemInstance(a), side, depth)
             assert ladder.depth == depth
             for k, rung in enumerate(ladder.matrices, start=1):
                 y = unheart(iterates[k])
@@ -158,8 +165,8 @@ class TestRecurrence:
         p = np.eye(n) + 0.2 * random_complex(rng, n)
         q_moved = p.conj().T @ (np.eye(n) if q is None else q) @ p
         for side in ("lower", "upper"):
-            base = build_ladder(a, side, 6, q=q)
-            moved = build_ladder(p.T @ a @ p, side, 6, q=q_moved)
+            base = build_ladder(ProblemInstance(a, q), side, 6)
+            moved = build_ladder(ProblemInstance(p.T @ a @ p, q_moved), side, 6)
             assert moved.depth == base.depth == 6
             for r0, r1 in zip(base.matrices, moved.matrices):
                 expected = p.conj().T @ r0 @ p
@@ -168,14 +175,14 @@ class TestRecurrence:
     def test_q_none_is_identity(self, rng):
         a = random_nonsingular_solvable(rng, 3)
         for side in ("lower", "upper"):
-            unit = build_ladder(a, side, 4)
-            explicit = build_ladder(a, side, 4, q=np.eye(3))
+            unit = build_ladder(ProblemInstance(a), side, 4)
+            explicit = build_ladder(ProblemInstance(a, np.eye(3)), side, 4)
             for r0, r1 in zip(unit.matrices, explicit.matrices):
                 assert np.array_equal(r0, r1)
 
     def test_rejects_indefinite_q(self):
         with pytest.raises(NotPositiveDefiniteError):
-            build_ladder(EX1_A, "lower", 2, q=-np.eye(2))
+            build_ladder(ProblemInstance(EX1_A, -np.eye(2)), "lower", 2)
 
 
 class TestClosedForms:
@@ -204,7 +211,7 @@ class TestClosedForms:
         # the rung comes from the step's Gram, so I - conj(Y_k) does not cancel
         a = random_complex(rng, 4)
         a = norm * a / np.linalg.norm(a, 2)
-        rung = build_ladder(a, "lower", 2).matrices[index]
+        rung = build_ladder(ProblemInstance(a), "lower", 2).matrices[index]
         expected = closed_form_bounds(a, which)
         assert np.linalg.norm(rung - expected, 2) <= 1e-14 * np.linalg.norm(expected, 2)
 
@@ -215,7 +222,7 @@ class TestClosedForms:
     def test_matches_ladder_rungs(self, rng, which, side, index):
         # pins the parity bookkeeping: a swapped conjugation would break this
         a = random_nonsingular_solvable(rng, 3)
-        ladder = build_ladder(a, side, 3)
+        ladder = build_ladder(ProblemInstance(a), side, 3)
         assert np.allclose(
             closed_form_bounds(a, which), ladder.matrices[index], atol=1e-10
         )
@@ -226,8 +233,9 @@ class TestScalarOracle:
     def test_continued_fraction(self, mag):
         a = mag * np.exp(0.7j) * np.eye(1)
         lower_oracle, upper_oracle = scalar_ladder(complex(a[0, 0]), 6)
-        lower = build_ladder(a, "lower", 6)
-        upper = build_ladder(a, "upper", 6)
+        p = ProblemInstance(a)
+        lower = build_ladder(p, "lower", 6)
+        upper = build_ladder(p, "upper", 6)
         for k in range(6):
             assert lower.matrices[k][0, 0].real == pytest.approx(lower_oracle[k], abs=1e-12)
             assert upper.matrices[k][0, 0].real == pytest.approx(upper_oracle[k], abs=1e-12)
@@ -241,8 +249,8 @@ class TestDomination:
             p = ProblemInstance(a)
             hi = solve_maximal(p).solution
             lo = solve_minimal(p).solution
-            lower = build_ladder(a, "lower", 5)
-            upper = build_ladder(a, "upper", 5)
+            lower = build_ladder(p, "lower", 5)
+            upper = build_ladder(p, "upper", 5)
             for rung in lower.matrices:
                 assert min_eig(lo - rung) > 0.0
             for rung in upper.matrices:
@@ -258,15 +266,15 @@ class TestDomination:
             p = ProblemInstance(a, q)
             hi = solve_maximal(p).solution
             lo = solve_minimal(p).solution
-            for rung in build_ladder(a, "lower", 5, q=q).matrices:
+            for rung in build_ladder(p, "lower", 5).matrices:
                 assert min_eig(lo - rung) > 0.0
-            for rung in build_ladder(a, "upper", 5, q=q).matrices:
+            for rung in build_ladder(p, "upper", 5).matrices:
                 assert min_eig(rung - hi) > 0.0
 
 
 class TestSandwichReport:
     def test_scalar_depth_four(self):
-        report = sandwich_report(0.3 * np.eye(1), 4)
+        report = sandwich(0.3 * np.eye(1), 4)
         s4 = report.lower.matrices[-1][0, 0].real
         r4 = report.upper.matrices[-1][0, 0].real
         assert s4 == pytest.approx(0.0999864517, abs=1e-9)
@@ -277,7 +285,7 @@ class TestSandwichReport:
         assert report.consistent
 
     def test_example_depth_three(self):
-        report = sandwich_report(EX1_A, 3)
+        report = sandwich(EX1_A, 3)
         assert report.lower_gap > 0.0
         assert report.upper_gap > 0.0
         assert all(g >= -1e-9 for g in report.lower.monotone_gaps)
@@ -288,16 +296,16 @@ class TestSandwichReport:
         from conric import bounds
 
         monkeypatch.setattr(bounds, "solve_maximal", None)
-        with pytest.raises(LadderBreakdown, match="^ladder iterate 1 "):
-            sandwich_report(ONE_SIDED_BREAKDOWN[side], 6)
+        with pytest.raises(LadderBreakdown, match=f"^{side} ladder iterate 1 "):
+            sandwich(ONE_SIDED_BREAKDOWN[side], 6)
 
     def test_zero_coefficient_refused(self):
         with pytest.raises(SingularCoefficient):
-            sandwich_report(np.zeros((2, 2)), 3)
+            sandwich(np.zeros((2, 2)), 3)
 
     def test_trend_reported(self, rng):
         a = random_nonsingular_solvable(rng, 2)
-        report = sandwich_report(a, 6)
+        report = sandwich(a, 6)
         assert len(report.lower_trend) == 2
         # deeper rungs move less
         assert report.lower_trend[-1] <= report.lower_trend[0] + 1e-12

@@ -1,7 +1,9 @@
+import ast
 import dataclasses
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -308,9 +310,11 @@ class TestBoundsCommand:
     def test_either_ladder_breakdown_exits_two_without_ladders(self, tmp_path, capsys, side):
         # the named side breaks at rung 2 while the other survives, truncated
         a = ONE_SIDED_BREAKDOWN[side]
+        p = ProblemInstance(a)
         with pytest.raises(LadderBreakdown) as info:
-            build_ladder(a, side, 6)
-        assert build_ladder(a, "upper" if side == "lower" else "lower", 6).truncated_at == 2
+            build_ladder(p, side, 6)
+        assert info.value.side == side
+        assert build_ladder(p, "upper" if side == "lower" else "lower", 6).truncated_at == 2
         path = write_json_instance(tmp_path / "edge.json", a)
         assert main(["bounds", str(path), "--depth", "6", "--no-meta"]) == 2
         captured = capsys.readouterr()
@@ -318,7 +322,7 @@ class TestBoundsCommand:
         assert "ladders" not in report and "sandwich" not in report
         assert report["exit_classification"] == "no-solution-evidence"
         assert report["error"] == str(info.value)
-        assert report["error"].startswith("ladder iterate 1 is not positive definite")
+        assert report["error"].startswith(f"{side} ladder iterate 1 is not positive definite")
         assert captured.err == ""
 
     def test_no_solution_past_the_ladders_exits_two(self, tmp_path, capsys):
@@ -386,7 +390,8 @@ class TestBoundsCommand:
         path = write_json_instance(tmp_path / "ex1.json", EX1_A, q)
         assert main(["bounds", str(path), "--no-meta"]) == 0
         report = json.loads(capsys.readouterr().out)
-        expected = sandwich_report(EX1_A, q=q)
+        p = ProblemInstance(EX1_A, q)
+        expected = sandwich_report(p, build_ladder(p, "lower"), build_ladder(p, "upper"))
         assert report["sandwich"] == {
             "lower_gap": expected.lower_gap,
             "upper_gap": expected.upper_gap,
@@ -417,6 +422,39 @@ class TestBoundsCommand:
         assert main([*command, str(a_path), "--q", str(q_path), "--no-meta"]) == 0
         capsys.readouterr()
         assert sum(seen) == 1
+
+    def test_calls_the_public_ladder_and_sandwich(self, example_file, capsys, monkeypatch):
+        # every conric module attribute bound to them is wrapped, as a tracer patches them
+        from conric import bounds
+
+        calls = []
+        modules = [m for key, m in sys.modules.items() if key == "conric" or key.startswith("conric.")]
+        for name in ("build_ladder", "sandwich_report"):
+            original = getattr(bounds, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                if vars(module).get(name) is original:
+                    monkeypatch.setattr(module, name, counting)
+        assert main(["bounds", str(example_file), "--no-meta"]) == 0
+        capsys.readouterr()
+        assert calls == ["build_ladder", "build_ladder", "sandwich_report"]
+
+
+def test_cli_imports_no_private_conric_name():
+    # the CLI is a client of the public API, so a private name it needs should be made public
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "conric")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 class TestIllConditionedQ:

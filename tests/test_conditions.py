@@ -146,13 +146,13 @@ class TestCrossValidate:
     def test_small_norm_instances_solve(self, rng):
         for _ in range(3):
             a = random_solvable(rng, 2, max_norm=0.49)
-            result = cross_validate(a)
+            result = cross_validate(ProblemInstance(a))
             assert result.existence.verdict == "exists"
             assert result.solver_succeeded
             assert result.consistent
 
     def test_large_coefficient_fails_consistently(self):
-        result = cross_validate(0.8 * np.eye(2))
+        result = cross_validate(ProblemInstance(0.8 * np.eye(2)))
         assert result.existence.verdict == "not_exists"
         assert not result.solver_succeeded
         assert result.consistent
@@ -161,18 +161,27 @@ class TestCrossValidate:
     def test_undetermined_verdict_is_consistent(self):
         # nilpotent with ||A|| = 0.6: the necessary conditions hold, the norm bound fails
         # and the exact criterion needs an invertible A
-        result = cross_validate(np.array([[0.0, 0.6], [0.0, 0.0]]))
+        result = cross_validate(ProblemInstance(np.array([[0.0, 0.6], [0.0, 0.0]])))
         assert result.existence.verdict == "undetermined"
         assert result.existence.exact_invertible is None
         assert result.consistent
         assert result.note == "verdict undetermined; solver outcome is evidence, not proof"
 
     def test_example_instance(self):
-        result = cross_validate(EX1_A)
+        result = cross_validate(ProblemInstance(EX1_A))
         assert result.existence.verdict == "exists"
         assert result.solver_succeeded
         assert result.outcome.residual <= 1e-9
         assert result.consistent
+
+    def test_q_instance_is_decided_on_its_unit_problem(self):
+        # ||A|| = 0.6 has no solution for Q = I, but a_q has norm below 1/2 for this Q
+        p = ProblemInstance(0.6 * np.eye(2), np.array([[2.0, 0.5j], [-0.5j, 3.0]]))
+        assert check_existence(p.a).verdict == "not_exists"
+        result = cross_validate(p)
+        assert result.existence.verdict == check_existence(p.a_q).verdict == "exists"
+        assert result.solver_succeeded and result.consistent
+        assert residual(result.outcome.solution, p) <= p.residual_bound
 
 
 @pytest.mark.parametrize("n", [4, 8, 16])
@@ -186,8 +195,9 @@ def test_rank_deficient_coefficient_is_singular(rng, n):
         with pytest.raises(SingularCoefficient):
             solve_minimal(ProblemInstance(a))
         # the upper ladder inverts only its iterates, so it exists and lies above X+
-        x_plus = solve_maximal(ProblemInstance(a)).solution
-        for rung in build_ladder(a, "upper", 2).matrices:
+        p = ProblemInstance(a)
+        x_plus = solve_maximal(p).solution
+        for rung in build_ladder(p, "upper", 2).matrices:
             assert np.linalg.eigvalsh(rung - x_plus)[0] >= -1e-12 * np.linalg.norm(x_plus, 2)
 
 
@@ -226,7 +236,7 @@ def test_exact_criterion_decides_just_outside_the_band(n):
     base = random_complex(np.random.default_rng(3000 + n), n)
     omega = numerical_radius_loop(lozenge(base))
     for target, verdict in ((0.5 - 1e-6, "exists"), (0.5 + 1e-6, "not_exists")):
-        cv = cross_validate(base * (target / omega))
+        cv = cross_validate(ProblemInstance(base * (target / omega)))
         assert cv.existence.verdict == verdict
         assert cv.consistent, cv.note
 

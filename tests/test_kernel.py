@@ -103,7 +103,7 @@ PUBLIC_MATRIX_CALLS = {
     "check_existence": conric.check_existence,
     "con_normal_closed_form": conric.con_normal_closed_form,
     "closed_form_bounds": lambda bad: conric.closed_form_bounds(bad, "R1"),
-    "build_ladder": lambda bad: conric.build_ladder(bad, "lower"),
+    "build_ladder": lambda bad: conric.build_ladder(conric.ProblemInstance(bad), "lower"),
     "ProblemInstance(a)": conric.ProblemInstance,
     "ProblemInstance(., q)": lambda bad: conric.ProblemInstance(GOOD, bad),
     "standard_solve_maximal": conric.standard_solve_maximal,

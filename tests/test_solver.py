@@ -47,6 +47,7 @@ from helpers import (
     conjugate_doubling_all_steps,
     direct_unit_maximal,
     doubling_all_steps,
+    random_non_normal,
     random_nonsingular_solvable,
     random_psd,
     random_solvable,
@@ -352,42 +353,48 @@ class TestUnitaryCongruence:
     st.floats(min_value=1.0, max_value=10.0),
 )
 def test_solutions_follow_q_congruence(n, seed, cond):
-    # (A, Q) -> (P^T A P, P* Q P) maps every solution X to P* X P; cond(P) = cond
+    # (A, Q) -> (P^T A P, P* Q P) maps every solution X to P* X P; cond(P) = cond.
+    # n = 2..5 also runs the strongly non-normal family
     gen = np.random.default_rng(seed)
-    a = random_nonsingular_solvable(gen, n)
+    random_a = random_nonsingular_solvable(gen, n)
     q = random_psd(gen, n) + np.eye(n)
     p = random_unitary(gen, n) @ np.diag(np.geomspace(1.0, cond, n)) @ random_unitary(gen, n)
-    moved = ProblemInstance(p.T @ a @ p, p.conj().T @ q @ p)
-    for solve in (solve_maximal, solve_minimal):
-        expected = p.conj().T @ solve(ProblemInstance(a, q)).solution @ p
-        gap = np.linalg.norm(solve(moved).solution - expected, 2)
-        assert gap <= 1e-10 * np.linalg.norm(expected, 2), solve.__name__
+    non_normal = [random_non_normal(gen, n)] if 2 <= n <= 5 else []
+    for a in [random_a, *non_normal]:
+        moved = ProblemInstance(p.T @ a @ p, p.conj().T @ q @ p)
+        for solve in (solve_maximal, solve_minimal):
+            expected = p.conj().T @ solve(ProblemInstance(a, q)).solution @ p
+            gap = np.linalg.norm(solve(moved).solution - expected, 2)
+            assert gap <= 1e-10 * np.linalg.norm(expected, 2), solve.__name__
 
 
 @pytest.mark.parametrize("with_q", [False, True])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_solutions_and_ladders_scale_with_a_and_q(rng, n, with_q):
-    # (A, Q) -> (tA, tQ) leaves a_q unchanged up to rounding and scales every solution and rung by t
-    a = random_well_conditioned_solvable(rng, n)
+    # (A, Q) -> (tA, tQ) leaves a_q unchanged up to rounding and scales every solution and rung by t;
+    # n = 2..5 also runs the strongly non-normal family
+    random_a = random_well_conditioned_solvable(rng, n)
     q = random_psd(rng, n) + np.eye(n) if with_q else None
-    base = ProblemInstance(a, q)
+    non_normal = [random_non_normal(rng, n)] if 2 <= n <= 5 else []
 
     def gap(moved, expected):
         return np.linalg.norm(moved - expected, 2) / np.linalg.norm(expected, 2)
 
-    for t in (0.25, 0.5, 2.0, 4.0, 1e6):
-        scaled = ProblemInstance(t * a, t * base.q)
-        for solve, kind in ((solve_maximal, "maximal"), (solve_minimal, "minimal")):
-            outcome, moved = solve(base), solve(scaled)
-            assert moved.iterations == outcome.iterations, (t, kind)
-            assert gap(moved.solution, t * outcome.solution) <= 1e-13, (t, kind)
-            assert extremality_check(moved.solution, scaled, kind)[0], (t, kind)
-        for side in ("lower", "upper"):
-            ladder = build_ladder(a, side, 6, q=q)
-            moved = build_ladder(t * a, side, 6, q=t * base.q)
-            assert moved.depth == ladder.depth == 6, (t, side)
-            for rung, moved_rung in zip(ladder.matrices, moved.matrices):
-                assert gap(moved_rung, t * rung) <= 1e-13, (t, side)
+    for a in [random_a, *non_normal]:
+        base = ProblemInstance(a, q)
+        for t in (0.25, 0.5, 2.0, 4.0, 1e6):
+            scaled = ProblemInstance(t * a, t * base.q)
+            for solve, kind in ((solve_maximal, "maximal"), (solve_minimal, "minimal")):
+                outcome, moved = solve(base), solve(scaled)
+                assert moved.iterations == outcome.iterations, (t, kind)
+                assert gap(moved.solution, t * outcome.solution) <= 1e-13, (t, kind)
+                assert extremality_check(moved.solution, scaled, kind)[0], (t, kind)
+            for side in ("lower", "upper"):
+                ladder = build_ladder(base, side, 6)
+                moved = build_ladder(scaled, side, 6)
+                assert moved.depth == ladder.depth == 6, (t, side)
+                for rung, moved_rung in zip(ladder.matrices, moved.matrices):
+                    assert gap(moved_rung, t * rung) <= 1e-13, (t, side)
 
 
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
@@ -665,7 +672,6 @@ def test_no_route_inverts_or_roots_q(monkeypatch, tmp_path, capsys):
     # normalises Q again
     import conric
     from conric import cli
-    from conric.bounds import _ladder
 
     def refused(*args, **kwargs):
         raise AssertionError("mat_inverse or psd_sqrt called")
@@ -689,9 +695,10 @@ def test_no_route_inverts_or_roots_q(monkeypatch, tmp_path, capsys):
     x_plus, x_minus = solve_maximal(p).solution, solve_minimal(p).solution
     assert extremality_check(x_plus, p, "maximal")[0]
     assert extremality_check(x_minus, p, "minimal")[0]
-    assert _ladder(p, "lower", 3).depth == _ladder(p, "upper", 3).depth == 3
+    lower, upper = build_ladder(p, "lower", 3), build_ladder(p, "upper", 3)
+    assert lower.depth == upper.depth == 3
     assert len(normalized) == 1 and normalized[0] is p
-    sandwich_report(EX1_A, 3, q=q)
+    sandwich_report(p, lower, upper)
     path = tmp_path / "withq.json"
     doc = {"n": 2, "re": EX1_A.real.tolist(), "im": EX1_A.imag.tolist()}
     path.write_text(json.dumps({**doc, "q_re": q.real.tolist(), "q_im": q.imag.tolist()}))
@@ -851,7 +858,7 @@ class TestDoublingBracket:
     def test_steps_the_upper_ladder(self, rng, n):
         # R_k = Y_k: the bracket and the upper ladder are one recurrence, so step j is rung 2^j - 1
         a = random_nonsingular_solvable(rng, n)
-        ladder = build_ladder(a, "upper", 2**5 - 1)
+        ladder = build_ladder(ProblemInstance(a), "upper", 2**5 - 1)
         for j in range(1, 6):
             rung = ladder.matrices[2**j - 2]
             assert np.abs(_doubling(a, j) - rung).max() <= 1e-13 * np.abs(rung).max()
@@ -1060,7 +1067,7 @@ class TestConeStep:
         ProblemInstance(a)
         setup = list(calls)  # the ladder's one Q normalisation
         calls.clear()
-        assert build_ladder(a, "lower", 8).depth == 8
+        assert build_ladder(ProblemInstance(a), "lower", 8).depth == 8
         assert calls == setup
         # the watch is live: mat_inverse takes singular values, then inverts
         mat_inverse(a)
