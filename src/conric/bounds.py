@@ -29,6 +29,7 @@ the rungs bound every solution of the Q equation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle, islice
 
 import numpy as np
 
@@ -109,7 +110,12 @@ def _min_eig(h: np.ndarray):
 
 
 def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> BoundsLadder:
-    """Bound ladder of the requested side of p's equation, down to ``depth``."""
+    """Bound ladder of the requested side of p's equation, down to ``depth``.
+
+    Rung k is a function of the iterate Y_(k-1) alone, so once Y_(k-1) equals an earlier
+    Y_(j-1) bitwise, rungs k..depth repeat rungs j..k-1 with period k - j.  They are appended
+    as the same read-only arrays, and their gaps repeat the gaps of the distinct rungs.
+    """
     if side not in ("lower", "upper"):
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if depth < 1:
@@ -118,8 +124,14 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
 
     y = np.eye(p.n, dtype=np.complex128)
     matrices: list[np.ndarray] = []
+    stepped_from: dict[bytes, int] = {}  # bytes of an iterate -> index of the rung stepped from it
+    start: int | None = None  # index of the first rung of the cycle, once one is found
     truncated_at: int | None = None
     for k in range(1, depth + 1):
+        first = stepped_from.setdefault(y.tobytes(), k - 1)
+        if first < k - 1:
+            start = first
+            break
         y_next, margin, gram = _cone_step(y, coeff, True, p.tol)
         if y_next is None:
             if margin <= 0.0:
@@ -134,9 +146,17 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
         y = y_next
         # I - conj(Y_k) = conj(G_k) in exact arithmetic, and the Gram keeps the digits
         # that the difference cancels when the rung is small
-        matrices.append(p.back(y if side == "upper" else np.conj((gram + gram.conj().T) / 2.0)))
+        rung = p.back(y if side == "upper" else np.conj((gram + gram.conj().T) / 2.0))
+        rung.flags.writeable = False
+        matrices.append(rung)
     sign = -1.0 if side == "upper" else 1.0
-    gaps = _min_eig(sign * np.diff(matrices, axis=0)) if len(matrices) > 1 else []
+    # the last difference of a cycle wraps round to its first rung
+    stack = matrices + ([] if start is None else matrices[start : start + 1])
+    gaps = _min_eig(sign * np.diff(stack, axis=0)) if len(stack) > 1 else []
+    if start is not None:
+        distinct = len(matrices)
+        matrices += islice(cycle(matrices[start:]), depth - distinct)
+        gaps += islice(cycle(gaps[start:]), depth - 1 - distinct)
     return BoundsLadder(side, len(matrices), matrices, gaps, p.a_q, truncated_at)
 
 

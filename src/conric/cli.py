@@ -171,6 +171,21 @@ def _existence_json(report) -> dict:
 _NUMBERS = {int, float}
 
 
+def _once_each(encode, items) -> list:
+    """[encode(item) for item in items], calling encode once per distinct object."""
+    codes = {}
+    for item in items:
+        if id(item) not in codes:
+            codes[id(item)] = encode(item)
+    return [codes[id(item)] for item in items]
+
+
+def _recurs(items) -> bool:
+    """Whether some dict or list occurs more than once among items, by identity."""
+    ids = [id(item) for item in items if isinstance(item, (dict, list))]
+    return len(set(ids)) < len(ids)
+
+
 def _indented_json(value, level: int = 0) -> str:
     """The bytes of json.dumps(value, indent=2) for a report.
 
@@ -178,7 +193,9 @@ def _indented_json(value, level: int = 0) -> str:
     numbers, or a list of non-empty number lists (a matrix from _mat_json, a
     trace of [k, change] rows), is encoded by one call to the C encoder and
     re-indented by string replacement, which is safe because the repr of an
-    int or a float contains neither ", " nor "[".
+    int or a float contains neither ", " nor "[".  Any other list in which a
+    dict or list recurs by identity (the rungs of a converged ladder) encodes
+    each distinct item once; the memo lives only for that list.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
@@ -198,7 +215,8 @@ def _indented_json(value, level: int = 0) -> str:
         body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deep}")
         body = body.replace(", ", "," + deep)
         return f"[{inner}[{deep}{body}{inner}]{outer}]"
-    items = [_indented_json(item, level + 1) for item in value]
+    encode = functools.partial(_indented_json, level=level + 1)
+    items = _once_each(encode, value) if _recurs(value) else [encode(item) for item in value]
     return "[" + inner + ("," + inner).join(items) + outer + "]"
 
 
@@ -231,7 +249,11 @@ def _emit(report: dict, args) -> bool:
                 for key, item in value.items():
                     walk(f"{prefix}.{key}" if prefix else key, item)
             elif isinstance(value, list):
-                lines.append(f"{prefix} = {json.dumps(value)}")
+                # json.dumps joins a list's items with ", ", so a recurring item is encoded once
+                if _recurs(value):
+                    lines.append(f"{prefix} = [{', '.join(_once_each(json.dumps, value))}]")
+                else:
+                    lines.append(f"{prefix} = {json.dumps(value)}")
             else:
                 lines.append(f"{prefix} = {value!r}" if isinstance(value, str) else f"{prefix} = {value}")
 
@@ -280,7 +302,8 @@ def cmd_check(args, report: dict) -> None:
 def _ladder_json(ladder) -> dict:
     return {
         "depth": ladder.depth,
-        "matrices": [_mat_json(m) for m in ladder.matrices],
+        # a converged ladder repeats its rung arrays, and each is encoded once
+        "matrices": _once_each(_mat_json, ladder.matrices),
         "monotone_gaps": ladder.monotone_gaps,
         "truncated_at": ladder.truncated_at,
     }

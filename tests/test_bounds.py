@@ -11,6 +11,7 @@ from conric.embedding import lozenge, unheart
 from conric.kernel import NotPositiveDefiniteError, adjoint
 from conric.solver import (
     ProblemInstance,
+    _cone_step,
     SingularCoefficient,
     solve_maximal,
     solve_minimal,
@@ -25,6 +26,7 @@ from helpers import (
     random_solvable,
     random_unitary,
     random_well_conditioned_solvable,
+    random_with_norm,
     scalar_ladder,
 )
 
@@ -134,6 +136,60 @@ class TestBuildLadder:
             build_ladder(ProblemInstance(EX1_A), "middle", 2)
         with pytest.raises(ValueError):
             build_ladder(ProblemInstance(EX1_A), "lower", 0)
+
+
+def stepped_rungs(p, side):
+    """(rung, iterate) pairs of p's ladder, every rung stepped by _cone_step with no reuse."""
+    coeff = p.a_q if side == "upper" else adjoint(p.a_q)
+    y = np.eye(p.n, dtype=np.complex128)
+    while True:
+        y, _, gram = _cone_step(y, coeff, True, p.tol)
+        assert y is not None
+        yield p.back(y if side == "upper" else np.conj((gram + gram.conj().T) / 2.0)), y
+
+
+class TestConvergedLadders:
+    """A ladder whose iterate repeats bitwise reuses rungs and gaps; the stepped rungs are the oracle."""
+
+    # on x86-64 with numpy 2 the first ladder repeats with period 1 from rung 14, the second with
+    # period 2 from rung 16, its two gaps different; the test reads both off the stepped reference
+    @pytest.mark.parametrize(
+        "n, seed, side", [(2, 0, "upper"), (4, 5, "upper")], ids=["period-1", "period-2"]
+    )
+    def test_reuse_equals_stepping_every_rung(self, n, seed, side):
+        p = ProblemInstance(random_with_norm(np.random.default_rng(seed), n, 0.3))
+        seen = {np.eye(n, dtype=np.complex128).tobytes(): 1}
+        for k, (_, y) in enumerate(stepped_rungs(p, side), start=2):
+            earlier = seen.setdefault(y.tobytes(), k)
+            if earlier < k:
+                break
+        repeat, period = k, k - earlier
+        assert repeat <= 48
+        sign = -1.0 if side == "upper" else 1.0
+        for depth in (repeat - 1, 48, 100_000):
+            ladder = build_ladder(p, side, depth)
+            assert (ladder.depth, ladder.truncated_at) == (depth, None)
+            assert len(ladder.matrices) == depth == len(ladder.monotone_gaps) + 1
+            # gaps in stacked blocks of 4,096 differences: LAPACK computes each matrix of a stack on its own
+            block, gaps = [], []
+            for rung, (expected, _) in zip(ladder.matrices, stepped_rungs(p, side)):
+                assert np.array_equal(rung, expected)
+                block.append(expected)
+                if len(block) == 4097 or len(gaps) + len(block) == depth:
+                    diffs = sign * np.diff(block, axis=0)
+                    gaps += np.linalg.eigvalsh((diffs + np.swapaxes(diffs, 1, 2).conj()) / 2.0)[:, 0].tolist()
+                    block = block[-1:]
+            assert ladder.monotone_gaps == gaps
+            if depth == 100_000:
+                assert len({id(rung) for rung in ladder.matrices}) <= repeat + period
+
+    def test_rungs_are_read_only(self):
+        # repeated rungs share one array, so no rung may be written to
+        for side in ("lower", "upper"):
+            ladder = build_ladder(ProblemInstance(EX1_A), side, 48)
+            for rung in ladder.matrices:
+                with pytest.raises(ValueError, match="read-only"):
+                    rung[0, 0] = 1.0
 
 
 class TestRecurrence:

@@ -1,4 +1,5 @@
 import ast
+import copy
 import dataclasses
 import io
 import json
@@ -146,11 +147,18 @@ class TestSolveCommand:
         assert residual(x, ProblemInstance(EX1_A)) <= 1e-9
 
     def test_deterministic_output(self, example_file, capsys):
-        main(["solve", str(example_file), "--no-meta"])
-        first = capsys.readouterr().out
-        main(["solve", str(example_file), "--no-meta"])
-        second = capsys.readouterr().out
-        assert first == second
+        # the depth-48 ladders of the example repeat after 17 distinct rungs, and their reuse relies on
+        # LAPACK giving the same bytes for the same input bytes
+        for command in (
+            ["solve"],
+            ["bounds", "--depth", "48", "--format", "json"],
+            ["bounds", "--depth", "48", "--format", "text"],
+        ):
+            main([command[0], str(example_file), *command[1:], "--no-meta"])
+            first = capsys.readouterr().out
+            main([command[0], str(example_file), *command[1:], "--no-meta"])
+            second = capsys.readouterr().out
+            assert first == second
 
     @pytest.mark.parametrize("a", [np.array([[-0.4j]]), EX1_A], ids=["n1", "n2"])
     def test_trace_key_is_step_change_pairs(self, tmp_path, capsys, a):
@@ -701,11 +709,30 @@ class TestJsonReports:
         dumps = json.dumps
         calls = []
         monkeypatch.setattr(json, "dumps", lambda v, *args, **kw: calls.append(v) or dumps(v, *args, **kw))
-        value = value * 20
+        # distinct copies: a list that repeats an item by identity encodes it once (next test)
+        value = [item for _ in range(20) for item in copy.deepcopy(value)]
         text = cli._indented_json({"v": value})
         assert text == dumps({"v": value}, indent=2)
         # one call for the key, then one for the whole list or one per element
         assert len(calls) == 2 if fast else len(calls) > len(value)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_repeated_items_take_one_encoder_call_each(self, monkeypatch, capsys, fmt):
+        # the rungs of a converged ladder: each distinct rung is encoded once however often it
+        # recurs, by one C-encoder call per matrix in json and one per rung in text
+        rungs = [{"re": [[0.5, -1e-17]], "im": [[0.0, 2.5]]}, {"re": [[0.25, 3.0]], "im": [[-0.0, 1.0]]}]
+        report = {"matrices": rungs + rungs * 20}
+        dumps = json.dumps
+        calls = []
+        monkeypatch.setattr(json, "dumps", lambda v, *args, **kw: calls.append(v) or dumps(v, *args, **kw))
+        _emit(report, SimpleNamespace(format=fmt, out=None))
+        matrices = [call for call in calls if isinstance(call, (dict, list)) and call]
+        assert len(matrices) == (4 if fmt == "json" else 2)
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert out == dumps(report, indent=2) + "\n"
+        else:
+            assert out == f"matrices = {dumps(report['matrices'])}\n"
 
     @given(
         st.recursive(
