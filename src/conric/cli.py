@@ -186,8 +186,16 @@ def _recurs(items) -> bool:
     return len(set(ids)) < len(ids)
 
 
-def _indented_json(value, level: int = 0) -> str:
-    """The bytes of json.dumps(value, indent=2) for a report.
+def _indented_json(value, end: str = "", level: int = 0) -> str:
+    """The bytes of json.dumps(value, indent=2) + end for a report, joined once from its parts."""
+    parts: list[str] = []
+    _json_parts(value, level, parts)
+    parts.append(end)
+    return "".join(parts)
+
+
+def _json_parts(value, level: int, parts: list[str]) -> None:
+    """Append the text of value at nesting level to parts, so no level copies another's text.
 
     The standard library's indenting encoder is pure Python.  Here a list of
     numbers, or a list of non-empty number lists (a matrix from _mat_json, a
@@ -195,29 +203,42 @@ def _indented_json(value, level: int = 0) -> str:
     re-indented by string replacement, which is safe because the repr of an
     int or a float contains neither ", " nor "[".  Any other list in which a
     dict or list recurs by identity (the rungs of a converged ladder) encodes
-    each distinct item once; the memo lives only for that list.
+    each distinct item once and appends that text wherever the item recurs;
+    the memo lives only for that list.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
-        return json.dumps(value)
+        parts.append(json.dumps(value))
+        return
     outer = "\n" + "  " * level
     inner = outer + "  "
     if isinstance(value, dict):
-        items = [
-            f"{json.dumps(key)}: {_indented_json(item, level + 1)}" for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if type(value) is list and set(map(type, value)) <= _NUMBERS:
-        return "[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + outer + "]"
-    if all(type(row) is list and row for row in value) and set(
+        separator = "{" + inner
+        for key, item in value.items():
+            parts.append(f"{separator}{json.dumps(key)}: ")
+            _json_parts(item, level + 1, parts)
+            separator = "," + inner
+        parts.append(outer + "}")
+    elif type(value) is list and set(map(type, value)) <= _NUMBERS:
+        parts.append("[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + outer + "]")
+    elif all(type(row) is list and row for row in value) and set(
         map(type, itertools.chain.from_iterable(value))
     ) <= _NUMBERS:
         deep = inner + "  "
         body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deep}")
         body = body.replace(", ", "," + deep)
-        return f"[{inner}[{deep}{body}{inner}]{outer}]"
-    encode = functools.partial(_indented_json, level=level + 1)
-    items = _once_each(encode, value) if _recurs(value) else [encode(item) for item in value]
-    return "[" + inner + ("," + inner).join(items) + outer + "]"
+        parts.append(f"[{inner}[{deep}{body}{inner}]{outer}]")
+    else:
+        encode = functools.partial(_indented_json, level=level + 1)
+        texts = _once_each(encode, value) if _recurs(value) else None
+        separator = "[" + inner
+        for index, item in enumerate(value):
+            parts.append(separator)
+            if texts is None:
+                _json_parts(item, level + 1, parts)
+            else:
+                parts.append(texts[index])
+            separator = "," + inner
+        parts.append(outer + "]")
 
 
 def _trace_rows(trace) -> list[list]:
@@ -240,7 +261,7 @@ def _write(text: str, args) -> bool:
 
 def _emit(report: dict, args) -> bool:
     if args.format == "json":
-        text = _indented_json(report) + "\n"
+        text = _indented_json(report, "\n")
     else:
         lines: list[str] = []
 

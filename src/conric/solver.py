@@ -467,10 +467,12 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
     """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I, checked against a doubling bracket.
 
     The generic loop runs on lozenge(a_q) and converges to heart(Y); at n = 1 its iterates are
-    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  Doubling on a_q gives the
-    iterate 2^J - 1 >= max_iter, J = max_iter.bit_length(), and the iterates decrease, so a correct
-    Y lies on or above it: more than 1e-8 below is an internal inconsistency.  The residual bounds
-    how far above the maximal solution the engine stopped, so the check is one-sided.
+    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  The engine stopped at iterate
+    k = iterations, and doubling on a_q gives iterate 2^J - 1 >= k, J = k.bit_length(); the iterates
+    decrease, so a correct Y lies on or above it: more than 1e-8 below is an internal inconsistency.
+    A deeper bracket lies lower in the Loewner order and accepts whatever this one accepts, so the
+    least J with 2^J - 1 >= k is the strictest sound depth.  The residual bounds how far above
+    the maximal solution the engine stopped, so the check is one-sided.
     """
     if a_q.shape[0] == 1:
         y, iterations, trace, _ = _fixed_point_scalar(a_q, tol, True)
@@ -479,7 +481,7 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
         y = unheart(w)
         y = (y + y.conj().T) / 2.0
 
-    margin = np.linalg.eigvalsh(y - _doubling(a_q, tol.max_iter.bit_length()))[0]
+    margin = np.linalg.eigvalsh(y - _doubling(a_q, iterations.bit_length()))[0]
     # written so that a NaN margin fails the check too
     if not margin >= -CROSS_CHECK_TOL:
         raise InternalInconsistency(

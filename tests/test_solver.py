@@ -29,6 +29,7 @@ from conric.solver import (
     _cone_step,
     _doubling,
     _step,
+    _unit_maximal,
     extremality_check,
     normalize_q,
     residual,
@@ -840,6 +841,12 @@ class TestDoublingBracket:
     # the bracket steps the n x n conjugate recurrence; doubling_all_steps on lozenge(a),
     # in real 2n x 2n arithmetic, is the reference it must match through unheart
 
+    @staticmethod
+    def near_critical(rng):
+        # complex-symmetric, so omega(lozenge A) = ||A|| = 1/2 - 1e-4
+        u = random_unitary(rng, 4)
+        return u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_step_j_is_fixed_point_iterate(self, rng, n):
         a = random_solvable(rng, n, min_norm=0.4)
@@ -916,8 +923,7 @@ class TestDoublingBracket:
         cholesky = _lapack.cholesky_lo
         monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
-        u = random_unitary(rng, 4)
-        a = u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
+        a = self.near_critical(rng)
         bracket = _doubling(a, steps)
         assert len(calls) == steps - 1
         assert bracket.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
@@ -946,14 +952,43 @@ class TestDoublingBracket:
 
     def test_two_sided_gap_near_critical(self, rng):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
-        n = 4
-        u = random_unitary(rng, n)
-        a = u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
+        a = self.near_critical(rng)
         tol = Tolerances()
         out = solve_maximal(ProblemInstance(a, None, tol))
         bracket = _doubling(a, tol.max_iter.bit_length())
         assert out.iterations > 300
         assert np.linalg.norm(out.solution - bracket, 2) <= 1e-10
+
+    @pytest.mark.parametrize("case", ["n=1", "n=3", "n=8", "near-critical"])
+    @pytest.mark.parametrize("solve", [solve_maximal, solve_minimal])
+    def test_steps_as_deep_as_the_engine_went(self, rng, monkeypatch, case, solve):
+        # iterate 2^J - 1 >= k needs only J = k.bit_length() for an engine that stopped at k
+        import conric.solver as solver_mod
+
+        steps = []
+        doubling = solver_mod._doubling
+        monkeypatch.setattr(solver_mod, "_doubling", lambda a, j: steps.append(j) or doubling(a, j))
+        if case == "near-critical":
+            a = self.near_critical(rng)
+        else:
+            a = random_nonsingular_solvable(rng, int(case[2:]))
+        out = solve(ProblemInstance(a))
+        assert steps == [out.iterations.bit_length()]
+        if case == "near-critical":
+            assert out.iterations > 300
+
+    def test_sized_bracket_is_sound_and_no_looser(self, rng):
+        # fewer steps leave the bracket higher in the Loewner order, so the margin of a correct
+        # Y stays above rounding and never exceeds the full-depth margin beyond it
+        tol = Tolerances()
+        family = [random_with_norm(rng, n, norm) for n in range(1, 9) for norm in rng.uniform(0.05, 0.49, 3)]
+        family += [self.near_critical(rng) for _ in range(3)]
+        for a in family:
+            for c in (a, a.conj().T):
+                y, k, _ = _unit_maximal(c, tol)
+                sized = np.linalg.eigvalsh(y - _doubling(c, k.bit_length()))[0]
+                full = np.linalg.eigvalsh(y - _doubling(c, tol.max_iter.bit_length()))[0]
+                assert -1e-12 <= sized <= full + 1e-15
 
 
 def _critical(rng, n, eps):
