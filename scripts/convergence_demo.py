@@ -8,7 +8,7 @@ equation.  Pipe the trace into any plotting tool for the visual version.
 
 import numpy as np
 
-from conric import ProblemInstance, Tolerances, solve_maximal, standard_solve_maximal
+from conric import ProblemInstance, solve_maximal, standard_solve_maximal
 
 INSTANCES = {
     "demo-2x2": np.array([[0.25 + 0.25j, 0.25j], [-0.25j, 0.25 - 0.25j]]),
@@ -35,7 +35,7 @@ def main() -> None:
         run(name, a)
 
     a = INSTANCES["demo-2x2"]
-    same_coeff = standard_solve_maximal(a, Tolerances(max_iter=200_000, stop_rel=1e-10))
+    same_coeff = standard_solve_maximal(a)
     conjugated = solve_maximal(ProblemInstance(a))
     gap = np.linalg.norm(same_coeff.solution - conjugated.solution, 2)
     print("same coefficient, two equations:")

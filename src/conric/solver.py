@@ -2,9 +2,9 @@
 
 Two equations are solved here:
 
-* the standard equation  X + B* X^-1 B = I  via the monotone iteration
-  ``X_{k+1} = I - B* X_k^-1 B`` started at the identity
-  (:func:`standard_solve_maximal`), and
+* the standard equation  X + B* X^-1 B = I, whose monotone iteration
+  ``X_{k+1} = I - B* X_k^-1 B`` from the identity doubling steps to
+  ``X_(2^j - 1)`` at step j (:func:`standard_solve_maximal`), and
 * the conjugate-inverse equation  X + A* conj(X)^-1 A = Q  by reducing to the
   standard one through the lozenge embedding (:func:`solve_maximal`) and to
   its dual through ``Y = I - conj(X)`` (:func:`solve_minimal`).
@@ -15,16 +15,18 @@ Both solves run one unit-Q core, the loop plus a doubling bracket that steps
 the bound ladders' n x n conjugate recurrence, and leave through one tail: its
 one factor of the unit solution gives the pivot-floor test, the equation
 residual that certifies the result (never stagnation alone) and the rate
-certificate.
+certificate.  The standard solver runs the same doubling from the classical
+step 1.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -222,6 +224,12 @@ def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExc
     return MaxIterationsExceeded(message, tol.max_iter, trace)
 
 
+def _defect(w: np.ndarray, coeff: np.ndarray, tol: Tolerances) -> float:
+    """||W - (I - C* W^-1 C)||, the equation defect of W and so its next update step; inf below the floor."""
+    lower, _ = _cholesky_lower(w, tol)
+    return math.inf if lower is None else hermitian_norm_2(w - _step(lower, coeff, False)[0])
+
+
 # byte budget of the trace block: 32 changes at 2n = 8, 16 at 2n = 16, one at 2n = 64
 _TRACE_BLOCK_BYTES = 1 << 16
 _TRACE_BLOCK_STEPS = 32
@@ -271,11 +279,7 @@ def _fixed_point_generic(
             flush()
             change = trace[-1] if keep_trace else hermitian_norm_2(d)
             if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
-                # the equation defect of an iterate equals its next update step
-                lower, _ = _cholesky_lower(w_next, tol)
-                res = (
-                    math.inf if lower is None else hermitian_norm_2(w_next - _step(lower, coeff, False)[0])
-                )
+                res = _defect(w_next, coeff, tol)
                 if res <= tol.residual_tol:
                     return w_next, k, trace, res
         elif filled == len(block):
@@ -322,79 +326,89 @@ def _fixed_point_scalar(
     raise _out_of_iterations(tol, trace)
 
 
-def _fixed_point_small(
+def _doubling_iterates(
+    a: np.ndarray, conjugate: bool, factor: Callable[[int, np.ndarray], np.ndarray | None]
+) -> Iterator[np.ndarray]:
+    """Q_1, Q_2, ... of doubling (Lin & Xu, SIMAX 2006), Q_j = iterate 2^j - 1 of the loop from I.
+
+    ``conjugate`` picks step 1, as _cone_step's flag picks inner(W).  For Y + a* conj(Y)^-1 a = I
+    it is the heart preimage of doubling on lozenge(a): Q = I - a* a = R_1, P = conj(a a*),
+    B = conj(a) a.  For the classical W + a* W^-1 a = I it is SDA's step from (I, 0, a):
+    Q = I - a* a, P = a a*, B = a^2.  Each later step is complex SDA, Q <- Q - B* (Q - P)^-1 B,
+    P <- P + B (Q - P)^-1 B*, B <- B (Q - P)^-1 B, from factor(j, Q_j - P_j): the lower Cholesky
+    factor, or None, which ends the run.  Once B is exactly zero no later step changes Q or P, so
+    the run also ends after that step's factor.
+    """
+    n = a.shape[0]
+    q = np.eye(n) - a.conj().T @ a
+    p, b = (np.conj(a @ a.conj().T), np.conj(a) @ a) if conjugate else (a @ a.conj().T, a @ a)
+    for j in itertools.count(1):
+        yield q
+        lower = factor(j, q - p)
+        if lower is None or not b.any():
+            return
+        # an accepted factor has a positive diagonal, so the solve cannot refuse it
+        z = _lapack.solve(lower, np.hstack([b, b.conj().T]))
+        z1, z2 = z[:, :n], z[:, n:]
+        q = q - z1.conj().T @ z1
+        p = p + z2.conj().T @ z2
+        b = z2.conj().T @ z1
+
+
+def _doubling(a: np.ndarray, steps: int, conjugate: bool = True) -> np.ndarray:
+    """Q_steps of doubling, steps >= 1: Y_(2^steps - 1) of Y + a* conj(Y)^-1 a = I by default.
+
+    Q - P stays positive definite whenever a positive definite solution exists; a step where it
+    does not raises InternalInconsistency.  The factor is np.linalg's gufunc without its wrapper,
+    and a refusal is a NaN factor.
+    """
+
+    def factor(j: int, h: np.ndarray) -> np.ndarray:
+        with np.errstate(invalid="ignore"):
+            lower = _lapack.cholesky_lo(h)
+        if math.isnan(lower[0, 0].real):
+            raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
+        return lower
+
+    for _, q in zip(range(steps), _doubling_iterates(a, conjugate, factor)):
+        pass
+    return q
+
+
+def _fixed_point_doubling(
     coeff: np.ndarray,
     tol: Tolerances,
     keep_trace: bool,
 ) -> tuple[np.ndarray, int, array[float], float]:
-    """Scalar-arithmetic twin of the generic loop for 2x2 coefficients.
+    """The classical W + C* W^-1 C = I by doubling, with the loops' stopping rule and residual test.
 
-    Serves the 2x2 classical equation.  Identical semantics: same pivot floor
-    (for 2x2 Hermitian the Cholesky pivots are exactly [w11, det/w11]), same
-    spectral norms (closed form for 2x2 Hermitian), same stopping rule.
-    Exists because boundary instances converge sublinearly and can
-    legitimately need tens of millions of iterations.
+    Q_j = W_(2^j - 1) decreases onto the maximal solution from above, so a Q_j that passes the
+    residual test is that solution.  Step j records the change ||Q_j - Q_(j-1)|| from Q_0 = I and
+    stops once it is at most stop_rel ||Q_j|| (a bitwise repeat included) and Q_j passes; max_iter
+    caps the steps.  Where Q_j - P_j fails the pivot floor, Q_j is accepted if it passes, and
+    otherwise the generic loop runs from I: a refusal keeps the loop's iterate, margin and
+    message, so this route refuses only what the loop refuses.
     """
+
+    def certified(q: np.ndarray, j: int) -> tuple[np.ndarray, int, array[float], float] | None:
+        w = (q + q.conj().T) / 2.0
+        res = _defect(w, coeff, tol)
+        return (w, j, trace, res) if res <= tol.residual_tol else None
+
     trace = array("d")
-    a11 = complex(coeff[0, 0])
-    a12 = complex(coeff[0, 1])
-    a21 = complex(coeff[1, 0])
-    a22 = complex(coeff[1, 1])
-    h11 = a11.conjugate()
-    h12 = a21.conjugate()
-    h21 = a12.conjugate()
-    h22 = a22.conjugate()
-
-    def step(w11: float, w12: complex, w22: float) -> tuple[float, complex, float]:
-        # invert the Hermitian iterate via the adjugate
-        det = w11 * w22 - (w12.real * w12.real + w12.imag * w12.imag)
-        i11 = w22 / det
-        i12 = -w12 / det
-        i21 = i12.conjugate()
-        i22 = w11 / det
-        m11 = h11 * i11 + h12 * i21
-        m12 = h11 * i12 + h12 * i22
-        m21 = h21 * i11 + h22 * i21
-        m22 = h21 * i12 + h22 * i22
-        t11 = (m11 * a11 + m12 * a21).real
-        t12 = m11 * a12 + m12 * a22
-        t22 = (m21 * a12 + m22 * a22).real
-        return 1.0 - t11, -t12, 1.0 - t22
-
-    def herm_norm(d11: float, d12: complex, d22: float) -> float:
-        mean = (d11 + d22) / 2.0
-        dev = (d11 - d22) / 2.0
-        radius = math.sqrt(dev * dev + d12.real * d12.real + d12.imag * d12.imag)
-        return abs(mean) + radius
-
-    w11, w12, w22 = 1.0, 0.0j, 1.0
-    stop_rel = tol.stop_rel
-    pd_floor = tol.pd_floor
-    for k in range(1, tol.max_iter + 1):
-        scale = (w11 + w22) / 2.0
-        floor = pd_floor * scale if scale > 0.0 else pd_floor
-        det = w11 * w22 - (w12.real * w12.real + w12.imag * w12.imag)
-        if w11 <= floor or (det / w11 if w11 > 0.0 else -1.0) <= floor:
-            # the margin of the first failing pivot, as the pivot loop reports it
-            pivot = w11 if w11 <= floor else det / w11
-            raise _left_the_cone(k - 1, pivot / (scale if scale > 0.0 else 1.0), trace)
-        n11, n12, n22 = step(w11, w12, w22)
-        change = herm_norm(n11 - w11, n12 - w12, n22 - w22)
+    previous = _identity(coeff.shape[0])
+    iterates = _doubling_iterates(coeff, False, lambda j, h: _cholesky_lower(h, tol)[0])
+    for j, q in zip(range(1, tol.max_iter + 1), iterates):
+        change = hermitian_norm_2(q - previous)
         if keep_trace:
             trace.append(change)
-        if change <= stop_rel * herm_norm(w11, w12, w22):
-            try:
-                r11, r12, r22 = step(n11, n12, n22)
-                res = herm_norm(n11 - r11, n12 - r12, n22 - r22)
-            except ZeroDivisionError:
-                res = math.inf
-            if res <= tol.residual_tol:
-                solution = np.array(
-                    [[n11, n12], [n12.conjugate(), n22]], dtype=np.complex128
-                )
-                return solution, k, trace, res
-        w11, w12, w22 = n11, n12, n22
-    raise _out_of_iterations(tol, trace)
+        if change <= tol.stop_rel * hermitian_norm_2(q) and (found := certified(q, j)):
+            return found
+        previous = q
+    if j == tol.max_iter:
+        raise _out_of_iterations(tol, trace)
+    # Q_j - P_j failed the pivot floor, or B_j vanished
+    return certified(q, j) or _fixed_point_generic(coeff, tol, None, keep_trace)
 
 
 def standard_solve_maximal(
@@ -411,18 +425,22 @@ def standard_solve_maximal(
     below ``stop_rel`` relative and the equation residual certifies below
     ``residual_tol``.  Loss of positive definiteness raises
     NoSolutionEvidence; running out of iterations raises
-    MaxIterationsExceeded (slow boundary instances land here by design).
-    ``observer``, if given, is called with every iterate including the
-    starting identity.  Without one, a 1x1 coefficient runs the scalar loop
-    and a 2x2 one the scalar twin; every other case runs the generic loop.
+    MaxIterationsExceeded.  ``observer``, if given, is called with every
+    iterate including the starting identity, and the generic loop steps them.
+    Without one, a 1x1 coefficient runs the scalar loop, and a larger one
+    runs doubling, Q_j = W_(2^j - 1): it halves the error each step even on
+    the existence boundary, where the loop converges like 1/k.  There
+    ``iterations`` counts doubling steps, ``trace`` holds their changes and
+    ``max_iter`` caps the steps; a breakdown hands the coefficient to the
+    generic loop, so every refusal is the loop's.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
-    if observer is None and b.shape[0] == 1:
-        w, iterations, trace, res = _fixed_point_scalar(b, tol, keep_trace)
-    elif observer is None and b.shape[0] == 2:
-        w, iterations, trace, res = _fixed_point_small(b, tol, keep_trace)
-    else:
+    if observer is not None:
         w, iterations, trace, res = _fixed_point_generic(b, tol, observer, keep_trace)
+    elif b.shape[0] == 1:
+        w, iterations, trace, res = _fixed_point_scalar(b, tol, keep_trace)
+    else:
+        w, iterations, trace, res = _fixed_point_doubling(b, tol, keep_trace)
     certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
     return SolveOutcome(
         solution=w,
@@ -433,34 +451,6 @@ def standard_solve_maximal(
         rate_certificate=certificate,
         linear_rate_guaranteed=certificate < 1.0,
     )
-
-
-def _doubling(a: np.ndarray, steps: int) -> np.ndarray:
-    """Doubling (Lin & Xu, SIMAX 2006) for Y + a* conj(Y)^-1 a = I: Q_steps = Y_(2^steps - 1), steps >= 1.
-
-    The heart preimage of doubling on lozenge(a): step 1 is Q = I - a* a = R_1, P = conj(a a*),
-    B = conj(a) a, and each later step is complex SDA, Q <- Q - B* (Q - P)^-1 B,
-    P <- P + B (Q - P)^-1 B*, B <- B (Q - P)^-1 B.  Q - P stays positive definite whenever a positive
-    definite solution exists; a step where it does not raises InternalInconsistency.  Once B is
-    exactly zero no later step changes Q or P, so the loop stops after that step's check of Q - P.
-    The factor and the solve are np.linalg's gufuncs without its wrapper; a refusal is a NaN factor.
-    """
-    n = a.shape[0]
-    q, p, b = np.eye(n) - a.conj().T @ a, np.conj(a @ a.conj().T), np.conj(a) @ a
-    for j in range(1, steps):
-        with np.errstate(invalid="ignore"):
-            lower = _lapack.cholesky_lo(q - p)
-        if math.isnan(lower[0, 0].real):
-            raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
-        if not b.any():
-            break
-        # an accepted factor has a positive diagonal, so the solve cannot refuse it
-        z = _lapack.solve(lower, np.hstack([b, b.conj().T]))
-        z1, z2 = z[:, :n], z[:, n:]
-        q = q - z1.conj().T @ z1
-        p = p + z2.conj().T @ z2
-        b = z2.conj().T @ z1
-    return q
 
 
 def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float]]:

@@ -238,6 +238,20 @@ def conjugate_doubling_all_steps(a: np.ndarray, steps: int) -> np.ndarray:
     Step 1 in closed form, then complex SDA; the heart preimage of doubling_all_steps(lozenge(a)).
     """
     q, p, b = np.eye(a.shape[0]) - a.conj().T @ a, np.conj(a @ a.conj().T), np.conj(a) @ a
+    return _complex_sda(q, p, b, steps)
+
+
+def classical_doubling_all_steps(b: np.ndarray, steps: int) -> np.ndarray:
+    """Reference doubling for W + b* W^-1 b = I: all ``steps`` >= 1 steps, Q_steps = W_(2^steps - 1).
+
+    Step 1 is SDA's step from (I, 0, b) in closed form, then complex SDA.
+    """
+    q, p, b = np.eye(b.shape[0]) - b.conj().T @ b, b @ b.conj().T, b @ b
+    return _complex_sda(q, p, b, steps)
+
+
+def _complex_sda(q: np.ndarray, p: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
+    """Q_steps of complex SDA from step 1's (Q, P, B)."""
     for _ in range(1, steps):
         lower = np.linalg.cholesky(q - p)
         z1, z2 = np.hsplit(np.linalg.solve(lower, np.hstack([b, b.conj().T])), 2)

@@ -17,6 +17,7 @@ from conric.kernel import (
     _lapack,
     hermitian_norm_2,
     mat_inverse,
+    numerical_radius,
     op_norm_2,
 )
 from conric.solver import (
@@ -45,9 +46,11 @@ from helpers import (
     ILL_Q_A,
     SCALED_Q,
     SCALED_Q_A,
+    classical_doubling_all_steps,
     conjugate_doubling_all_steps,
     direct_unit_maximal,
     doubling_all_steps,
+    random_complex,
     random_non_normal,
     random_nonsingular_solvable,
     random_psd,
@@ -187,8 +190,8 @@ class TestStandardSolve:
 
 
 class TestEngineDispatch:
-    # without an observer a 1x1 coefficient runs the scalar loop and a 2x2 one
-    # the scalar twin; with an observer, or at any other size, the generic loop
+    # without an observer a 1x1 coefficient runs the scalar loop and a larger
+    # one doubling; with an observer, the generic loop
 
     @pytest.mark.parametrize("b", [0.1, 0.3, 0.49, 0.4999])
     def test_scalar_coefficient_runs_scalar_loop(self, b):
@@ -218,7 +221,8 @@ class TestEngineDispatch:
         observed = standard_solve_maximal(b, observer=lambda w: None)
         assert len(calls) == observed.iterations == plain.iterations
 
-    def test_twin_serves_two_by_two_without_observer(self, rng, monkeypatch):
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_doubling_serves_larger_coefficients_without_observer(self, rng, monkeypatch, n):
         import conric.solver as solver_mod
 
         calls = []
@@ -229,12 +233,97 @@ class TestEngineDispatch:
             return cone_step(*args)
 
         monkeypatch.setattr(solver_mod, "_cone_step", counting)
-        b = random_solvable(rng, 2)
+        b = random_solvable(rng, n)
         standard_solve_maximal(b)
         solve_maximal(ProblemInstance(random_solvable(rng, 1)))
         assert calls == []
         out = standard_solve_maximal(b, observer=lambda w: None)
         assert len(calls) == out.iterations
+
+
+class TestClassicalDoubling:
+    # without an observer the classical equation runs doubling, Q_j = W_(2^j - 1); it must
+    # reach the observed generic loop's solution and refuse only where that loop refuses
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_step_j_is_loop_iterate(self, rng, n):
+        # numerical radius 0.49 keeps the loop from repeating, so a stop_rel only a repeat meets runs it to 31
+        b = random_complex(rng, n)
+        b *= 0.49 / numerical_radius(b)
+        iterates = []
+        with pytest.raises(MaxIterationsExceeded):
+            standard_solve_maximal(b, Tolerances(stop_rel=1e-300, max_iter=31), observer=iterates.append)
+        assert len(iterates) == 32
+        for j in range(1, 6):
+            reference = classical_doubling_all_steps(b, j)
+            assert np.abs(reference - iterates[2**j - 1]).max() <= 1e-13
+            assert _doubling(b, j, conjugate=False).tobytes() == reference.tobytes()
+
+    @staticmethod
+    def draw(rng, family, n):
+        """(B, its maximal solution in closed form, or None for a general B)."""
+        if family == "general":
+            return random_solvable(rng, n), None
+        # a normal B = U diag(s) U* has numerical radius max |s| and X+ = U diag(x(|s|)) U*
+        s = rng.uniform(0.05, 0.49, size=n) * rng.choice([-1.0, 1.0], size=n)
+        if family == "near-boundary":
+            s[0] = 0.5 - 1e-3
+        x = (1.0 + np.sqrt(1.0 - 4.0 * s * s)) / 2.0
+        if family == "diagonal":
+            return np.diag(s * np.exp(2j * np.pi * rng.uniform(size=n))), np.diag(x)
+        u = random_unitary(rng, n)
+        return u @ np.diag(s) @ u.conj().T, u @ np.diag(x) @ u.conj().T
+
+    @pytest.mark.parametrize("family", ["general", "hermitian", "diagonal", "near-boundary"])
+    def test_solutions_agree_with_the_loop(self, rng, family):
+        for n in range(2, 7):
+            for _ in range(8):
+                b, exact = self.draw(rng, family, n)
+                plain = standard_solve_maximal(b)
+                observed = standard_solve_maximal(b, observer=lambda w: None)
+                # near the boundary the loop's own stopping error, about stop_rel r^2 / (1 - r^2),
+                # takes most of this bound; doubling stays within rounding of the closed form
+                gap = np.linalg.norm(plain.solution - observed.solution, 2)
+                assert gap <= 1e-12 * np.linalg.norm(observed.solution, 2)
+                if exact is not None:
+                    assert np.linalg.norm(plain.solution - exact, 2) <= 1e-13
+                assert plain.residual <= Tolerances().residual_tol
+                assert len(plain.trace) == plain.iterations < observed.iterations
+
+    def test_a_breakdown_keeps_a_certified_q(self, monkeypatch):
+        # on the boundary Q_j - P_j tends to a singular matrix, so a coarse floor refuses it
+        # before the change rule fires; Q_j passes the residual test, and no loop runs
+        import conric.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "_fixed_point_generic", None)
+        tol = Tolerances(pd_floor=1e-6)
+        out = standard_solve_maximal(np.diag([0.5, 0.1]), tol)
+        assert out.trace[-1] > tol.stop_rel and out.residual <= tol.residual_tol
+        exact = np.diag([0.5, (1.0 + np.sqrt(0.96)) / 2.0])
+        assert np.abs(out.solution - exact).max() <= 1e-6
+
+    def test_a_vanished_b_ends_the_run(self):
+        # b^2 = 0 makes B_1 = 0, so Q_1 = I - b* b is the fixed point and no step follows
+        out = standard_solve_maximal(np.array([[0.0, 0.3], [0.0, 0.0]]))
+        assert out.iterations == 1 and out.residual <= 1e-15
+        assert np.abs(out.solution - np.diag([1.0, 0.91])).max() <= 1e-15
+
+    @pytest.mark.parametrize("case", ["0.8 I", "past the boundary"])
+    def test_both_routes_refuse(self, rng, case):
+        if case == "0.8 I":
+            b = 0.8 * np.eye(2)
+        else:
+            b = random_complex(rng, 3)
+            b *= (0.5 + 1e-2) / numerical_radius(b)
+        errors = []
+        for observer in (None, lambda w: None):
+            with pytest.raises(NoSolutionEvidence) as info:
+                standard_solve_maximal(b, observer=observer)
+            errors.append(info.value)
+        # a breakdown hands the coefficient to the loop, so the refusals are the same
+        assert str(errors[0]) == str(errors[1])
+        assert errors[0].iterations == errors[1].iterations
+        assert errors[0].trace == errors[1].trace
 
 
 class TestScalarRoute:
@@ -285,8 +374,8 @@ class TestScalarRoute:
 
 
 class TestFailureAgreement:
-    # every engine refuses through _left_the_cone, so the scalar loop and the
-    # twin report the generic loop's iterate and pivot margin
+    # every engine refuses through _left_the_cone, and a doubling breakdown hands the
+    # coefficient to the generic loop, so every route reports the loop's iterate and pivot margin
 
     @staticmethod
     def refusals(monkeypatch, b):
@@ -603,7 +692,7 @@ class TestSolveMinimal:
 
 
 class TestRefusals:
-    # the back-map checks and the twin's cap, each reached on purpose
+    # the back-map checks and the doubling route's cap, each reached on purpose
 
     @staticmethod
     def shift_unit_solution(monkeypatch, shift):
@@ -659,12 +748,16 @@ class TestRefusals:
         assert len(factored) == count
         assert not any(np.array_equal(h, x) for h in factored)
 
-    def test_twin_stops_at_the_cap(self):
-        tol = Tolerances(max_iter=50)
+    def test_doubling_converges_on_the_boundary(self):
+        # 0.5 I lies on the classical existence boundary, where doubling still halves the error
+        out = standard_solve_maximal(0.5 * np.eye(2))
+        assert np.abs(out.solution - 0.5 * np.eye(2)).max() <= 1e-8
+
+    def test_doubling_stops_at_the_cap(self):
         with pytest.raises(MaxIterationsExceeded) as info:
-            standard_solve_maximal(0.5 * np.eye(2), tol)
-        assert info.value.iterations == 50
-        assert len(info.value.trace) == 50
+            standard_solve_maximal(0.5 * np.eye(2), Tolerances(max_iter=3))
+        assert info.value.iterations == 3
+        assert len(info.value.trace) == 3
 
 
 def test_no_route_inverts_or_roots_q(monkeypatch, tmp_path, capsys):
@@ -1052,8 +1145,8 @@ class TestBlockedTrace:
     @pytest.mark.parametrize("n, eps", [(2, 1e-2), (4, 1e-4), (8, 1e-3)])
     def test_without_a_trace_the_loop_stops_at_the_same_step(self, rng, n, eps):
         b = lozenge(_critical(rng, n, eps))
-        kept = standard_solve_maximal(b)
-        bare = standard_solve_maximal(b, keep_trace=False)
+        kept = standard_solve_maximal(b, observer=lambda w: None)
+        bare = standard_solve_maximal(b, keep_trace=False, observer=lambda w: None)
         assert len(bare.trace) == 0
         assert bare.iterations == kept.iterations == reference_iterations(b)
         assert bare.solution.tobytes() == kept.solution.tobytes() and bare.residual == kept.residual
@@ -1097,7 +1190,7 @@ class TestConeStep:
             original = getattr(_lapack, name)
             counting = lambda *args, _f=original, _n=name, **kw: calls.append(_n) or _f(*args, **kw)
             monkeypatch.setattr(_lapack, name, counting)
-        assert standard_solve_maximal(lozenge(a)).iterations > 8
+        assert standard_solve_maximal(lozenge(a), observer=lambda w: None).iterations > 8
         assert calls == []
         ProblemInstance(a)
         setup = list(calls)  # the ladder's one Q normalisation
@@ -1122,7 +1215,7 @@ class TestConeStep:
         norms = solver_mod.hermitian_norms_2
         monkeypatch.setattr(solver_mod, "hermitian_norms_2", lambda s: blocks.append(len(s)) or norms(s))
         b = lozenge(random_solvable(rng, n, min_norm=0.3))
-        out = standard_solve_maximal(b)
+        out = standard_solve_maximal(b, observer=lambda w: None)
         # every change norm comes from a stacked block, once; single norms are
         # only ||W|| and the residual near the stop; the rate certificate is
         # the one general norm
