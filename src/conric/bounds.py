@@ -19,6 +19,12 @@ definite solution exists and raises :class:`LadderBreakdown` with
 ``rung = k`` and the side; a positive margin below the floor stops the
 ladder with ``truncated_at = k``, keeping rungs 1..k-1.
 
+:func:`sandwich_report` measures X- and X+ against the deepest rungs.  It
+takes both from one doubling run on the unit coefficient, whose step j is the
+pair of unit rungs R_(2^j - 1), S_(2^j - 1), and runs the solves only where
+that run refuses, so every refusal (an iteration cap, a singular X-, no
+solution past the ladders) is the solves'.
+
 Like the solves, :func:`build_ladder` and :func:`sandwich_report` take a
 :class:`ProblemInstance` p.  The recurrence runs on its unit coefficient
 ``p.a_q`` and maps each rung back by ``p.back``, X = L Y L* with L the
@@ -47,6 +53,7 @@ from .solver import (
     NoSolutionEvidence,
     ProblemInstance,
     _cone_step,
+    _extremal_pair,
     solve_maximal,
     solve_minimal,
 )
@@ -217,13 +224,15 @@ class SandwichReport:
 def sandwich_report(p: ProblemInstance, lower: BoundsLadder, upper: BoundsLadder) -> SandwichReport:
     """Both extremal solutions of p measured against the deepest rungs of p's ladders.
 
-    The ladders come from :func:`build_ladder`, so a breakdown of either has
-    raised LadderBreakdown before any solve.  A solvable instance with
-    singular coefficient raises SingularCoefficient from solve_minimal.  The
-    lower trend is reported without any claim about where S_k converges.
+    X+ and X- come from one doubling run on p.a_q, whose step j is the pair of unit rungs
+    R_(2^j - 1), S_(2^j - 1); where that run refuses (pivot floor, residual or iteration cap),
+    solve_maximal and solve_minimal decide, so every refusal is theirs.  The ladders come from
+    :func:`build_ladder`, so a breakdown of either has raised LadderBreakdown before any solve.
+    A solvable instance with singular coefficient raises SingularCoefficient from solve_minimal.
+    The lower trend is reported without any claim about where S_k converges.
     """
-    x_plus = solve_maximal(p).solution
-    x_minus = solve_minimal(p).solution
+    pair = _extremal_pair(p)
+    x_plus, x_minus = pair if pair is not None else (solve_maximal(p).solution, solve_minimal(p).solution)
     lower_gap = _min_eig(x_minus - lower.matrices[-1])
     upper_gap = _min_eig(upper.matrices[-1] - x_plus)
     trend = lower.monotone_gaps[-2:]

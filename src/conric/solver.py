@@ -16,7 +16,8 @@ the bound ladders' n x n conjugate recurrence, and leave through one tail: its
 one factor of the unit solution gives the pivot-floor test, the equation
 residual that certifies the result (never stagnation alone) and the rate
 certificate.  The standard solver runs the same doubling from the classical
-step 1.
+step 1, and the bounds sandwich takes both extremal solutions from one
+conjugate doubling run, whose Q and P are the unit rungs of both ladders.
 """
 
 from __future__ import annotations
@@ -328,22 +329,24 @@ def _fixed_point_scalar(
 
 def _doubling_iterates(
     a: np.ndarray, conjugate: bool, factor: Callable[[int, np.ndarray], np.ndarray | None]
-) -> Iterator[np.ndarray]:
-    """Q_1, Q_2, ... of doubling (Lin & Xu, SIMAX 2006), Q_j = iterate 2^j - 1 of the loop from I.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(Q_j, P_j) of doubling (Lin & Xu, SIMAX 2006), j = 1, 2, ...: Q_j = iterate 2^j - 1 of the loop from I.
 
     ``conjugate`` picks step 1, as _cone_step's flag picks inner(W).  For Y + a* conj(Y)^-1 a = I
-    it is the heart preimage of doubling on lozenge(a): Q = I - a* a = R_1, P = conj(a a*),
-    B = conj(a) a.  For the classical W + a* W^-1 a = I it is SDA's step from (I, 0, a):
+    it is the heart preimage of doubling on lozenge(a): Q = I - a* a = R_1, P = conj(a a*) = S_1,
+    B = conj(a) a, and Q_j = R_(2^j - 1), P_j = S_(2^j - 1) are the unit rungs of both ladders.
+    P_j is a sum of positive semidefinite Grams, so it keeps a small X- without the cancellation
+    of I - conj(Y).  For the classical W + a* W^-1 a = I it is SDA's step from (I, 0, a):
     Q = I - a* a, P = a a*, B = a^2.  Each later step is complex SDA, Q <- Q - B* (Q - P)^-1 B,
     P <- P + B (Q - P)^-1 B*, B <- B (Q - P)^-1 B, from factor(j, Q_j - P_j): the lower Cholesky
     factor, or None, which ends the run.  Once B is exactly zero no later step changes Q or P, so
-    the run also ends after that step's factor.
+    the run also ends after that step's factor.  The yielded arrays are never written again.
     """
     n = a.shape[0]
     q = np.eye(n) - a.conj().T @ a
     p, b = (np.conj(a @ a.conj().T), np.conj(a) @ a) if conjugate else (a @ a.conj().T, a @ a)
     for j in itertools.count(1):
-        yield q
+        yield q, p
         lower = factor(j, q - p)
         if lower is None or not b.any():
             return
@@ -370,7 +373,7 @@ def _doubling(a: np.ndarray, steps: int, conjugate: bool = True) -> np.ndarray:
             raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
         return lower
 
-    for _, q in zip(range(steps), _doubling_iterates(a, conjugate, factor)):
+    for _, (q, _) in zip(range(steps), _doubling_iterates(a, conjugate, factor)):
         pass
     return q
 
@@ -398,7 +401,7 @@ def _fixed_point_doubling(
     trace = array("d")
     previous = _identity(coeff.shape[0])
     iterates = _doubling_iterates(coeff, False, lambda j, h: _cholesky_lower(h, tol)[0])
-    for j, q in zip(range(1, tol.max_iter + 1), iterates):
+    for j, (q, _) in zip(range(1, tol.max_iter + 1), iterates):
         change = hermitian_norm_2(q - previous)
         if keep_trace:
             trace.append(change)
@@ -530,6 +533,43 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     res = _tail(x, y, p, refusal, "dual-route")[1]
     certificate = op_norm_2(cholesky_solve(np.conj(lower), coeff))
     return SolveOutcome(x, "minimal", iterations, res, trace, certificate, certificate < 1.0)
+
+
+def _extremal_pair(p: ProblemInstance) -> tuple[np.ndarray, np.ndarray] | None:
+    """(X+, X-) of p from one doubling run on p.a_q, or None where the two solves must decide.
+
+    Step j gives the unit rungs Q_j = R_(2^j - 1) above X+ and P_j = S_(2^j - 1) below X-.  The
+    run stops once both changes are at most stop_rel relative, with Q_0 = I and P_0 = 0, and gives
+    up once 2^j - 1 > max_iter: step j is that iterate of the loop, so the cap means what it means
+    there.  The pivot floor factors Q_j - P_j, and the back-mapped Hermitian parts of Q_j and P_j
+    must pass _tail against p.residual_bound.  Any refusal (floor, residual or cap) returns None.
+    """
+    tol = p.tol
+    previous = _identity(p.n), np.zeros((p.n, p.n), dtype=np.complex128)
+    iterates = _doubling_iterates(p.a_q, True, lambda j, h: _cholesky_lower(h, tol)[0])
+    for j, pair in enumerate(iterates, 1):
+        if 2**j - 1 > tol.max_iter:
+            return None
+        changes = zip(pair, previous)
+        if all(hermitian_norm_2(new - old) <= tol.stop_rel * hermitian_norm_2(new) for new, old in changes):
+            break
+        previous = pair
+    else:
+        # the floor refused Q_j - P_j, or B_j vanished before both changes were small
+        return None
+    solutions = []
+    for unit in pair:
+        y = (unit + unit.conj().T) / 2.0
+        x = p.back(y)
+        try:
+            res = _tail(x, y, p, (NotPositiveDefiniteError, "extremal solution"))[1]
+        except NotPositiveDefiniteError:
+            return None
+        # written so that a NaN residual is refused too
+        if not res <= p.residual_bound:
+            return None
+        solutions.append(x)
+    return tuple(solutions)
 
 
 def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[np.ndarray, float]:

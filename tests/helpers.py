@@ -123,6 +123,22 @@ def random_non_normal(rng: np.random.Generator, n: int) -> np.ndarray:
     return u @ (rng.uniform(0.1, 0.3) * np.eye(n) + 0.12 * np.eye(n, k=1)) @ u.T
 
 
+def near_critical_solutions(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A, X+, X-) for complex-symmetric A = U diag(0.1, 0.3, 0.45, 1/2 - 1e-4) U^T.
+
+    omega(lozenge A) = ||A|| = 1/2 - 1e-4, and conj(U) U^T = I gives the extremal
+    solutions in closed form, conj(U) diag(x) U^T with x the scalar roots of each s.
+    """
+    u = random_unitary(rng, 4)
+    s = np.array([0.1, 0.3, 0.45, 0.5 - 1e-4])
+    roots = np.array([scalar_solutions(v) for v in s])
+    return u @ np.diag(s) @ u.T, *(np.conj(u) @ np.diag(x) @ u.T for x in roots.T)
+
+
+def near_critical(rng: np.random.Generator) -> np.ndarray:
+    return near_critical_solutions(rng)[0]
+
+
 def singular_tilted_null(rng: np.random.Generator) -> np.ndarray:
     """Rank-2 A = U diag(0.3, s2, 0) V* at n = 3, s2 in 0.3 * [0.01, 0.32], log-uniform.
 

@@ -8,10 +8,12 @@ from conric.bounds import (
     sandwich_report,
 )
 from conric.embedding import lozenge, unheart
-from conric.kernel import NotPositiveDefiniteError, adjoint
+from conric.kernel import NotPositiveDefiniteError, Tolerances, adjoint
 from conric.solver import (
     ProblemInstance,
     _cone_step,
+    _doubling_iterates,
+    _extremal_pair,
     SingularCoefficient,
     solve_maximal,
     solve_minimal,
@@ -20,7 +22,10 @@ from conric.solver import (
 from helpers import (
     EX1_A,
     ONE_SIDED_BREAKDOWN,
+    near_critical,
+    near_critical_solutions,
     random_complex,
+    random_non_normal,
     random_nonsingular_solvable,
     random_psd,
     random_solvable,
@@ -228,6 +233,16 @@ class TestRecurrence:
                 expected = p.conj().T @ r0 @ p
                 assert np.abs(r1 - expected).max() <= 1e-10 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_doubling_steps_both_ladders(self, rng, n):
+        # step j of doubling on a_q is the pair of unit rungs (R_(2^j - 1), S_(2^j - 1))
+        p = ProblemInstance(random_nonsingular_solvable(rng, n, min_norm=0.3))
+        upper, lower = (build_ladder(p, side, 2**4 - 1).matrices for side in ("upper", "lower"))
+        iterates = _doubling_iterates(p.a_q, True, lambda j, h: np.linalg.cholesky(h))
+        for j, (q, p_j) in zip(range(1, 5), iterates):
+            assert np.abs(q - upper[2**j - 2]).max() <= 1e-14
+            assert np.abs(p_j - lower[2**j - 2]).max() <= 1e-14
+
     def test_q_none_is_identity(self, rng):
         a = random_nonsingular_solvable(rng, 3)
         for side in ("lower", "upper"):
@@ -365,3 +380,62 @@ class TestSandwichReport:
         assert len(report.lower_trend) == 2
         # deeper rungs move less
         assert report.lower_trend[-1] <= report.lower_trend[0] + 1e-12
+
+
+def _relative(x, reference):
+    return np.abs(x - reference).max() / np.abs(reference).max()
+
+
+class TestExtremalPair:
+    """The sandwich takes X+ and X- from one doubling run, and the solves only where it refuses."""
+
+    @staticmethod
+    def solvable(rng, family, n):
+        if family == "non-normal":
+            return ProblemInstance(random_non_normal(rng, n))
+        u = random_unitary(rng, n)
+        return ProblemInstance(random_solvable(rng, n), u @ np.diag(np.geomspace(1.0, 10.0, n)) @ u.conj().T)
+
+    @pytest.mark.parametrize("family", ["q", "non-normal"])
+    def test_matches_the_solves(self, rng, family):
+        for n in [2, 3, 4, 6] * 5:
+            p = self.solvable(rng, family, n)
+            assert _extremal_pair(p) is not None
+            report = sandwich_report(p, build_ladder(p, "lower"), build_ladder(p, "upper"))
+            assert _relative(report.x_plus, solve_maximal(p).solution) <= 1e-12
+            assert _relative(report.x_minus, solve_minimal(p).solution) <= 1e-12
+
+    def test_near_critical_matches_the_closed_form(self, rng):
+        # near the boundary the loop stops about stop_rel r^2 / (1 - r^2) from the solution
+        # (up to 3.9e-12 on these draws), while doubling steps onto it (3.2e-14): so the closed
+        # form is the tight oracle, and the solves agree only to their stopping error
+        for _ in range(10):
+            a, x_plus, x_minus = near_critical_solutions(rng)
+            p = ProblemInstance(a)
+            report = sandwich(a, 6)
+            assert _relative(report.x_plus, x_plus) <= 1e-12
+            assert _relative(report.x_minus, x_minus) <= 1e-12
+            assert _relative(report.x_plus, solve_maximal(p).solution) <= 1e-11
+            assert _relative(report.x_minus, solve_minimal(p).solution) <= 1e-11
+
+    def test_needs_no_solve(self, rng, monkeypatch):
+        from conric import bounds
+
+        def refuse(p):
+            raise AssertionError("the sandwich ran a solve")
+
+        monkeypatch.setattr(bounds, "solve_maximal", refuse)
+        monkeypatch.setattr(bounds, "solve_minimal", refuse)
+        report = sandwich(random_nonsingular_solvable(rng, 3), 6)
+        assert report.consistent
+
+    def test_capped_pair_falls_back_to_the_solves(self, rng):
+        # the loops stop within max_iter, but the pair's last step is iterate 2^j - 1 > max_iter
+        a = near_critical(rng)
+        assert _extremal_pair(ProblemInstance(a)) is not None
+        iterations = [solve(ProblemInstance(a)).iterations for solve in (solve_maximal, solve_minimal)]
+        p = ProblemInstance(a, tol=Tolerances(max_iter=max(iterations)))
+        assert _extremal_pair(p) is None
+        report = sandwich_report(p, build_ladder(p, "lower"), build_ladder(p, "upper"))
+        assert np.array_equal(report.x_plus, solve_maximal(p).solution)
+        assert np.array_equal(report.x_minus, solve_minimal(p).solution)

@@ -50,6 +50,7 @@ from helpers import (
     conjugate_doubling_all_steps,
     direct_unit_maximal,
     doubling_all_steps,
+    near_critical,
     random_complex,
     random_non_normal,
     random_nonsingular_solvable,
@@ -934,12 +935,6 @@ class TestDoublingBracket:
     # the bracket steps the n x n conjugate recurrence; doubling_all_steps on lozenge(a),
     # in real 2n x 2n arithmetic, is the reference it must match through unheart
 
-    @staticmethod
-    def near_critical(rng):
-        # complex-symmetric, so omega(lozenge A) = ||A|| = 1/2 - 1e-4
-        u = random_unitary(rng, 4)
-        return u @ np.diag([0.1, 0.3, 0.45, 0.5 - 1e-4]) @ u.T
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_step_j_is_fixed_point_iterate(self, rng, n):
         a = random_solvable(rng, n, min_norm=0.4)
@@ -1016,7 +1011,7 @@ class TestDoublingBracket:
         cholesky = _lapack.cholesky_lo
         monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
-        a = self.near_critical(rng)
+        a = near_critical(rng)
         bracket = _doubling(a, steps)
         assert len(calls) == steps - 1
         assert bracket.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
@@ -1045,7 +1040,7 @@ class TestDoublingBracket:
 
     def test_two_sided_gap_near_critical(self, rng):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
-        a = self.near_critical(rng)
+        a = near_critical(rng)
         tol = Tolerances()
         out = solve_maximal(ProblemInstance(a, None, tol))
         bracket = _doubling(a, tol.max_iter.bit_length())
@@ -1062,7 +1057,7 @@ class TestDoublingBracket:
         doubling = solver_mod._doubling
         monkeypatch.setattr(solver_mod, "_doubling", lambda a, j: steps.append(j) or doubling(a, j))
         if case == "near-critical":
-            a = self.near_critical(rng)
+            a = near_critical(rng)
         else:
             a = random_nonsingular_solvable(rng, int(case[2:]))
         out = solve(ProblemInstance(a))
@@ -1075,7 +1070,7 @@ class TestDoublingBracket:
         # Y stays above rounding and never exceeds the full-depth margin beyond it
         tol = Tolerances()
         family = [random_with_norm(rng, n, norm) for n in range(1, 9) for norm in rng.uniform(0.05, 0.49, 3)]
-        family += [self.near_critical(rng) for _ in range(3)]
+        family += [near_critical(rng) for _ in range(3)]
         for a in family:
             for c in (a, a.conj().T):
                 y, k, _ = _unit_maximal(c, tol)
