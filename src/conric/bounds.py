@@ -229,8 +229,15 @@ def sandwich_report(p: ProblemInstance, lower: BoundsLadder, upper: BoundsLadder
     solve_maximal and solve_minimal decide, so every refusal is theirs.  The ladders come from
     :func:`build_ladder`, so a breakdown of either has raised LadderBreakdown before any solve.
     A solvable instance with singular coefficient raises SingularCoefficient from solve_minimal.
-    The lower trend is reported without any claim about where S_k converges.
+    The lower trend is reported without any claim about where S_k converges.  Ladders passed in
+    swapped order, or built on a coefficient other than p.a_q, raise ValueError.
     """
+    for ladder, side in ((lower, "lower"), (upper, "upper")):
+        if ladder.side != side:
+            raise ValueError(f"expected the {side} ladder, got the {ladder.side} ladder")
+        coeff = ladder.coefficient
+        if coeff.shape != p.a_q.shape or coeff.tobytes() != p.a_q.tobytes():
+            raise ValueError(f"the {side} ladder was built on another coefficient than p.a_q")
     pair = _extremal_pair(p)
     x_plus, x_minus = pair if pair is not None else (solve_maximal(p).solution, solve_minimal(p).solution)
     lower_gap = _min_eig(x_minus - lower.matrices[-1])

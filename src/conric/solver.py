@@ -153,22 +153,24 @@ class SolveOutcome:
     """A certified solution together with how it was reached.
 
     trace holds the per-step change norms ||W_k - W_(k-1)||_2 of the iteration
-    that produced the solution, as an ``array('d')`` (8 bytes a step; empty
-    when the trace was not kept).  The generic loop evaluates them in stacked
-    blocks, bitwise equal to one norm per step.  rate_certificate is
-    ||conj(Y)^-1 C|| for the unit-Q solution Y the iteration reached and its
-    coefficient C (||W^-1 B|| for the classical equation); when below one,
-    the iteration provably converges at least linearly and
-    ``linear_rate_guaranteed`` is set.
+    that produced the solution, as an ``array('d')`` (8 bytes a step).  The
+    generic loop evaluates them in stacked blocks, bitwise equal to one norm
+    per step.  rate_certificate is ||conj(Y)^-1 C|| for the unit-Q solution Y
+    the iteration reached and its coefficient C (||W^-1 B|| for the classical
+    equation); when below one, the iteration provably converges at least
+    linearly, and ``linear_rate_guaranteed`` says so.
     """
 
     solution: np.ndarray
     kind: str
     iterations: int
     residual: float
-    trace: array[float] = field(default_factory=lambda: array("d"))
-    rate_certificate: float | None = None
-    linear_rate_guaranteed: bool = False
+    trace: array[float]
+    rate_certificate: float
+
+    @property
+    def linear_rate_guaranteed(self) -> bool:
+        return self.rate_certificate < 1.0
 
 
 def normalize_q(p: ProblemInstance) -> np.ndarray:
@@ -240,7 +242,6 @@ def _fixed_point_generic(
     coeff: np.ndarray,
     tol: Tolerances,
     observer: Callable[[np.ndarray], None] | None,
-    keep_trace: bool,
 ) -> tuple[np.ndarray, int, array[float], float]:
     """The matrix loop W <- I - C* W^-1 C from W = I, for any square coefficient C.
 
@@ -271,14 +272,13 @@ def _fixed_point_generic(
         if w_next is None:
             flush()
             raise _left_the_cone(k - 1, margin, trace)
-        # without a trace, block[0] just holds D_k for the |tr D_k| test below
         d = np.subtract(w_next, w, out=block[filled])
-        filled += keep_trace
+        filled += 1
         if observer is not None:
             observer(w_next)
         if abs(d.trace().real) <= m * near_stop * 2.0:
             flush()
-            change = trace[-1] if keep_trace else hermitian_norm_2(d)
+            change = trace[-1]
             if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
                 res = _defect(w_next, coeff, tol)
                 if res <= tol.residual_tol:
@@ -290,11 +290,7 @@ def _fixed_point_generic(
     raise _out_of_iterations(tol, trace)
 
 
-def _fixed_point_scalar(
-    coeff: np.ndarray,
-    tol: Tolerances,
-    keep_trace: bool,
-) -> tuple[np.ndarray, int, array[float], float]:
+def _fixed_point_scalar(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float], float]:
     """The generic loop for a 1x1 coefficient b: y <- 1 - s/y, s = |b|^2, from y = 1.
 
     Float arithmetic with the generic loop's pivot floor, stopping rule,
@@ -309,7 +305,6 @@ def _fixed_point_scalar(
         # the pivot loop refuses the identity with margin 1; a floor below 1 refuses y only
         # once y <= 0, where the pivot loop's scale is 1
         raise _left_the_cone(0, 1.0, trace)
-    record = trace.append if keep_trace else None
     stop_rel = tol.stop_rel
     y = 1.0
     for k in range(1, tol.max_iter + 1):
@@ -317,8 +312,7 @@ def _fixed_point_scalar(
             raise _left_the_cone(k - 1, y, trace)
         y_next = 1.0 - s / y
         change = abs(y_next - y)
-        if record is not None:
-            record(change)
+        trace.append(change)
         if change <= stop_rel * y:
             res = abs(y_next - (1.0 - s / y_next)) if y_next > 0.0 else math.inf
             if res <= tol.residual_tol:
@@ -358,8 +352,8 @@ def _doubling_iterates(
         b = z2.conj().T @ z1
 
 
-def _doubling(a: np.ndarray, steps: int, conjugate: bool = True) -> np.ndarray:
-    """Q_steps of doubling, steps >= 1: Y_(2^steps - 1) of Y + a* conj(Y)^-1 a = I by default.
+def _doubling(a: np.ndarray, steps: int) -> np.ndarray:
+    """Q_steps of doubling, steps >= 1: Y_(2^steps - 1) of Y + a* conj(Y)^-1 a = I.
 
     Q - P stays positive definite whenever a positive definite solution exists; a step where it
     does not raises InternalInconsistency.  The factor is np.linalg's gufunc without its wrapper,
@@ -373,16 +367,12 @@ def _doubling(a: np.ndarray, steps: int, conjugate: bool = True) -> np.ndarray:
             raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
         return lower
 
-    for _, (q, _) in zip(range(steps), _doubling_iterates(a, conjugate, factor)):
+    for _, (q, _) in zip(range(steps), _doubling_iterates(a, True, factor)):
         pass
     return q
 
 
-def _fixed_point_doubling(
-    coeff: np.ndarray,
-    tol: Tolerances,
-    keep_trace: bool,
-) -> tuple[np.ndarray, int, array[float], float]:
+def _fixed_point_doubling(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float], float]:
     """The classical W + C* W^-1 C = I by doubling, with the loops' stopping rule and residual test.
 
     Q_j = W_(2^j - 1) decreases onto the maximal solution from above, so a Q_j that passes the
@@ -403,22 +393,20 @@ def _fixed_point_doubling(
     iterates = _doubling_iterates(coeff, False, lambda j, h: _cholesky_lower(h, tol)[0])
     for j, (q, _) in zip(range(1, tol.max_iter + 1), iterates):
         change = hermitian_norm_2(q - previous)
-        if keep_trace:
-            trace.append(change)
+        trace.append(change)
         if change <= tol.stop_rel * hermitian_norm_2(q) and (found := certified(q, j)):
             return found
         previous = q
     if j == tol.max_iter:
         raise _out_of_iterations(tol, trace)
     # Q_j - P_j failed the pivot floor, or B_j vanished
-    return certified(q, j) or _fixed_point_generic(coeff, tol, None, keep_trace)
+    return certified(q, j) or _fixed_point_generic(coeff, tol, None)
 
 
 def standard_solve_maximal(
     b,
     tol: Tolerances = DEFAULT_TOLERANCES,
     observer: Callable[[np.ndarray], None] | None = None,
-    keep_trace: bool = True,
 ) -> SolveOutcome:
     """Maximal positive definite solution of X + B* X^-1 B = I.
 
@@ -428,32 +416,25 @@ def standard_solve_maximal(
     below ``stop_rel`` relative and the equation residual certifies below
     ``residual_tol``.  Loss of positive definiteness raises
     NoSolutionEvidence; running out of iterations raises
-    MaxIterationsExceeded.  ``observer``, if given, is called with every
-    iterate including the starting identity, and the generic loop steps them.
-    Without one, a 1x1 coefficient runs the scalar loop, and a larger one
-    runs doubling, Q_j = W_(2^j - 1): it halves the error each step even on
-    the existence boundary, where the loop converges like 1/k.  There
-    ``iterations`` counts doubling steps, ``trace`` holds their changes and
-    ``max_iter`` caps the steps; a breakdown hands the coefficient to the
+    MaxIterationsExceeded.  Every route keeps one ``trace`` entry per step,
+    on the outcome and on either error.  ``observer``, if given, is called
+    with every iterate including the starting identity, and the generic loop
+    steps them.  Without one, a 1x1 coefficient runs the scalar loop, and a
+    larger one runs doubling, Q_j = W_(2^j - 1): it halves the error each
+    step even on the existence boundary, where the loop converges like 1/k.
+    There ``iterations`` counts doubling steps, ``trace`` holds their changes
+    and ``max_iter`` caps the steps; a breakdown hands the coefficient to the
     generic loop, so every refusal is the loop's.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
     if observer is not None:
-        w, iterations, trace, res = _fixed_point_generic(b, tol, observer, keep_trace)
+        w, iterations, trace, res = _fixed_point_generic(b, tol, observer)
     elif b.shape[0] == 1:
-        w, iterations, trace, res = _fixed_point_scalar(b, tol, keep_trace)
+        w, iterations, trace, res = _fixed_point_scalar(b, tol)
     else:
-        w, iterations, trace, res = _fixed_point_doubling(b, tol, keep_trace)
+        w, iterations, trace, res = _fixed_point_doubling(b, tol)
     certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
-    return SolveOutcome(
-        solution=w,
-        kind="maximal",
-        iterations=iterations,
-        residual=res,
-        trace=trace,
-        rate_certificate=certificate,
-        linear_rate_guaranteed=certificate < 1.0,
-    )
+    return SolveOutcome(w, "maximal", iterations, res, trace, certificate)
 
 
 def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float]]:
@@ -468,9 +449,9 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
     the maximal solution the engine stopped, so the check is one-sided.
     """
     if a_q.shape[0] == 1:
-        y, iterations, trace, _ = _fixed_point_scalar(a_q, tol, True)
+        y, iterations, trace, _ = _fixed_point_scalar(a_q, tol)
     else:
-        w, iterations, trace, _ = _fixed_point_generic(lozenge(a_q), tol, None, True)
+        w, iterations, trace, _ = _fixed_point_generic(lozenge(a_q), tol, None)
         y = unheart(w)
         y = (y + y.conj().T) / 2.0
 
@@ -496,7 +477,7 @@ def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     refusal = InternalInconsistency, "unit solution fails the pivot floor"
     lower, res = _tail(x, y, p, refusal, "back-mapped")
     certificate = op_norm_2(cholesky_solve(np.conj(lower), p.a_q))
-    return SolveOutcome(x, "maximal", iterations, res, trace, certificate, certificate < 1.0)
+    return SolveOutcome(x, "maximal", iterations, res, trace, certificate)
 
 
 def solve_minimal(p: ProblemInstance) -> SolveOutcome:
@@ -532,7 +513,7 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     x = p.back(y)
     res = _tail(x, y, p, refusal, "dual-route")[1]
     certificate = op_norm_2(cholesky_solve(np.conj(lower), coeff))
-    return SolveOutcome(x, "minimal", iterations, res, trace, certificate, certificate < 1.0)
+    return SolveOutcome(x, "minimal", iterations, res, trace, certificate)
 
 
 def _extremal_pair(p: ProblemInstance) -> tuple[np.ndarray, np.ndarray] | None:

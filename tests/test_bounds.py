@@ -374,6 +374,37 @@ class TestSandwichReport:
         with pytest.raises(SingularCoefficient):
             sandwich(np.zeros((2, 2)), 3)
 
+    def test_swapped_ladders_refused(self):
+        p = ProblemInstance(EX1_A)
+        lower, upper = build_ladder(p, "lower"), build_ladder(p, "upper")
+        with pytest.raises(ValueError, match="expected the lower ladder, got the upper"):
+            sandwich_report(p, upper, lower)
+        with pytest.raises(ValueError, match="expected the upper ladder, got the lower"):
+            sandwich_report(p, lower, lower)
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            ProblemInstance(0.9 * EX1_A),
+            ProblemInstance(EX1_A, np.diag([2.0, 3.0])),
+            ProblemInstance(np.zeros((3, 3))),
+        ],
+        ids=["coefficient", "q", "shape"],
+    )
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_ladders_of_another_instance_refused(self, other, side):
+        p = ProblemInstance(EX1_A)
+        ladders = {s: build_ladder(p, s) for s in ("lower", "upper")}
+        ladders[side] = build_ladder(other, side)
+        with pytest.raises(ValueError, match=f"{side} ladder was built on another coefficient"):
+            sandwich_report(p, ladders["lower"], ladders["upper"])
+
+    def test_ladders_of_an_equal_instance_accepted(self):
+        # the check is bitwise on the unit coefficient, not on the instance object
+        p, twin = ProblemInstance(EX1_A), ProblemInstance(EX1_A.copy())
+        report = sandwich_report(p, build_ladder(twin, "lower"), build_ladder(twin, "upper"))
+        assert report.consistent
+
     def test_trend_reported(self, rng):
         a = random_nonsingular_solvable(rng, 2)
         report = sandwich(a, 6)

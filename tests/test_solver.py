@@ -29,6 +29,7 @@ from conric.solver import (
     SingularCoefficient,
     _cone_step,
     _doubling,
+    _doubling_iterates,
     _step,
     _unit_maximal,
     extremality_check,
@@ -148,6 +149,7 @@ class TestStandardSolve:
         out = standard_solve_maximal(np.array([[0.3]]))
         assert out.solution[0, 0].real == pytest.approx(x_plus, abs=1e-10)
         assert x_plus == pytest.approx(0.9, abs=1e-14)
+        assert len(out.trace) == out.iterations
 
     def test_embedded_coefficient_reproduces_example(self):
         out = standard_solve_maximal(lozenge(EX1_A))
@@ -184,10 +186,6 @@ class TestStandardSolve:
         assert len(out.trace) == out.iterations
         first_change = op_norm_2(iterates[1] - iterates[0])
         assert out.trace[0] == pytest.approx(first_change, rel=1e-12)
-
-    def test_keep_trace_disabled(self):
-        out = standard_solve_maximal(np.array([[0.3]]), keep_trace=False)
-        assert len(out.trace) == 0
 
 
 class TestEngineDispatch:
@@ -255,10 +253,11 @@ class TestClassicalDoubling:
         with pytest.raises(MaxIterationsExceeded):
             standard_solve_maximal(b, Tolerances(stop_rel=1e-300, max_iter=31), observer=iterates.append)
         assert len(iterates) == 32
-        for j in range(1, 6):
+        steps = _doubling_iterates(b, False, lambda j, h: np.linalg.cholesky(h))
+        for j, (q, _) in zip(range(1, 6), steps):
             reference = classical_doubling_all_steps(b, j)
             assert np.abs(reference - iterates[2**j - 1]).max() <= 1e-13
-            assert _doubling(b, j, conjugate=False).tobytes() == reference.tobytes()
+            assert q.tobytes() == reference.tobytes()
 
     @staticmethod
     def draw(rng, family, n):
@@ -903,9 +902,9 @@ def test_internal_inconsistency_is_exposed(monkeypatch):
 
     loop = solver_mod._fixed_point_generic
 
-    def minimal_engine(b, tol, observer, keep_trace):
+    def minimal_engine(b, tol, observer):
         # W- = I - Y+ with Y+ the maximal solution of Y + B Y^-1 B^T = I
-        dual, iterations, trace, res = loop(b.T, tol, observer, keep_trace)
+        dual, iterations, trace, res = loop(b.T, tol, observer)
         return np.eye(b.shape[0], dtype=np.complex128) - dual, iterations, trace, res
 
     monkeypatch.setattr(solver_mod, "_fixed_point_generic", minimal_engine)
@@ -1136,15 +1135,6 @@ class TestBlockedTrace:
         exc, reference = self.observed(lozenge(_critical(rng, 4, 1e-4)), Tolerances(max_iter=max_iter))
         assert isinstance(exc, MaxIterationsExceeded)
         assert list(exc.trace) == reference and len(reference) == exc.iterations == max_iter
-
-    @pytest.mark.parametrize("n, eps", [(2, 1e-2), (4, 1e-4), (8, 1e-3)])
-    def test_without_a_trace_the_loop_stops_at_the_same_step(self, rng, n, eps):
-        b = lozenge(_critical(rng, n, eps))
-        kept = standard_solve_maximal(b, observer=lambda w: None)
-        bare = standard_solve_maximal(b, keep_trace=False, observer=lambda w: None)
-        assert len(bare.trace) == 0
-        assert bare.iterations == kept.iterations == reference_iterations(b)
-        assert bare.solution.tobytes() == kept.solution.tobytes() and bare.residual == kept.residual
 
 
 class TestConeStep:
