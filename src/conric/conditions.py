@@ -16,6 +16,7 @@ must not be misclassified by rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -83,15 +84,23 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     """
     a = _require_square(cmatrix(a), "check_existence")
     n = a.shape[0]
+    # a real or imaginary part beyond 2^64 fails norm_lt_one, and its squares may overflow: the
+    # checks then run on a scaled by an exact power of two, and each estimate is scaled back,
+    # to -inf where a margin overflows
+    top = float(np.abs(a.view(np.float64)).max())
+    scale = 2.0 ** -math.frexp(top)[1] if top > 2.0**64 else 1.0
+    a = a * scale
     eye = np.eye(n, dtype=np.complex128)
 
     # rho(M conj(M)) for M = a, a + a^T, a - a^T from one stacked eigvals, bitwise spectral_radius
     products = np.stack([m @ np.conj(m) for m in (a, a + a.T, a - a.T)])
-    radii = np.abs(np.linalg.eigvals(products)).max(axis=1)
-    rho_quarter, co_plus, co_minus = (np.array([0.25, 1.0, 1.0]) - radii).tolist()
-    norm_a = op_norm_2(a)
-    gram = eye - a @ adjoint(a) - np.conj(adjoint(a) @ a)
+    radii = np.abs(np.linalg.eigvals(products)).max(axis=1).tolist()
+    rho_quarter, co_plus, co_minus = (c - r / scale / scale for c, r in zip((0.25, 1.0, 1.0), radii))
+    norm_a = op_norm_2(a) / scale
+    gram = scale * scale * eye - a @ adjoint(a) - np.conj(adjoint(a) @ a)
     gram_ok, gram_margin = is_positive_definite((gram + gram.conj().T) / 2.0, tol)
+    # a scaled gram has negative trace, where the margin is its first failing pivot, not relative
+    gram_margin = gram_margin / scale / scale
     necessary = [
         ConditionCheck("rho_quarter", rho_quarter > 0.0, rho_quarter),
         ConditionCheck("norm_lt_one", norm_a < 1.0, 1.0 - norm_a),
@@ -104,7 +113,7 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
 
     exact: ConditionCheck | None = None
     if _nonsingular(a, tol)[0]:
-        omega = numerical_radius(lozenge(a))
+        omega = numerical_radius(lozenge(a)) / scale
         exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
 
     if any(c.margin < -BAND for c in necessary):

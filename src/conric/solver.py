@@ -4,7 +4,8 @@ Two equations are solved here:
 
 * the standard equation  X + B* X^-1 B = I, whose monotone iteration
   ``X_{k+1} = I - B* X_k^-1 B`` from the identity doubling steps to
-  ``X_(2^j - 1)`` at step j (:func:`standard_solve_maximal`), and
+  ``X_(2^j - 1)`` at step j for every size of B (:func:`standard_solve_maximal`),
+  and
 * the conjugate-inverse equation  X + A* conj(X)^-1 A = Q  by reducing to the
   standard one through the lozenge embedding (:func:`solve_maximal`) and to
   its dual through ``Y = I - conj(X)`` (:func:`solve_minimal`).
@@ -16,8 +17,9 @@ the bound ladders' n x n conjugate recurrence, and leave through one tail: its
 one factor of the unit solution gives the pivot-floor test, the equation
 residual that certifies the result (never stagnation alone) and the rate
 certificate.  The standard solver runs the same doubling from the classical
-step 1, and the bounds sandwich takes both extremal solutions from one
-conjugate doubling run, whose Q and P are the unit rungs of both ladders.
+step 1 at every size, and the loop only where it breaks down; the bounds
+sandwich takes both extremal solutions from one conjugate doubling run, whose
+Q and P are the unit rungs of both ladders.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ def _cone_step(
     return w_next, margin, gram
 
 
-# the three engines refuse through these two, so every route words a failure alike
+# every route refuses through these two, so each words a failure alike
 def _left_the_cone(iterate: int, margin: float, trace: array[float]) -> NoSolutionEvidence:
     message = f"iterate {iterate} lost positive definiteness (pivot margin {margin:.3e})"
     return NoSolutionEvidence(message, iterate, trace)
@@ -238,11 +240,7 @@ _TRACE_BLOCK_BYTES = 1 << 16
 _TRACE_BLOCK_STEPS = 32
 
 
-def _fixed_point_generic(
-    coeff: np.ndarray,
-    tol: Tolerances,
-    observer: Callable[[np.ndarray], None] | None,
-) -> tuple[np.ndarray, int, array[float], float]:
+def _fixed_point_generic(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float], float]:
     """The matrix loop W <- I - C* W^-1 C from W = I, for any square coefficient C.
 
     _step symmetrises every iterate, so each change D_k = W_k - W_(k-1) is exactly Hermitian;
@@ -255,8 +253,6 @@ def _fixed_point_generic(
     """
     m = coeff.shape[0]
     w = np.eye(m, dtype=np.complex128)
-    if observer is not None:
-        observer(w)
     trace = array("d")
     near_stop = 2.0 * tol.stop_rel
     block = np.empty((max(1, min(_TRACE_BLOCK_STEPS, _TRACE_BLOCK_BYTES // (16 * m * m))), m, m), complex)
@@ -274,8 +270,6 @@ def _fixed_point_generic(
             raise _left_the_cone(k - 1, margin, trace)
         d = np.subtract(w_next, w, out=block[filled])
         filled += 1
-        if observer is not None:
-            observer(w_next)
         if abs(d.trace().real) <= m * near_stop * 2.0:
             flush()
             change = trace[-1]
@@ -294,9 +288,10 @@ def _fixed_point_scalar(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray,
     """The generic loop for a 1x1 coefficient b: y <- 1 - s/y, s = |b|^2, from y = 1.
 
     Float arithmetic with the generic loop's pivot floor, stopping rule,
-    residual certificate and errors.  Exists because boundary instances
-    (|b| = 1/2) run to the iteration cap, and a float step costs about a
-    hundredth of a generic matrix step.
+    residual certificate and errors.  Only the conjugate n = 1 route runs it,
+    whose lozenge iterates are y I_2: its boundary instances (|b| = 1/2) run
+    to the iteration cap, and a float step costs about a hundredth of a
+    generic matrix step.
     """
     # numpy's array modulus, which can differ from abs() of the element in the last bit
     s = float(np.abs(coeff)[0, 0] ** 2)
@@ -372,67 +367,42 @@ def _doubling(a: np.ndarray, steps: int) -> np.ndarray:
     return q
 
 
-def _fixed_point_doubling(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float], float]:
-    """The classical W + C* W^-1 C = I by doubling, with the loops' stopping rule and residual test.
+def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutcome:
+    """Maximal positive definite solution of X + B* X^-1 B = I, by doubling for every size of B.
 
-    Q_j = W_(2^j - 1) decreases onto the maximal solution from above, so a Q_j that passes the
-    residual test is that solution.  Step j records the change ||Q_j - Q_(j-1)|| from Q_0 = I and
-    stops once it is at most stop_rel ||Q_j|| (a bitwise repeat included) and Q_j passes; max_iter
-    caps the steps.  Where Q_j - P_j fails the pivot floor, Q_j is accepted if it passes, and
-    otherwise the generic loop runs from I: a refusal keeps the loop's iterate, margin and
-    message, so this route refuses only what the loop refuses.
+    Step j of doubling is Q_j = W_(2^j - 1) of the monotone iteration W_(k+1) = I - B* W_k^-1 B
+    from W_0 = I, which decreases onto the maximal solution from above whenever one exists, so
+    a Q_j that passes the residual test is that solution; doubling halves the error each step
+    even on the existence boundary, where the iteration converges like 1/k.  Step j records the
+    change ||Q_j - Q_(j-1)|| from Q_0 = I in ``trace`` and stops once it is at most
+    stop_rel ||Q_j|| (a bitwise repeat included) and the equation residual certifies Q_j below
+    residual_tol.  ``iterations`` counts the steps and ``max_iter`` caps them: the run raises
+    MaxIterationsExceeded only when the cap, not the run, ends it.  Where Q_j - P_j fails the
+    pivot floor or B_j vanishes, Q_j is accepted if it passes, and otherwise the fixed point
+    loop runs from I: every refusal (NoSolutionEvidence once an iterate leaves the positive
+    definite cone) is the loop's, with its iterate, margin, message and trace.
     """
+    b = _require_square(cmatrix(b), "standard_solve_maximal")
 
     def certified(q: np.ndarray, j: int) -> tuple[np.ndarray, int, array[float], float] | None:
         w = (q + q.conj().T) / 2.0
-        res = _defect(w, coeff, tol)
+        res = _defect(w, b, tol)
         return (w, j, trace, res) if res <= tol.residual_tol else None
 
     trace = array("d")
-    previous = _identity(coeff.shape[0])
-    iterates = _doubling_iterates(coeff, False, lambda j, h: _cholesky_lower(h, tol)[0])
-    for j, (q, _) in zip(range(1, tol.max_iter + 1), iterates):
+    previous = _identity(b.shape[0])
+    for j, (q, _) in enumerate(_doubling_iterates(b, False, lambda _, h: _cholesky_lower(h, tol)[0]), 1):
+        if j > tol.max_iter:
+            raise _out_of_iterations(tol, trace)
         change = hermitian_norm_2(q - previous)
         trace.append(change)
         if change <= tol.stop_rel * hermitian_norm_2(q) and (found := certified(q, j)):
-            return found
+            break
         previous = q
-    if j == tol.max_iter:
-        raise _out_of_iterations(tol, trace)
-    # Q_j - P_j failed the pivot floor, or B_j vanished
-    return certified(q, j) or _fixed_point_generic(coeff, tol, None)
-
-
-def standard_solve_maximal(
-    b,
-    tol: Tolerances = DEFAULT_TOLERANCES,
-    observer: Callable[[np.ndarray], None] | None = None,
-) -> SolveOutcome:
-    """Maximal positive definite solution of X + B* X^-1 B = I.
-
-    Monotone descent from the identity with residual certification: iterates
-    ``W_{k+1} = I - B* W_k^-1 B``, which decrease towards the maximal
-    solution whenever one exists, and stops once the iterate change falls
-    below ``stop_rel`` relative and the equation residual certifies below
-    ``residual_tol``.  Loss of positive definiteness raises
-    NoSolutionEvidence; running out of iterations raises
-    MaxIterationsExceeded.  Every route keeps one ``trace`` entry per step,
-    on the outcome and on either error.  ``observer``, if given, is called
-    with every iterate including the starting identity, and the generic loop
-    steps them.  Without one, a 1x1 coefficient runs the scalar loop, and a
-    larger one runs doubling, Q_j = W_(2^j - 1): it halves the error each
-    step even on the existence boundary, where the loop converges like 1/k.
-    There ``iterations`` counts doubling steps, ``trace`` holds their changes
-    and ``max_iter`` caps the steps; a breakdown hands the coefficient to the
-    generic loop, so every refusal is the loop's.
-    """
-    b = _require_square(cmatrix(b), "standard_solve_maximal")
-    if observer is not None:
-        w, iterations, trace, res = _fixed_point_generic(b, tol, observer)
-    elif b.shape[0] == 1:
-        w, iterations, trace, res = _fixed_point_scalar(b, tol)
     else:
-        w, iterations, trace, res = _fixed_point_doubling(b, tol)
+        # Q_j - P_j failed the pivot floor, or B_j vanished
+        found = certified(q, j) or _fixed_point_generic(b, tol)
+    w, iterations, trace, res = found
     certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
     return SolveOutcome(w, "maximal", iterations, res, trace, certificate)
 
@@ -451,7 +421,7 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
     if a_q.shape[0] == 1:
         y, iterations, trace, _ = _fixed_point_scalar(a_q, tol)
     else:
-        w, iterations, trace, _ = _fixed_point_generic(lozenge(a_q), tol, None)
+        w, iterations, trace, _ = _fixed_point_generic(lozenge(a_q), tol)
         y = unheart(w)
         y = (y + y.conj().T) / 2.0
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from conric import solver
+from conric.kernel import Tolerances
+
 # 2x2 instance used throughout: boundary for the classical equation
 # (numerical radius exactly 1/2) yet comfortably solvable for the
 # conjugate-inverse one, so the two solution sets visibly differ.
@@ -300,3 +303,14 @@ def reference_iterations(b: np.ndarray, stop_rel: float = 1e-13, residual_tol: f
                 return k
         w = w_next
     raise RuntimeError("reference iteration did not stop")
+
+
+def loop_iterates(coeff: np.ndarray, tol: Tolerances, count: int) -> list[np.ndarray]:
+    """[W_0 = I, W_1, ..., W_count] of the fixed point loop, stepped by the solver's own _cone_step.
+
+    The loop's trace is the norms of the consecutive differences, and its solution W_iterations.
+    """
+    iterates = [np.eye(coeff.shape[0], dtype=np.complex128)]
+    for _ in range(count):
+        iterates.append(solver._cone_step(iterates[-1], coeff, False, tol)[0])
+    return iterates

@@ -35,6 +35,7 @@ from conric.solver import (
     MaxIterationsExceeded,
     NoSolutionEvidence,
     ProblemInstance,
+    _fixed_point_generic,
     residual,
     solve_maximal,
     solve_minimal,
@@ -45,6 +46,7 @@ from helpers import (
     EX1_X_PLUS,
     EX1_X_PLUS_STANDARD,
     direct_unit_maximal,
+    loop_iterates,
     random_complex,
     random_solvable,
     random_unitary,
@@ -170,15 +172,16 @@ def test_criterion_05_monotone_envelope_and_structure():
     for _ in range(100):
         n = int(rng.integers(1, 4))
         a = random_solvable(rng, n)
-        iterates = []
+        b, tol = lozenge(a), Tolerances()
         # at Q = I solve_maximal's engine runs this sequence
-        out = standard_solve_maximal(lozenge(a), observer=iterates.append)
+        solution, iterations, _, _ = _fixed_point_generic(b, tol)
+        iterates = loop_iterates(b, tol, iterations)
         for w_prev, w_next in zip(iterates, iterates[1:]):
             assert np.linalg.eigvalsh(w_prev - w_next)[0] >= -1e-12
         for w in iterates:
             assert heart_structure_drift(w) <= 1e-10
         direct = direct_unit_maximal(a)
-        assert op_norm_2(unheart(out.solution) - direct) <= 1e-8
+        assert op_norm_2(unheart(solution) - direct) <= 1e-8
     print(
         "ACCEPTANCE 05 PASS: monotone envelope, heart structure, and "
         "embedded-vs-direct agreement on 100 instances"

@@ -14,14 +14,15 @@ from conric.solver import (
     _cone_step,
     _doubling_iterates,
     _extremal_pair,
+    _fixed_point_generic,
     SingularCoefficient,
     solve_maximal,
     solve_minimal,
-    standard_solve_maximal,
 )
 from helpers import (
     EX1_A,
     ONE_SIDED_BREAKDOWN,
+    loop_iterates,
     near_critical,
     near_critical_solutions,
     random_complex,
@@ -206,9 +207,9 @@ class TestRecurrence:
         a = random_nonsingular_solvable(rng, n, min_norm=0.3)
         eye = np.eye(n)
         for side, coeff in (("upper", a), ("lower", adjoint(a))):
-            iterates = []
-            standard_solve_maximal(lozenge(coeff), observer=iterates.append)
-            depth = min(8, len(iterates) - 1)
+            b, tol = lozenge(coeff), Tolerances()
+            iterates = loop_iterates(b, tol, min(8, _fixed_point_generic(b, tol)[1]))
+            depth = len(iterates) - 1
             ladder = build_ladder(ProblemInstance(a), side, depth)
             assert ladder.depth == depth
             for k, rung in enumerate(ladder.matrices, start=1):

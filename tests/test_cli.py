@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
@@ -298,6 +299,21 @@ class TestCheckCommand:
         assert listed.keys() == expected.keys()
         for code, name in expected.items():
             assert listed[code].split(" (")[0] == name
+
+    @pytest.mark.parametrize("command, code", [("check", 0), ("solve", 2)])
+    def test_a_huge_finite_coefficient_gets_a_report(self, tmp_path, capsys, command, code):
+        # 2e154 squared overflows; norm_lt_one refuses it, and no warning or error reaches stderr
+        path = write_json_instance(tmp_path / "huge.json", np.array([[2e154]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(path), "--no-meta"]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        existence = json.loads(out)["existence"]
+        assert existence["verdict"] == "not_exists"
+        norm_lt_one = existence["necessary"][1]
+        assert norm_lt_one["name"] == "norm_lt_one" and norm_lt_one["holds"] is False
+        assert norm_lt_one["margin"] == pytest.approx(-2e154, rel=1e-12)
 
 
 class TestBoundsCommand:

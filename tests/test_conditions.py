@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -66,6 +69,23 @@ class TestCheckExistence:
                 assert c.holds == (c.margin > 0.0) or abs(c.margin) < 1e-8 or c.name == "gram_sum"
             s = report.sufficient_norm_half
             assert s.holds == (s.margin >= 0.0)
+
+    @pytest.mark.parametrize("size", [1e154, 2e154, 1e300])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_huge_finite_coefficient_gets_a_report(self, rng, n, size):
+        # the squares of such a coefficient overflow, so the checks run on an exact power-of-two
+        # scaling of it; norm_lt_one fails, no margin is NaN and no RuntimeWarning leaks
+        a = size * random_unitary(rng, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_existence(a)
+        assert report.verdict == "not_exists"
+        m = margins(report)
+        assert m["norm_lt_one"] == pytest.approx(-size, rel=1e-12)
+        assert report.sufficient_norm_half.margin == pytest.approx(-size, rel=1e-12)
+        assert report.exact_invertible.margin == pytest.approx(-size, rel=1e-12)
+        assert m["rho_quarter"] < 0.0 and m["gram_sum"] < 0.0
+        assert not any(math.isnan(c.margin) for c in report.necessary)
 
     def test_exact_test_failure_disproves(self):
         # invertible, all necessary conditions pass, numerical radius well
