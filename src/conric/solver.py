@@ -12,24 +12,22 @@ Two equations are solved here:
 
 A ProblemInstance factors Q = L L* and forms the unit-Q coefficient a_q once;
 every route reads ``p.a_q`` and maps a unit solution back with ``p.back``.
-Both solves run one unit-Q core, the loop plus a doubling bracket that steps
-the bound ladders' n x n conjugate recurrence, and leave through one tail: its
+Both solves run one unit-Q core, the loop, and leave through one tail: its
 one factor of the unit solution gives the pivot-floor test, the equation
 residual that certifies the result (never stagnation alone) and the rate
-certificate.  The standard solver runs the same doubling from the classical
-step 1 at every size, and the loop only where it breaks down; the bounds
-sandwich takes both extremal solutions from one conjugate doubling run, whose
-Q and P are the unit rungs of both ladders.
+certificate, which certifies it maximal too.  The standard solver runs
+doubling from the classical step 1 at every size, and the loop only where it
+breaks down; the bounds sandwich takes both extremal solutions from one
+conjugate doubling run, whose Q and P are the unit rungs of both ladders.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -53,10 +51,6 @@ from .kernel import (
     _require_hermitian,
     _require_square,
 )
-
-# how far the engine's solution may fall below the doubling bracket
-CROSS_CHECK_TOL = 1e-8
-
 
 class SolveFailure(ConricError):
     """A solve that ended without a certified solution, with how far it got.
@@ -160,7 +154,8 @@ class SolveOutcome:
     per step.  rate_certificate is ||conj(Y)^-1 C|| for the unit-Q solution Y
     the iteration reached and its coefficient C (||W^-1 B|| for the classical
     equation); when below one, the iteration provably converges at least
-    linearly, and ``linear_rate_guaranteed`` says so.
+    linearly, and ``linear_rate_guaranteed`` says so.  A conjugate solve also
+    certifies from it that Y is the maximal solution (see _certified_rate).
     """
 
     solution: np.ndarray
@@ -316,9 +311,7 @@ def _fixed_point_scalar(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray,
     raise _out_of_iterations(tol, trace)
 
 
-def _doubling_iterates(
-    a: np.ndarray, conjugate: bool, factor: Callable[[int, np.ndarray], np.ndarray | None]
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _doubling_iterates(a: np.ndarray, conjugate: bool, tol: Tolerances) -> Iterator[tuple[np.ndarray, ...]]:
     """(Q_j, P_j) of doubling (Lin & Xu, SIMAX 2006), j = 1, 2, ...: Q_j = iterate 2^j - 1 of the loop from I.
 
     ``conjugate`` picks step 1, as _cone_step's flag picks inner(W).  For Y + a* conj(Y)^-1 a = I
@@ -327,16 +320,16 @@ def _doubling_iterates(
     P_j is a sum of positive semidefinite Grams, so it keeps a small X- without the cancellation
     of I - conj(Y).  For the classical W + a* W^-1 a = I it is SDA's step from (I, 0, a):
     Q = I - a* a, P = a a*, B = a^2.  Each later step is complex SDA, Q <- Q - B* (Q - P)^-1 B,
-    P <- P + B (Q - P)^-1 B*, B <- B (Q - P)^-1 B, from factor(j, Q_j - P_j): the lower Cholesky
-    factor, or None, which ends the run.  Once B is exactly zero no later step changes Q or P, so
-    the run also ends after that step's factor.  The yielded arrays are never written again.
+    P <- P + B (Q - P)^-1 B*, B <- B (Q - P)^-1 B, from the Cholesky factor of Q_j - P_j; a pivot
+    floor refusal ends the run.  Once B is exactly zero no later step changes Q or P, so the run
+    also ends after that step's factor.  The yielded arrays are never written again.
     """
     n = a.shape[0]
     q = np.eye(n) - a.conj().T @ a
     p, b = (np.conj(a @ a.conj().T), np.conj(a) @ a) if conjugate else (a @ a.conj().T, a @ a)
-    for j in itertools.count(1):
+    while True:
         yield q, p
-        lower = factor(j, q - p)
+        lower = _cholesky_lower(q - p, tol)[0]
         if lower is None or not b.any():
             return
         # an accepted factor has a positive diagonal, so the solve cannot refuse it
@@ -345,26 +338,6 @@ def _doubling_iterates(
         q = q - z1.conj().T @ z1
         p = p + z2.conj().T @ z2
         b = z2.conj().T @ z1
-
-
-def _doubling(a: np.ndarray, steps: int) -> np.ndarray:
-    """Q_steps of doubling, steps >= 1: Y_(2^steps - 1) of Y + a* conj(Y)^-1 a = I.
-
-    Q - P stays positive definite whenever a positive definite solution exists; a step where it
-    does not raises InternalInconsistency.  The factor is np.linalg's gufunc without its wrapper,
-    and a refusal is a NaN factor.
-    """
-
-    def factor(j: int, h: np.ndarray) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            lower = _lapack.cholesky_lo(h)
-        if math.isnan(lower[0, 0].real):
-            raise InternalInconsistency(f"doubling step {j + 1}: Q - P is not positive definite")
-        return lower
-
-    for _, (q, _) in zip(range(steps), _doubling_iterates(a, True, factor)):
-        pass
-    return q
 
 
 def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutcome:
@@ -391,7 +364,7 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
 
     trace = array("d")
     previous = _identity(b.shape[0])
-    for j, (q, _) in enumerate(_doubling_iterates(b, False, lambda _, h: _cholesky_lower(h, tol)[0]), 1):
+    for j, (q, _) in enumerate(_doubling_iterates(b, False, tol), 1):
         if j > tol.max_iter:
             raise _out_of_iterations(tol, trace)
         change = hermitian_norm_2(q - previous)
@@ -408,15 +381,11 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
 
 
 def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float]]:
-    """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I, checked against a doubling bracket.
+    """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I, from the loop alone.
 
     The generic loop runs on lozenge(a_q) and converges to heart(Y); at n = 1 its iterates are
-    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  The engine stopped at iterate
-    k = iterations, and doubling on a_q gives iterate 2^J - 1 >= k, J = k.bit_length(); the iterates
-    decrease, so a correct Y lies on or above it: more than 1e-8 below is an internal inconsistency.
-    A deeper bracket lies lower in the Loewner order and accepts whatever this one accepts, so the
-    least J with 2^J - 1 >= k is the strictest sound depth.  The residual bounds how far above
-    the maximal solution the engine stopped, so the check is one-sided.
+    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  The loop decreases onto the
+    maximal solution from above; the solves certify that Y is that solution from its factor.
     """
     if a_q.shape[0] == 1:
         y, iterations, trace, _ = _fixed_point_scalar(a_q, tol)
@@ -424,29 +393,38 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
         w, iterations, trace, _ = _fixed_point_generic(lozenge(a_q), tol)
         y = unheart(w)
         y = (y + y.conj().T) / 2.0
-
-    margin = np.linalg.eigvalsh(y - _doubling(a_q, iterations.bit_length()))[0]
-    # written so that a NaN margin fails the check too
-    if not margin >= -CROSS_CHECK_TOL:
-        raise InternalInconsistency(
-            f"engine solution lies {-margin:.3e} below the doubling bracket"
-        )
     return y, iterations, trace
+
+
+def _certified_rate(lower: np.ndarray, coeff: np.ndarray, name: str) -> float:
+    """r = ||M||, M = conj(Y)^-1 C, of the unit solution Y = L L* of C, once Y is certified maximal.
+
+    Y is maximal exactly when rho(M conj(M)) <= 1 (extremality_check's rule), and rho(M conj(M)) <= r^2,
+    so r < 1 certifies it; otherwise co_spectral_radius_vs_one decides.  "above", or a non-finite r, raises.
+    """
+    m = cholesky_solve(np.conj(lower), coeff)
+    r = op_norm_2(m)
+    # written so that a NaN r is refused too
+    if not r < 1.0:
+        ordering, rho = co_spectral_radius_vs_one(m) if math.isfinite(r) else ("above", r)
+        if ordering == "above":
+            raise InternalInconsistency(f"{name} is not maximal: rho(M conj(M)) = {rho:.3e} exceeds 1")
+    return r
 
 
 def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     """Maximal positive definite solution of X + A* conj(X)^-1 A = Q.
 
-    Solves the unit-Q equation of p.a_q, certified below residual_tol, and
-    maps the solution back; the back-mapped solution is certified again in
-    the original equation, below p.residual_bound = residual_tol * max(1, ||Q||).
+    Solves the unit-Q equation of p.a_q, certified below residual_tol and
+    maximal, and maps the solution back; the back-mapped solution is certified
+    again in the original equation, below p.residual_bound = residual_tol * max(1, ||Q||).
     """
     y, iterations, trace = _unit_maximal(p.a_q, p.tol)
     x = p.back(y)
     # the engine has certified the unit solution positive definite
     refusal = InternalInconsistency, "unit solution fails the pivot floor"
     lower, res = _tail(x, y, p, refusal, "back-mapped")
-    certificate = op_norm_2(cholesky_solve(np.conj(lower), p.a_q))
+    certificate = _certified_rate(lower, p.a_q, "unit solution")
     return SolveOutcome(x, "maximal", iterations, res, trace, certificate)
 
 
@@ -458,10 +436,11 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     dual problem maps back to the minimal solution of the original one as
     X = I - conj(Y).  That difference cancels when X is small, so X is taken
     as the Hermitian part of the equal product conj(A) Y^-1 A^T (Y solves
-    Y + A conj(Y)^-1 A* = I).  The result is certified by its residual in the
-    original equation, below p.residual_bound.  X- is singular exactly when A
-    is, so a singular A raises SingularCoefficient from the pivot-floor test of
-    the unit X- = Z* Z, taken on the triangular factor of Z.
+    Y + A conj(Y)^-1 A* = I, and is certified maximal).  The result is
+    certified by its residual in the original equation, below
+    p.residual_bound.  X- is singular exactly when A is, so a singular A
+    raises SingularCoefficient from the pivot-floor test of the unit
+    X- = Z* Z, taken on the triangular factor of Z.
     """
     coeff = adjoint(p.a_q)
     dual, iterations, trace = _unit_maximal(coeff, p.tol)
@@ -482,7 +461,7 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
         raise refusal[0](f"{refusal[1]} (pivot margin {smallest / scale:.3e})")
     x = p.back(y)
     res = _tail(x, y, p, refusal, "dual-route")[1]
-    certificate = op_norm_2(cholesky_solve(np.conj(lower), coeff))
+    certificate = _certified_rate(lower, coeff, "dual solution")
     return SolveOutcome(x, "minimal", iterations, res, trace, certificate)
 
 
@@ -497,7 +476,7 @@ def _extremal_pair(p: ProblemInstance) -> tuple[np.ndarray, np.ndarray] | None:
     """
     tol = p.tol
     previous = _identity(p.n), np.zeros((p.n, p.n), dtype=np.complex128)
-    iterates = _doubling_iterates(p.a_q, True, lambda j, h: _cholesky_lower(h, tol)[0])
+    iterates = _doubling_iterates(p.a_q, True, tol)
     for j, pair in enumerate(iterates, 1):
         if 2**j - 1 > tol.max_iter:
             return None

@@ -239,7 +239,7 @@ class TestRecurrence:
         # step j of doubling on a_q is the pair of unit rungs (R_(2^j - 1), S_(2^j - 1))
         p = ProblemInstance(random_nonsingular_solvable(rng, n, min_norm=0.3))
         upper, lower = (build_ladder(p, side, 2**4 - 1).matrices for side in ("upper", "lower"))
-        iterates = _doubling_iterates(p.a_q, True, lambda j, h: np.linalg.cholesky(h))
+        iterates = _doubling_iterates(p.a_q, True, p.tol)
         for j, (q, p_j) in zip(range(1, 5), iterates):
             assert np.abs(q - upper[2**j - 2]).max() <= 1e-14
             assert np.abs(p_j - lower[2**j - 2]).max() <= 1e-14

@@ -777,15 +777,19 @@ class TestInternalErrors:
         def drifted(w):
             raise NotHeartStructuredError("block structure drift 1.000e-03 exceeds tolerance")
 
-        if broken == "doubling":
-            doubling = solver_mod._doubling
-            monkeypatch.setattr(
-                solver_mod, "_doubling", lambda b, steps: doubling(b, steps) + 0.1 * np.eye(len(b))
-            )
+        if broken == "engine":
+            # the minimal embedded solution W- = I - Y+, Y+ the maximal solution of the dual, coefficient B^T
+            loop = solver_mod._fixed_point_generic
+
+            def minimal(b, tol):
+                dual, *rest = loop(b.T, tol)
+                return (np.eye(len(b)) - dual, *rest)
+
+            monkeypatch.setattr(solver_mod, "_fixed_point_generic", minimal)
         else:
             monkeypatch.setattr(solver_mod, "unheart", drifted)
 
-    @pytest.mark.parametrize("broken", ["doubling", "unheart"])
+    @pytest.mark.parametrize("broken", ["engine", "unheart"])
     def test_solve_exits_four_with_a_report(self, example_file, capsys, monkeypatch, broken):
         self.sabotage(monkeypatch, broken)
         code = main(["solve", str(example_file), "--minimal", "--no-meta"])
@@ -795,7 +799,7 @@ class TestInternalErrors:
         assert report["exit_classification"] == "internal-error"
         assert "outcome" not in report
         assert captured.err == f"error: {report['error']}\n"
-        expected = "below the doubling bracket" if broken == "doubling" else "drift"
+        expected = "solution is not maximal: rho(M conj(M))" if broken == "engine" else "drift"
         assert expected in report["error"]
 
     @pytest.mark.parametrize(
@@ -825,9 +829,9 @@ class TestInternalErrors:
         assert captured.err == "error: matrix entries must be finite\n"
 
     def test_trace_exits_four(self, example_file, capsys, monkeypatch):
-        self.sabotage(monkeypatch, "doubling")
+        self.sabotage(monkeypatch, "engine")
         assert main(["trace", str(example_file)]) == 4
-        assert capsys.readouterr().err.startswith("error: engine solution lies")
+        assert capsys.readouterr().err.startswith("error: unit solution is not maximal: rho(M conj(M)) = ")
 
 
 class TestTraceCommand:

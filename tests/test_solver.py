@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from conric.conditions import check_existence
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
     DimensionError,
+    NonFiniteMatrixError,
     NotPositiveDefiniteError,
     Tolerances,
     _lapack,
@@ -30,8 +32,8 @@ from conric.solver import (
     ProblemInstance,
     SingularCoefficient,
     SolveOutcome,
+    _certified_rate,
     _cone_step,
-    _doubling,
     _doubling_iterates,
     _fixed_point_generic,
     _fixed_point_scalar,
@@ -250,7 +252,7 @@ class TestClassicalDoubling:
         assert len(info.value.trace) == 31
         iterates = loop_iterates(b, tol, 31)
         assert len(iterates) == 32
-        steps = _doubling_iterates(b, False, lambda j, h: np.linalg.cholesky(h))
+        steps = _doubling_iterates(b, False, tol)
         for j, (q, _) in zip(range(1, 6), steps):
             reference = classical_doubling_all_steps(b, j)
             assert np.abs(reference - iterates[2**j - 1]).max() <= 1e-13
@@ -901,7 +903,7 @@ class TestStandardContrast:
 
 def test_internal_inconsistency_is_exposed(monkeypatch):
     # an engine that returns the minimal embedded solution still passes the
-    # residual check; only the doubling bracket can tell it is not maximal
+    # residual check; only the maximality certificate can tell it is not maximal
     import conric.solver as solver_mod
 
     loop = solver_mod._fixed_point_generic
@@ -912,30 +914,104 @@ def test_internal_inconsistency_is_exposed(monkeypatch):
         return np.eye(b.shape[0], dtype=np.complex128) - dual, iterations, trace, res
 
     monkeypatch.setattr(solver_mod, "_fixed_point_generic", minimal_engine)
-    with pytest.raises(InternalInconsistency, match="below the doubling bracket"):
+    with pytest.raises(InternalInconsistency, match=r"^unit solution is not maximal: rho\(M conj\(M\)\) = "):
         solve_maximal(ProblemInstance(EX1_A))
 
 
-@pytest.mark.parametrize(
-    "sabotage, message",
-    [
-        (lambda doubling, a, steps: doubling(a, steps) + 0.1 * np.eye(a.shape[0]), "below"),
-        (lambda doubling, a, steps: doubling(4.0 * a, steps), "not positive definite"),
-        (lambda doubling, a, steps: np.full((a.shape[0],) * 2, np.nan), "below"),
-    ],
-    ids=["bracket-too-high", "breakdown", "nan-bracket"],
-)
-def test_broken_doubling_is_exposed(monkeypatch, sabotage, message):
+def sabotage_engine(monkeypatch, broken):
+    """Make the loops return the minimal solution of their equation, or a NaN iterate."""
     import conric.solver as solver_mod
 
-    doubling = solver_mod._doubling
-    monkeypatch.setattr(solver_mod, "_doubling", lambda a, steps: sabotage(doubling, a, steps))
-    with pytest.raises(InternalInconsistency, match=message):
-        solve_maximal(ProblemInstance(EX1_A))
+    for name in ("_fixed_point_scalar", "_fixed_point_generic"):
+        loop = getattr(solver_mod, name)
+
+        def engine(coeff, tol, loop=loop):
+            if broken == "nan":
+                return (np.full(coeff.shape, np.nan, dtype=np.complex128), *loop(coeff, tol)[1:])
+            # the dual equation of W + C* W^-1 C = I has coefficient C^T, and W- = I - its maximal solution
+            dual, *rest = loop(coeff.T, tol)
+            return (np.eye(coeff.shape[0], dtype=np.complex128) - dual, *rest)
+
+        monkeypatch.setattr(solver_mod, name, engine)
+
+
+@pytest.mark.parametrize("solve, name", [(solve_maximal, "unit"), (solve_minimal, "dual")])
+@pytest.mark.parametrize("a", [np.array([[0.3 + 0.1j]]), EX1_A], ids=["n=1", "n=2"])
+def test_a_minimal_engine_is_exposed(monkeypatch, a, solve, name):
+    sabotage_engine(monkeypatch, "minimal")
+    with pytest.raises(InternalInconsistency, match=rf"^{name} solution is not maximal: rho\(M conj\(M\)\) = "):
+        solve(ProblemInstance(a))
+
+
+@pytest.mark.parametrize("solve", [solve_maximal, solve_minimal])
+@pytest.mark.parametrize("a", [np.array([[0.3 + 0.1j]]), EX1_A], ids=["n=1", "n=2"])
+def test_a_nan_iterate_is_exposed(monkeypatch, a, solve):
+    # the kernel's finiteness check refuses a NaN unit solution before its certificate is formed
+    sabotage_engine(monkeypatch, "nan")
+    with pytest.raises(NonFiniteMatrixError):
+        solve(ProblemInstance(a))
+
+
+def test_a_nan_certificate_is_refused(monkeypatch):
+    # r < 1 is the test, so a NaN r reaches the radius branch, which refuses any non-finite r
+    import conric.solver as solver_mod
+
+    monkeypatch.setattr(solver_mod, "op_norm_2", lambda m: np.nan)
+    with pytest.raises(InternalInconsistency, match=r"rho\(M conj\(M\)\) = nan"):
+        _certified_rate(np.eye(2, dtype=np.complex128), EX1_A, "unit solution")
+
+
+class TestMaximalityCertificate:
+    # rho(M conj(M)) <= r^2 for the rate certificate r = ||M||, so r < 1 certifies a maximal
+    # solution; strongly non-normal A near omega = 1/2 reach r >= 1, where the radius decides
+
+    @staticmethod
+    def non_normal(rng, n):
+        """Upper-triangular A with diagonal moduli in [0.1, 0.25], scaled to omega(lozenge A) in [0.47, 0.499]."""
+        d = rng.uniform(0.1, 0.25, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+        a = np.triu(random_complex(rng, n), 1) + np.diag(d)
+        return a * (rng.uniform(0.47, 0.499) / numerical_radius(lozenge(a)))
+
+    def test_r_below_one_certifies_without_the_radius(self, rng, monkeypatch):
+        import conric.solver as solver_mod
+
+        calls = []
+        radius = solver_mod.co_spectral_radius_vs_one
+        monkeypatch.setattr(solver_mod, "co_spectral_radius_vs_one", lambda m: calls.append(m) or radius(m))
+        for solve in (solve_maximal, solve_minimal):
+            assert solve(ProblemInstance(random_solvable(rng, 3, max_norm=0.3))).rate_certificate < 1.0
+        assert calls == []
+
+    def test_non_normal_family_at_r_above_one(self, rng, monkeypatch):
+        # every solve is accepted by its certificate (the minimal solve may still meet item 5's
+        # dual-route residual, a refusal of its own), and every minimal engine is refused
+        import conric.solver as solver_mod
+
+        certificates = []
+        certified = solver_mod._certified_rate
+        monkeypatch.setattr(
+            solver_mod, "_certified_rate", lambda *args: certificates.append(certified(*args)) or certificates[-1]
+        )
+        reached = 0
+        for _ in range(200):
+            p = ProblemInstance(self.non_normal(rng, 3))
+            certificates.clear()
+            solve_maximal(p)
+            try:
+                solve_minimal(p)
+            except InternalInconsistency as exc:
+                assert str(exc).startswith("dual-route residual "), str(exc)
+            reached += max(certificates) >= 1.0
+            with monkeypatch.context() as broken:
+                sabotage_engine(broken, "minimal")
+                for solve in (solve_maximal, solve_minimal):
+                    with pytest.raises(InternalInconsistency, match="solution is not maximal: "):
+                        solve(p)
+        assert reached >= 100
 
 
 class TestDoublingBracket:
-    # the bracket steps the n x n conjugate recurrence; doubling_all_steps on lozenge(a),
+    # conjugate doubling steps the n x n conjugate recurrence; doubling_all_steps on lozenge(a),
     # in real 2n x 2n arithmetic, is the reference it must match through unheart
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -944,12 +1020,12 @@ class TestDoublingBracket:
         b, tol = lozenge(a), Tolerances()
         iterates = loop_iterates(b, tol, _fixed_point_generic(b, tol)[1])
         j = 1
-        while 2**j - 1 < len(iterates):
-            bracket = _doubling(a, j)
-            assert np.abs(bracket - unheart(iterates[2**j - 1])).max() <= 1e-13
+        for j, (q, _) in enumerate(_doubling_iterates(a, True, tol), 1):
+            if 2**j - 1 >= len(iterates):
+                break
+            assert np.abs(q - unheart(iterates[2**j - 1])).max() <= 1e-13
             real = unheart(doubling_all_steps(lozenge(a), j))
-            assert np.abs(bracket - real).max() <= 1e-13 * np.abs(real).max()
-            j += 1
+            assert np.abs(q - real).max() <= 1e-13 * np.abs(real).max()
         assert j >= 4
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -957,15 +1033,16 @@ class TestDoublingBracket:
         # R_k = Y_k: the bracket and the upper ladder are one recurrence, so step j is rung 2^j - 1
         a = random_nonsingular_solvable(rng, n)
         ladder = build_ladder(ProblemInstance(a), "upper", 2**5 - 1)
-        for j in range(1, 6):
+        steps = [q for q, _ in islice(_doubling_iterates(a, True, Tolerances()), 5)]
+        for j, q in enumerate(steps, 1):
             rung = ladder.matrices[2**j - 2]
-            assert np.abs(_doubling(a, j) - rung).max() <= 1e-13 * np.abs(rung).max()
+            assert np.abs(q - rung).max() <= 1e-13 * np.abs(rung).max()
         r1 = closed_form_bounds(a, "R1")
-        assert np.abs(_doubling(a, 1) - r1).max() <= 1e-13 * np.abs(r1).max()
+        assert np.abs(steps[0] - r1).max() <= 1e-13 * np.abs(r1).max()
 
     @pytest.mark.parametrize("n, calls", [(1, 0), (2, 1), (5, 1)])
     def test_embeds_once_per_solve(self, rng, monkeypatch, n, calls):
-        # only the n >= 2 loop runs on the lozenge; the bracket never embeds
+        # only the n >= 2 loop runs on the lozenge, once
         import conric.solver as solver_mod
 
         counts = {"lozenge": 0, "unheart": 0}
@@ -994,19 +1071,26 @@ class TestDoublingBracket:
         out = solve_maximal(ProblemInstance(random_solvable(rng, n)))
         assert len(calls) == out.iterations
 
+    @staticmethod
+    def last_q(a, steps):
+        """Q of the last of at most ``steps`` steps of conjugate doubling on a."""
+        for q, _ in islice(_doubling_iterates(a, True, Tolerances()), steps):
+            pass
+        return q
+
     def test_stops_once_b_vanishes(self, rng, monkeypatch):
         # B_j underflows to exact zero for a well-separated A; the steps after
-        # it are no-ops, so stopping there changes no bit of the bracket
+        # it are no-ops, so stopping there changes no bit of Q
         calls = []
         cholesky = _lapack.cholesky_lo
         monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
         a = random_with_norm(rng, 4, 0.1)
-        bracket = _doubling(a, steps)
+        q = self.last_q(a, steps)
         assert len(calls) < steps - 1
-        assert bracket.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
+        assert q.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
         real = unheart(doubling_all_steps(lozenge(a), steps))
-        assert np.abs(bracket - real).max() <= 1e-13 * np.abs(real).max()
+        assert np.abs(q - real).max() <= 1e-13 * np.abs(real).max()
 
     def test_runs_every_step_near_critical(self, rng, monkeypatch):
         # step 1 is closed form, so each of the steps after it factors Q - P once
@@ -1015,16 +1099,17 @@ class TestDoublingBracket:
         monkeypatch.setattr(_lapack, "cholesky_lo", lambda h, **kw: calls.append(h) or cholesky(h, **kw))
         steps = Tolerances().max_iter.bit_length()
         a = near_critical(rng)
-        bracket = _doubling(a, steps)
+        q = self.last_q(a, steps)
         assert len(calls) == steps - 1
-        assert bracket.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
+        assert q.tobytes() == conjugate_doubling_all_steps(a, steps).tobytes()
         real = unheart(doubling_all_steps(lozenge(a), steps))
-        assert np.abs(bracket - real).max() <= 1e-13 * np.abs(real).max()
+        assert np.abs(q - real).max() <= 1e-13 * np.abs(real).max()
 
     @pytest.mark.parametrize("excess", [0.3, 1e-2, 1e-4])
     def test_a_lost_definiteness_raises_at_its_step(self, rng, excess):
         # omega(lozenge A) = 1/2 + excess: no solution, so Q - P leaves the cone at some step
-        steps = Tolerances().max_iter.bit_length()
+        tol = Tolerances()
+        steps = tol.max_iter.bit_length()
         u = random_unitary(rng, 3)
         a = u @ np.diag([0.1, 0.3, 0.5 + excess]) @ u.T
         # the first step j at which np.linalg.cholesky refuses Q - P in the real reference doubling
@@ -1035,51 +1120,42 @@ class TestDoublingBracket:
                 break
         else:
             pytest.fail("the reference doubling never refused")
+        # step j factors Q_(j-1) - P_(j-1), so the run ends after yielding j - 1 steps
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InternalInconsistency) as info:
-                _doubling(a, steps)
-        assert str(info.value) == f"doubling step {j}: Q - P is not positive definite"
+            assert len(list(_doubling_iterates(a, True, tol))) == j - 1
+
+    @staticmethod
+    def agreement_family(rng):
+        """Unit coefficients a_q: random n 1-8, the non-normal family, near-critical, and Q != I with cond <= 10."""
+        family = [random_solvable(rng, n) for n in range(1, 9) for _ in range(2)]
+        family += [random_non_normal(rng, n) for n in range(2, 6)]
+        family += [near_critical(rng) for _ in range(2)]
+        family = [ProblemInstance(a).a_q for a in family]
+        for n in range(1, 7):
+            u = random_unitary(rng, n)
+            q = (u * rng.uniform(1.0, 10.0, n)) @ u.conj().T
+            family.append(ProblemInstance(random_solvable(rng, n), (q + q.conj().T) / 2.0).a_q)
+        return family
+
+    def test_the_loop_agrees_with_converged_doubling(self, rng):
+        # the engine's Y for a_q and for a_q* lies within the near-critical gap bound of the
+        # converged Q of doubling on the same coefficient; this is the check the bracket made
+        tol = Tolerances()
+        for a_q in self.agreement_family(rng):
+            for c in (a_q, a_q.conj().T):
+                y = _unit_maximal(c, tol)[0]
+                converged = self.last_q(c, tol.max_iter.bit_length())
+                assert np.linalg.norm(y - converged, 2) <= 1e-10
 
     def test_two_sided_gap_near_critical(self, rng):
         # complex-symmetric A = U diag(s) U^T has omega(lozenge A) = ||A|| = max s
         a = near_critical(rng)
         tol = Tolerances()
         out = solve_maximal(ProblemInstance(a, None, tol))
-        bracket = _doubling(a, tol.max_iter.bit_length())
+        converged = conjugate_doubling_all_steps(a, tol.max_iter.bit_length())
         assert out.iterations > 300
-        assert np.linalg.norm(out.solution - bracket, 2) <= 1e-10
-
-    @pytest.mark.parametrize("case", ["n=1", "n=3", "n=8", "near-critical"])
-    @pytest.mark.parametrize("solve", [solve_maximal, solve_minimal])
-    def test_steps_as_deep_as_the_engine_went(self, rng, monkeypatch, case, solve):
-        # iterate 2^J - 1 >= k needs only J = k.bit_length() for an engine that stopped at k
-        import conric.solver as solver_mod
-
-        steps = []
-        doubling = solver_mod._doubling
-        monkeypatch.setattr(solver_mod, "_doubling", lambda a, j: steps.append(j) or doubling(a, j))
-        if case == "near-critical":
-            a = near_critical(rng)
-        else:
-            a = random_nonsingular_solvable(rng, int(case[2:]))
-        out = solve(ProblemInstance(a))
-        assert steps == [out.iterations.bit_length()]
-        if case == "near-critical":
-            assert out.iterations > 300
-
-    def test_sized_bracket_is_sound_and_no_looser(self, rng):
-        # fewer steps leave the bracket higher in the Loewner order, so the margin of a correct
-        # Y stays above rounding and never exceeds the full-depth margin beyond it
-        tol = Tolerances()
-        family = [random_with_norm(rng, n, norm) for n in range(1, 9) for norm in rng.uniform(0.05, 0.49, 3)]
-        family += [near_critical(rng) for _ in range(3)]
-        for a in family:
-            for c in (a, a.conj().T):
-                y, k, _ = _unit_maximal(c, tol)
-                sized = np.linalg.eigvalsh(y - _doubling(c, k.bit_length()))[0]
-                full = np.linalg.eigvalsh(y - _doubling(c, tol.max_iter.bit_length()))[0]
-                assert -1e-12 <= sized <= full + 1e-15
+        assert np.linalg.norm(out.solution - converged, 2) <= 1e-10
 
 
 def _critical(rng, n, eps):
