@@ -54,6 +54,7 @@ from .solver import (
     ProblemInstance,
     _cone_step,
     _extremal_pair,
+    _huge_part,
     solve_maximal,
     solve_minimal,
 )
@@ -128,6 +129,13 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
     if depth < 1:
         raise ValueError("depth must be at least 1")
     coeff = p.a_q if side == "upper" else adjoint(p.a_q)
+    if top := _huge_part(coeff):
+        raise LadderBreakdown(
+            f"{side} ladder iterate 1 is not positive definite (||C|| >= {top:.3e} > 1); "
+            "no positive definite solution exists",
+            rung=2,
+            side=side,
+        )
 
     y = np.eye(p.n, dtype=np.complex128)
     matrices: list[np.ndarray] = []

@@ -4,7 +4,8 @@ Subcommands: solve | check | bounds | trace.  Inputs are matrix files in
 either a JSON document ({"n": ..., "re": [[...]], "im": [[...]], optional
 "q_re"/"q_im"}) or a plain text form (a line with n, then n lines of n
 "re,im" pairs).  Reports go to stdout (or --out) as JSON or key/value text;
-every float serializes round-trippably.  Exit codes are part of the
+every finite float serializes round-trippably, and JSON writes a non-finite
+one as null, since strict JSON has no Infinity or NaN.  Exit codes are part of the
 contract: EXIT_CODES gives the code of each report classification, and an
 input error exits 1.
 """
@@ -16,6 +17,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -169,6 +171,21 @@ def _existence_json(report) -> dict:
 
 
 _NUMBERS = {int, float}
+_STRICT = json.JSONEncoder(allow_nan=False)
+
+
+def _dumps(value) -> str:
+    """json.dumps of a report leaf (a scalar, or a list of numbers or of number lists), inf and NaN as null."""
+    try:
+        return _STRICT.encode(value)
+    except ValueError:
+        return _STRICT.encode(_nulled(value))
+
+
+def _nulled(value):
+    if isinstance(value, list):
+        return [_nulled(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _once_each(encode, items) -> list:
@@ -187,7 +204,7 @@ def _recurs(items) -> bool:
 
 
 def _indented_json(value, end: str = "", level: int = 0) -> str:
-    """The bytes of json.dumps(value, indent=2) + end for a report, joined once from its parts."""
+    """json.dumps(value, indent=2) + end for a report (inf and NaN as null), joined once from its parts."""
     parts: list[str] = []
     _json_parts(value, level, parts)
     parts.append(end)
@@ -207,7 +224,7 @@ def _json_parts(value, level: int, parts: list[str]) -> None:
     the memo lives only for that list.
     """
     if not isinstance(value, (dict, list, tuple)) or not value:
-        parts.append(json.dumps(value))
+        parts.append(_dumps(value))
         return
     outer = "\n" + "  " * level
     inner = outer + "  "
@@ -219,12 +236,12 @@ def _json_parts(value, level: int, parts: list[str]) -> None:
             separator = "," + inner
         parts.append(outer + "}")
     elif type(value) is list and set(map(type, value)) <= _NUMBERS:
-        parts.append("[" + inner + json.dumps(value)[1:-1].replace(", ", "," + inner) + outer + "]")
+        parts.append("[" + inner + _dumps(value)[1:-1].replace(", ", "," + inner) + outer + "]")
     elif all(type(row) is list and row for row in value) and set(
         map(type, itertools.chain.from_iterable(value))
     ) <= _NUMBERS:
         deep = inner + "  "
-        body = json.dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deep}")
+        body = _dumps(value)[2:-2].replace("], [", f"{inner}],{inner}[{deep}")
         body = body.replace(", ", "," + deep)
         parts.append(f"[{inner}[{deep}{body}{inner}]{outer}]")
     else:

@@ -224,6 +224,16 @@ def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExc
     return MaxIterationsExceeded(message, tol.max_iter, trace)
 
 
+def _huge_part(coeff: np.ndarray) -> float | None:
+    """The largest real or imaginary part of C where it exceeds 2^64, else None.
+
+    ||C|| is then above 1, so I - C* C, the first iterate of every recurrence from I, is not positive
+    definite; the routes decide that before forming C* C, which may overflow, as check_existence scales.
+    """
+    top = max(float(np.abs(coeff.real).max()), float(np.abs(coeff.imag).max()))
+    return top if top > 2.0**64 else None
+
+
 def _defect(w: np.ndarray, coeff: np.ndarray, tol: Tolerances) -> float:
     """||W - (I - C* W^-1 C)||, the equation defect of W and so its next update step; inf below the floor."""
     lower, _ = _cholesky_lower(w, tol)
@@ -356,6 +366,8 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
     definite cone) is the loop's, with its iterate, margin, message and trace.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
+    if top := _huge_part(b):
+        raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||B|| >= {top:.3e} > 1)", 1)
 
     def certified(q: np.ndarray, j: int) -> tuple[np.ndarray, int, array[float], float] | None:
         w = (q + q.conj().T) / 2.0
@@ -387,6 +399,8 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
     y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  The loop decreases onto the
     maximal solution from above; the solves certify that Y is that solution from its factor.
     """
+    if top := _huge_part(a_q):
+        raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)", 1)
     if a_q.shape[0] == 1:
         y, iterations, trace, _ = _fixed_point_scalar(a_q, tol)
     else:

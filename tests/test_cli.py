@@ -644,8 +644,30 @@ class TestParser:
         assert capsys.readouterr().out.startswith("usage: conric")
 
 
+def strict_json(value):
+    """value with each non-finite float replaced by None, as a JSON report writes it (null)."""
+    if isinstance(value, dict):
+        return {key: strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [strict_json(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 class TestJsonReports:
-    """JSON reports are exactly json.dumps(report, indent=2) plus a newline."""
+    """JSON reports are exactly json.dumps(report, indent=2) plus a newline, with inf and NaN as null."""
+
+    @staticmethod
+    def count_encoder_calls(monkeypatch) -> list:
+        """The values that json.dumps (keys, text reports) and the strict encoder (JSON leaves) are given."""
+        calls = []
+        dumps, strict = json.dumps, cli._STRICT
+        monkeypatch.setattr(json, "dumps", lambda v, *args, **kw: calls.append(v) or dumps(v, *args, **kw))
+        monkeypatch.setattr(cli, "_STRICT", SimpleNamespace(encode=lambda v: calls.append(v) or strict.encode(v)))
+        return calls
 
     @pytest.mark.parametrize(
         "command",
@@ -678,7 +700,10 @@ class TestJsonReports:
             "nested": {"m": {"re": [[0.1]], "im": [[-0.0]]}, "depth": 3},
         }
         _emit(report, SimpleNamespace(format="json", out=None))
-        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+        text = capsys.readouterr().out
+        assert text == json.dumps(strict_json(report), indent=2) + "\n"
+        assert '"grid": [\n    [\n      null,\n      -0.0\n    ],\n    [\n      null,\n      null\n' in text
+        json.loads(text, parse_constant=refuse_constant)
 
     def test_every_subcommand_report_is_the_indented_encoding(self, tmp_path, capsys, monkeypatch):
         # the fast paths carry matrices, traces, gaps and trends; a deep ladder
@@ -723,14 +748,15 @@ class TestJsonReports:
     )
     def test_only_number_lists_take_one_encoder_call(self, monkeypatch, value, fast):
         dumps = json.dumps
-        calls = []
-        monkeypatch.setattr(json, "dumps", lambda v, *args, **kw: calls.append(v) or dumps(v, *args, **kw))
+        calls = self.count_encoder_calls(monkeypatch)
         # distinct copies: a list that repeats an item by identity encodes it once (next test)
         value = [item for _ in range(20) for item in copy.deepcopy(value)]
         text = cli._indented_json({"v": value})
-        assert text == dumps({"v": value}, indent=2)
-        # one call for the key, then one for the whole list or one per element
-        assert len(calls) == 2 if fast else len(calls) > len(value)
+        assert text == dumps(strict_json({"v": value}), indent=2)
+        # one call for the key, then one for the whole list (and one more for its nulled copy
+        # where the strict encoder refused a non-finite float) or one per element
+        refused = any(not math.isfinite(x) for x in value if isinstance(x, float))
+        assert len(calls) == 2 + refused if fast else len(calls) > len(value)
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_repeated_items_take_one_encoder_call_each(self, monkeypatch, capsys, fmt):
@@ -739,8 +765,7 @@ class TestJsonReports:
         rungs = [{"re": [[0.5, -1e-17]], "im": [[0.0, 2.5]]}, {"re": [[0.25, 3.0]], "im": [[-0.0, 1.0]]}]
         report = {"matrices": rungs + rungs * 20}
         dumps = json.dumps
-        calls = []
-        monkeypatch.setattr(json, "dumps", lambda v, *args, **kw: calls.append(v) or dumps(v, *args, **kw))
+        calls = self.count_encoder_calls(monkeypatch)
         _emit(report, SimpleNamespace(format=fmt, out=None))
         matrices = [call for call in calls if isinstance(call, (dict, list)) and call]
         assert len(matrices) == (4 if fmt == "json" else 2)
@@ -760,10 +785,42 @@ class TestJsonReports:
         )
     )
     def test_any_json_value(self, value):
+        # strict JSON has no Infinity or NaN, so a report writes each non-finite float as null
         out = io.StringIO()
         with redirect_stdout(out):
             _emit({"value": value}, SimpleNamespace(format="json", out=None))
-        assert out.getvalue() == json.dumps({"value": value}, indent=2) + "\n"
+        assert out.getvalue() == json.dumps(strict_json({"value": value}), indent=2) + "\n"
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
+class TestHugeCoefficients:
+    # a part beyond 2^64 fails norm_lt_one; every subcommand says so without overflowing on the way
+    A3 = np.array([[1.0, 0.5j, -0.25], [0.3 - 0.2j, -1j, 0.2], [0.1j, 0.4, 0.9 + 0.1j]])
+
+    @pytest.mark.parametrize("scale", [1e154, 1e300])
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("command, code", [("solve", 2), ("check", 0), ("bounds", 2), ("trace", 2)])
+    def test_reports_parse_and_nothing_warns(self, tmp_path, capsys, n, scale, command, code):
+        a = scale * (np.array([[2.0]]) if n == 1 else self.A3)
+        path = write_json_instance(tmp_path / "a.json", a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([command, str(path), "--no-meta"]) == code
+        captured = capsys.readouterr()
+        if command == "trace":
+            # the first iterate leaves the cone, and no step is taken
+            assert captured.out == "\n"
+            top = 2 * scale if n == 1 else scale
+            assert captured.err == f"error: iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)\n"
+            return
+        assert captured.err == ""
+        report = json.loads(captured.out, parse_constant=refuse_constant)
+        if command == "check":
+            assert report["existence"]["verdict"] == "not_exists"
+        else:
+            assert report["exit_classification"] == "no-solution-evidence"
+        if command == "bounds":
+            assert report["error"].startswith("lower ladder iterate 1 is not positive definite (||C|| >= ")
 
 
 class TestInternalErrors:

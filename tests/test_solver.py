@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conric.bounds import build_ladder, closed_form_bounds, sandwich_report
+from conric.bounds import LadderBreakdown, build_ladder, closed_form_bounds, sandwich_report
 from conric.conditions import check_existence
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
@@ -750,6 +750,27 @@ class TestRefusals:
         x = solve(ProblemInstance(EX1_A, np.array([[2.0, 0.5j], [-0.5j, 3.0]]))).solution
         assert len(factored) == count
         assert not any(np.array_equal(h, x) for h in factored)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_a_huge_coefficient_leaves_the_cone_before_its_gram(self, n):
+        # a part beyond 2^64 gives ||C|| > 1, so iterate 1 leaves the cone; C* C, which may overflow, is not formed
+        a = 1e200 * np.eye(n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for solve in (solve_maximal, solve_minimal):
+                with pytest.raises(NoSolutionEvidence) as info:
+                    solve(ProblemInstance(a))
+                message = "iterate 1 lost positive definiteness (||C|| >= 1.000e+200 > 1)"
+                assert (str(info.value), info.value.iterations, len(info.value.trace)) == (message, 1, 0)
+            with pytest.raises(NoSolutionEvidence, match=r"^iterate 1 .* \(\|\|B\|\| >= 1.000e\+200 > 1\)$"):
+                standard_solve_maximal(a)
+            for side in ("lower", "upper"):
+                with pytest.raises(LadderBreakdown) as info:
+                    build_ladder(ProblemInstance(a), side)
+                assert (info.value.side, info.value.rung) == (side, 2)
+            # at 2^64 the Gram cannot overflow, and the loop itself refuses iterate 1
+            with pytest.raises(NoSolutionEvidence, match=r"^iterate 1 lost positive definiteness \(pivot margin "):
+                solve_maximal(ProblemInstance(2.0**64 * np.eye(n)))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_doubling_converges_on_the_boundary(self, n):
