@@ -47,6 +47,7 @@ from .kernel import (
     conj,
     pd_solve,
     transpose,
+    _huge_part,
     _require_square,
 )
 from .solver import (
@@ -54,7 +55,6 @@ from .solver import (
     ProblemInstance,
     _cone_step,
     _extremal_pair,
-    _huge_part,
     solve_maximal,
     solve_minimal,
 )
@@ -130,12 +130,8 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
         raise ValueError("depth must be at least 1")
     coeff = p.a_q if side == "upper" else adjoint(p.a_q)
     if top := _huge_part(coeff):
-        raise LadderBreakdown(
-            f"{side} ladder iterate 1 is not positive definite (||C|| >= {top:.3e} > 1); "
-            "no positive definite solution exists",
-            rung=2,
-            side=side,
-        )
+        message = f"{side} ladder iterate 1 is not positive definite (||C|| >= {top:.3e} > 1)"
+        raise LadderBreakdown(f"{message}; no positive definite solution exists", rung=2, side=side)
 
     y = np.eye(p.n, dtype=np.complex128)
     matrices: list[np.ndarray] = []

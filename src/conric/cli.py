@@ -4,10 +4,9 @@ Subcommands: solve | check | bounds | trace.  Inputs are matrix files in
 either a JSON document ({"n": ..., "re": [[...]], "im": [[...]], optional
 "q_re"/"q_im"}) or a plain text form (a line with n, then n lines of n
 "re,im" pairs).  Reports go to stdout (or --out) as JSON or key/value text;
-every finite float serializes round-trippably, and JSON writes a non-finite
-one as null, since strict JSON has no Infinity or NaN.  Exit codes are part of the
-contract: EXIT_CODES gives the code of each report classification, and an
-input error exits 1.
+every float serializes round-trippably, an infinite or NaN one as null in
+JSON, which has neither.  Exit codes are part of the contract: EXIT_CODES
+gives the code of each report classification, and an input error exits 1.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -179,13 +177,7 @@ def _dumps(value) -> str:
     try:
         return _STRICT.encode(value)
     except ValueError:
-        return _STRICT.encode(_nulled(value))
-
-
-def _nulled(value):
-    if isinstance(value, list):
-        return [_nulled(item) for item in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
+        return _STRICT.encode(json.loads(json.dumps(value), parse_constant=lambda _: None))
 
 
 def _once_each(encode, items) -> list:

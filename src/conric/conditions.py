@@ -34,6 +34,7 @@ from .kernel import (
     is_positive_definite,
     numerical_radius,
     op_norm_2,
+    _huge_part,
     _nonsingular,
     _require_square,
 )
@@ -84,11 +85,10 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     """
     a = _require_square(cmatrix(a), "check_existence")
     n = a.shape[0]
-    # a real or imaginary part beyond 2^64 fails norm_lt_one, and its squares may overflow: the
-    # checks then run on a scaled by an exact power of two, and each estimate is scaled back,
-    # to -inf where a margin overflows
-    top = float(np.abs(a.view(np.float64)).max())
-    scale = 2.0 ** -math.frexp(top)[1] if top > 2.0**64 else 1.0
+    # a part beyond 2^64 fails norm_lt_one: the checks then run on a scaled by an exact power
+    # of two, so no square overflows, and each estimate is scaled back, to -inf where it overflows
+    top = _huge_part(a)
+    scale = 2.0 ** -math.frexp(top)[1] if top else 1.0
     a = a * scale
     eye = np.eye(n, dtype=np.complex128)
 

@@ -364,6 +364,12 @@ def is_positive_definite(h, tol: Tolerances = DEFAULT_TOLERANCES) -> CheckResult
     return CheckResult(lower is not None, margin)
 
 
+def _huge_part(a: np.ndarray) -> float | None:
+    """The largest real or imaginary part of a if above 2^64 (so ||a|| > 1 and a* a may overflow), or None."""
+    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    return top if top > 2.0**64 else None
+
+
 def _nonsingular(a: np.ndarray, tol: Tolerances) -> tuple[bool, float]:
     """(sigma_min > pd_floor * sigma_max, sigma_min) from the singular values.
 

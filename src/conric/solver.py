@@ -47,6 +47,7 @@ from .kernel import (
     pd_cholesky,
     _cholesky_lower,
     _congruence,
+    _huge_part,
     _lapack,
     _require_hermitian,
     _require_square,
@@ -154,8 +155,7 @@ class SolveOutcome:
     per step.  rate_certificate is ||conj(Y)^-1 C|| for the unit-Q solution Y
     the iteration reached and its coefficient C (||W^-1 B|| for the classical
     equation); when below one, the iteration provably converges at least
-    linearly, and ``linear_rate_guaranteed`` says so.  A conjugate solve also
-    certifies from it that Y is the maximal solution (see _certified_rate).
+    linearly, ``linear_rate_guaranteed`` says so, and Y is maximal.
     """
 
     solution: np.ndarray
@@ -222,16 +222,6 @@ def _left_the_cone(iterate: int, margin: float, trace: array[float]) -> NoSoluti
 def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExceeded:
     message = f"no certified solution within {tol.max_iter} iterations"
     return MaxIterationsExceeded(message, tol.max_iter, trace)
-
-
-def _huge_part(coeff: np.ndarray) -> float | None:
-    """The largest real or imaginary part of C where it exceeds 2^64, else None.
-
-    ||C|| is then above 1, so I - C* C, the first iterate of every recurrence from I, is not positive
-    definite; the routes decide that before forming C* C, which may overflow, as check_existence scales.
-    """
-    top = max(float(np.abs(coeff.real).max()), float(np.abs(coeff.imag).max()))
-    return top if top > 2.0**64 else None
 
 
 def _defect(w: np.ndarray, coeff: np.ndarray, tol: Tolerances) -> float:
@@ -366,8 +356,6 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
     definite cone) is the loop's, with its iterate, margin, message and trace.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
-    if top := _huge_part(b):
-        raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||B|| >= {top:.3e} > 1)", 1)
 
     def certified(q: np.ndarray, j: int) -> tuple[np.ndarray, int, array[float], float] | None:
         w = (q + q.conj().T) / 2.0
@@ -393,11 +381,10 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
 
 
 def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, array[float]]:
-    """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I, from the loop alone.
+    """(Y, iterations, trace) of Y + a_q* conj(Y)^-1 a_q = I from the loop alone; the solves certify Y maximal.
 
     The generic loop runs on lozenge(a_q) and converges to heart(Y); at n = 1 its iterates are
-    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.  The loop decreases onto the
-    maximal solution from above; the solves certify that Y is that solution from its factor.
+    y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.
     """
     if top := _huge_part(a_q):
         raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)", 1)
@@ -413,8 +400,8 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
 def _certified_rate(lower: np.ndarray, coeff: np.ndarray, name: str) -> float:
     """r = ||M||, M = conj(Y)^-1 C, of the unit solution Y = L L* of C, once Y is certified maximal.
 
-    Y is maximal exactly when rho(M conj(M)) <= 1 (extremality_check's rule), and rho(M conj(M)) <= r^2,
-    so r < 1 certifies it; otherwise co_spectral_radius_vs_one decides.  "above", or a non-finite r, raises.
+    Y is maximal iff rho(M conj(M)) <= 1 (extremality_check's rule), and rho(M conj(M)) <= r^2: r < 1
+    certifies it, else co_spectral_radius_vs_one decides, and "above" or a non-finite r raises.
     """
     m = cholesky_solve(np.conj(lower), coeff)
     r = op_norm_2(m)
