@@ -44,7 +44,6 @@ from .kernel import (
     NotHermitianError,
     NotPositiveDefiniteError,
     SingularMatrixError,
-    TOLERANCE_PROFILES,
     Tolerances,
     adjoint,
     cmatrix,

@@ -145,7 +145,8 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
             break
         y_next, margin, gram = _cone_step(y, coeff, True, p.tol)
         if y_next is None:
-            if margin <= 0.0:
+            # a NaN margin breaks the ladder down too: only a positive one truncates it
+            if not margin > 0.0:
                 raise LadderBreakdown(
                     f"{side} ladder iterate {k - 1} is not positive definite "
                     f"(pivot margin {margin:.3e}); no positive definite solution exists",

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import itertools
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -26,7 +25,7 @@ from .bounds import DEFAULT_DEPTH, build_ladder, sandwich_report
 from .conditions import check_existence
 from .kernel import (
     ConricError,
-    TOLERANCE_PROFILES,
+    DEFAULT_TOLERANCES,
     Tolerances,
     cmatrix,
 )
@@ -50,8 +49,6 @@ EXIT_CODES = {
     InternalInconsistency.classification: 4,
 }
 EXIT_INPUT = 1
-
-TOL_PROFILE_ENV = "CONRIC_TOL_PROFILE"
 
 
 class InputError(Exception):
@@ -142,15 +139,9 @@ def _load_instance(args, tol: Tolerances) -> ProblemInstance:
 
 
 def _build_tolerances(args) -> Tolerances:
-    profile = os.environ.get(TOL_PROFILE_ENV, "default")
-    if profile not in TOLERANCE_PROFILES:
-        raise InputError(
-            f"unknown {TOL_PROFILE_ENV} value {profile!r}; "
-            f"expected one of {sorted(TOLERANCE_PROFILES)}"
-        )
     overrides = {"residual_tol": args.tol, "max_iter": args.max_iter}
     return dataclasses.replace(
-        TOLERANCE_PROFILES[profile], **{k: v for k, v in overrides.items() if v is not None}
+        DEFAULT_TOLERANCES, **{k: v for k, v in overrides.items() if v is not None}
     )
 
 

@@ -93,17 +93,7 @@ class Tolerances:
         object.__setattr__(self, "max_iter", int(self.max_iter))
 
 
-TOLERANCE_PROFILES = {
-    "default": Tolerances(),
-    "strict": Tolerances(
-        pd_floor=1e-13,
-        stop_rel=1e-14,
-        residual_tol=1e-11,
-        max_iter=200_000,
-    ),
-}
-
-DEFAULT_TOLERANCES = TOLERANCE_PROFILES["default"]
+DEFAULT_TOLERANCES = Tolerances()
 
 
 class CheckResult(NamedTuple):
@@ -319,7 +309,7 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
     factor, without its per-call wrapper).  A refusal leaves the factor NaN,
     which fails the floor test, so the pivot loop runs when LAPACK refuses or
     a pivot L_kk^2 is at or below the floor and every refusal keeps its
-    signed margin.
+    signed margin.  A NaN pivot is refused too, with margin NaN.
     """
     n = h.shape[0]
     scale = float(h.trace().real) / n
@@ -343,8 +333,10 @@ def _cholesky_pivots(h: np.ndarray, scale: float, floor: float) -> tuple[np.ndar
     margin = math.inf
     for k in range(n):
         d = float(h[k, k].real) - float(np.sum(np.abs(lower[k, :k]) ** 2))
-        margin = min(margin, d / scale)
-        if d <= floor:
+        # min keeps its first argument when a comparison with NaN is False, so a NaN ratio stays
+        margin = min(d / scale, margin)
+        # written so that a NaN pivot, or a NaN floor from a NaN trace, is refused too
+        if not d > floor:
             return None, margin
         lower[k, k] = math.sqrt(d)
         if k + 1 < n:

@@ -224,6 +224,12 @@ def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExc
     return MaxIterationsExceeded(message, tol.max_iter, trace)
 
 
+def _refuse_huge(coeff: np.ndarray) -> None:
+    """Refuse, before any Gram can overflow, a C with a part beyond 2^64: W_1 = I - C* C leaves the cone."""
+    if top := _huge_part(coeff):
+        raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)", 1)
+
+
 def _defect(w: np.ndarray, coeff: np.ndarray, tol: Tolerances) -> float:
     """||W - (I - C* W^-1 C)||, the equation defect of W and so its next update step; inf below the floor."""
     lower, _ = _cholesky_lower(w, tol)
@@ -353,9 +359,12 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
     MaxIterationsExceeded only when the cap, not the run, ends it.  Where Q_j - P_j fails the
     pivot floor or B_j vanishes, Q_j is accepted if it passes, and otherwise the fixed point
     loop runs from I: every refusal (NoSolutionEvidence once an iterate leaves the positive
-    definite cone) is the loop's, with its iterate, margin, message and trace.
+    definite cone) is the loop's, with its iterate, margin, message and trace.  A part of B
+    beyond 2^64 is refused at iterate 1 before doubling forms a Gram, as the conjugate solves
+    refuse it.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
+    _refuse_huge(b)
 
     def certified(q: np.ndarray, j: int) -> tuple[np.ndarray, int, array[float], float] | None:
         w = (q + q.conj().T) / 2.0
@@ -386,8 +395,7 @@ def _unit_maximal(a_q: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, int, ar
     The generic loop runs on lozenge(a_q) and converges to heart(Y); at n = 1 its iterates are
     y I_2 with y <- 1 - |a_q|^2 / y, so the scalar loop runs on a_q.
     """
-    if top := _huge_part(a_q):
-        raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)", 1)
+    _refuse_huge(a_q)
     if a_q.shape[0] == 1:
         y, iterations, trace, _ = _fixed_point_scalar(a_q, tol)
     else:

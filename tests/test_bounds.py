@@ -125,6 +125,16 @@ class TestBuildLadder:
         assert ladder.truncated_at == 3
         assert len(ladder.matrices) == 2
 
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_a_nan_margin_is_never_truncation(self, monkeypatch, side):
+        # the floor refuses a NaN pivot with margin NaN; only a positive margin truncates a ladder
+        import conric.bounds as bounds_mod
+
+        monkeypatch.setattr(bounds_mod, "_cone_step", lambda y, coeff, conjugate, tol: (None, np.nan, None))
+        with pytest.raises(LadderBreakdown, match=r"pivot margin nan") as info:
+            build_ladder(ProblemInstance(EX1_A), side, 6)
+        assert (info.value.side, info.value.rung) == (side, 1)
+
     def test_third_block_implies_gram_condition(self, rng):
         # a definite third block forces I - AA* - conj(A*A) definite
         from conric.kernel import is_positive_definite

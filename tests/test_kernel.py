@@ -522,6 +522,26 @@ class TestPositiveDefinite:
         lower, margin = cholesky_pivot_loop(h)
         assert tuple(is_positive_definite(h)) == (lower is not None, margin)
 
+    @pytest.mark.parametrize(
+        "h",
+        [
+            np.full((1, 1), np.nan),
+            np.full((2, 2), np.nan),
+            np.full((3, 3), np.nan),
+            np.array([[1.0, np.nan], [np.nan, 1.0]]),
+            np.diag([1.0, 1.0, np.nan]),
+        ],
+        ids=["all-1", "all-2", "all-3", "off-diagonal", "last-diagonal"],
+    )
+    def test_a_nan_pivot_is_refused_with_margin_nan(self, h):
+        # a comparison with NaN is False, so a NaN pivot (or a NaN floor, from a NaN trace)
+        # must be refused by the test it fails, and its margin must not read as inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, margin = _cholesky_lower(h.astype(np.complex128), Tolerances())
+        assert lower is None
+        assert math.isnan(margin)
+
     def test_definite_check_is_one_lapack_call(self, monkeypatch):
         import conric.kernel as kernel_mod
 

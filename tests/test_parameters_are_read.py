@@ -3,9 +3,11 @@
 A parameter that no line reads is a knob that does nothing: callers can set
 it and nothing changes.  A parameter of a private module-level function that
 every call in the package leaves at its default, or sets to one and the same
-constant, is a knob that nothing turns: its other values are dead code.
-These guards walk the source with ``ast``, so such knobs cannot come back
-unnoticed.  A name may be allowed only with a reason written next to it.
+constant, is a knob that nothing turns: its other values are dead code.  An
+environment variable that the package reads is a knob that no command line
+or call shows.  These guards walk the source with ``ast``, so such knobs
+cannot come back unnoticed.  A name may be allowed only with a reason
+written next to it.
 """
 
 import ast
@@ -18,6 +20,8 @@ SOURCE = Path(__file__).resolve().parent.parent / "src" / "conric"
 ALLOWED: dict[str, str] = {}
 # "module.function.parameter" -> why it is kept although no call in the package varies it
 ALLOWED_FIXED: dict[str, str] = {}
+# "module.line" -> why that line may read the environment
+ALLOWED_ENVIRONMENT: dict[str, str] = {}
 
 
 def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[str]:
@@ -192,3 +196,40 @@ def other(a):
         "first._scale.factor",
         "first._shift.by",
     ]
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_reads(source: str, module: str) -> list[str]:
+    """"module.line" of each use of os.environ, os.getenv, os.putenv and their kin, by attribute or import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name in ENVIRONMENT_READERS for a in node.names):
+            lines.append(node.lineno)
+    return [f"{module}.{line}" for line in sorted(lines)]
+
+
+def test_no_module_reads_the_environment():
+    reads = []
+    for path in sorted(SOURCE.glob("*.py")):
+        reads += environment_reads(path.read_text(), path.stem)
+    assert [name for name in reads if name not in ALLOWED_ENVIRONMENT] == []
+    for name, reason in ALLOWED_ENVIRONMENT.items():
+        assert name in reads, f"{name} does not read the environment now; drop it from ALLOWED_ENVIRONMENT"
+        assert reason.strip(), f"{name} needs a reason"
+
+
+def test_flags_every_way_to_read_the_environment():
+    source = """
+import os
+from os import getenv as read, environ
+
+def profile():
+    return os.environ.get("A"), os.getenv("B"), read("C"), environ["D"]
+
+os.putenv("E", "1")
+"""
+    assert environment_reads(source, "m") == ["m.3", "m.6", "m.6", "m.8"]

@@ -770,6 +770,24 @@ class TestRefusals:
             with pytest.raises(NoSolutionEvidence, match=r"^iterate 1 lost positive definiteness \(pivot margin "):
                 solve_maximal(ProblemInstance(2.0**64 * np.eye(n)))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_classical_solver_refuses_a_huge_coefficient_at_once(self, monkeypatch, n, scale):
+        # ||B|| > 1, so iterate 1 leaves the cone; neither doubling nor the loop forms B* B, which overflows
+        import conric.solver as solver_mod
+
+        def refused(*args):
+            raise AssertionError("a huge coefficient reached doubling or the loop")
+
+        monkeypatch.setattr(solver_mod, "_doubling_iterates", refused)
+        monkeypatch.setattr(solver_mod, "_fixed_point_generic", refused)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NoSolutionEvidence) as info:
+                standard_solve_maximal(scale * np.eye(n))
+        message = f"iterate 1 lost positive definiteness (||C|| >= {scale:.3e} > 1)"
+        assert (str(info.value), info.value.iterations, len(info.value.trace)) == (message, 1, 0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_doubling_converges_on_the_boundary(self, n):
         # 0.5 I lies on the classical existence boundary, where doubling still halves the error;
@@ -965,9 +983,15 @@ def test_a_minimal_engine_is_exposed(monkeypatch, a, solve, name):
 @pytest.mark.parametrize("solve", [solve_maximal, solve_minimal])
 @pytest.mark.parametrize("a", [np.array([[0.3 + 0.1j]]), EX1_A], ids=["n=1", "n=2"])
 def test_a_nan_iterate_is_exposed(monkeypatch, a, solve):
-    # the kernel's finiteness check refuses a NaN unit solution before its certificate is formed
+    # at n = 1 the pivot floor refuses the NaN unit solution with margin nan, an internal
+    # inconsistency and never an input error; at n = 2 unheart refuses the NaN lozenge first
     sabotage_engine(monkeypatch, "nan")
-    with pytest.raises(NonFiniteMatrixError):
+    if a.shape[0] == 1:
+        which = "unit" if solve is solve_maximal else "dual"
+        expected = InternalInconsistency, rf"^{which} solution fails the pivot floor \(pivot margin nan\)$"
+    else:
+        expected = NonFiniteMatrixError, "^matrix entries must be finite$"
+    with pytest.raises(expected[0], match=expected[1]):
         solve(ProblemInstance(a))
 
 
