@@ -55,7 +55,7 @@ BAND = 1e-8
 # Relative floor on the smallest eigenvalue accepted by psd_sqrt.
 PSD_RTOL = 1e-10
 # numerical_radius: the level sits this far (relative) above the best value
-# found, a root y with |Im y| <= _REAL_ROOT_RTOL (1 + |y|) counts as real, and
+# found, it is certified once no root y has |Im y| <= _REAL_ROOT_RTOL (1 + |y|), and
 # Newton steps in the angle use central differences over +-_NEWTON_STENCIL.
 _LEVEL_NUDGE = 1e-14
 _REAL_ROOT_RTOL = 1e-8
@@ -222,8 +222,10 @@ def numerical_radius(a) -> float:
     H0 + sI is positive definite and its Cholesky factor turns the quadratic
     into one eigvals call on a companion matrix.  Each level is a local
     maximum, climbed by Newton steps from the best sample and then from the
-    best midpoint between crossings, until no midpoint beats the level;
-    usually one companion solve certifies the first.
+    best midpoint between the angles of the roots' real parts (extra angles
+    only split the gaps, so a super-level interval keeps a midpoint inside),
+    until no midpoint beats the level; usually one companion solve certifies
+    the first.
     """
     a = _require_square(a, "numerical_radius")
     scale = float(np.abs(a).max())
@@ -271,10 +273,11 @@ def numerical_radius(a) -> float:
         companion[m:, :m] = _congruence(lower, h0 - level * eye)
         companion[m:, m:] = -2.0 * _congruence(lower, k0)
         roots = np.linalg.eigvals(companion)
-        real = roots[np.abs(roots.imag) <= _REAL_ROOT_RTOL * (1.0 + np.abs(roots))].real
-        if real.size == 0:
+        if not (np.abs(roots.imag) <= _REAL_ROOT_RTOL * (1.0 + np.abs(roots))).any():
             return best
-        crossings = np.sort(t0 + 2.0 * np.arctan(real))
+        # every root marks a candidate crossing: eigvals can push the near-double pair of a
+        # level just above a dip off the axis, and dropping it puts a midpoint on the dip
+        crossings = np.sort(t0 + 2.0 * np.arctan(roots.real))
         gaps = np.diff(crossings, append=crossings[0] + 2.0 * math.pi)
         midpoints = crossings + gaps / 2.0
         values = top(midpoints)
