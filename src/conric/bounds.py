@@ -248,5 +248,6 @@ def sandwich_report(p: ProblemInstance, lower: BoundsLadder, upper: BoundsLadder
     lower_gap = _min_eig(x_minus - lower.matrices[-1])
     upper_gap = _min_eig(upper.matrices[-1] - x_plus)
     trend = lower.monotone_gaps[-2:]
-    consistent = lower_gap > -1e-9 and upper_gap > -1e-9
+    # X(tA, tQ) = t X(A, Q), so the gaps' rounding scales with Q as the solves' acceptance does
+    consistent = lower_gap > -p.residual_bound and upper_gap > -p.residual_bound
     return SandwichReport(lower, upper, x_minus, x_plus, lower_gap, upper_gap, trend, consistent)

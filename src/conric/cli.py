@@ -3,10 +3,11 @@
 Subcommands: solve | check | bounds | trace.  Inputs are matrix files in
 either a JSON document ({"n": ..., "re": [[...]], "im": [[...]], optional
 "q_re"/"q_im"}) or a plain text form (a line with n, then n lines of n
-"re,im" pairs).  Reports go to stdout (or --out) as JSON or key/value text;
-every float serializes round-trippably, an infinite or NaN one as null in
-JSON, which has neither.  Exit codes are part of the contract: EXIT_CODES
-gives the code of each report classification, and an input error exits 1.
+"re,im" pairs).  Reports go to stdout (or --out) as JSON, or as text with
+one "dotted.key = value" line per leaf, its value written as in JSON; every
+float serializes round-trippably, an infinite or NaN one as null, since JSON
+has neither.  Exit codes are part of the contract: EXIT_CODES gives the code
+of each report classification, and an input error exits 1.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ _STRICT = json.JSONEncoder(allow_nan=False)
 
 
 def _dumps(value) -> str:
-    """json.dumps of a report leaf (a scalar, or a list of numbers or of number lists), inf and NaN as null."""
+    """json.dumps of a report value (a JSON leaf, or any list of a text report), inf and NaN as null."""
     try:
         return _STRICT.encode(value)
     except ValueError:
@@ -269,14 +270,11 @@ def _emit(report: dict, args) -> bool:
             if isinstance(value, dict):
                 for key, item in value.items():
                     walk(f"{prefix}.{key}" if prefix else key, item)
-            elif isinstance(value, list):
-                # json.dumps joins a list's items with ", ", so a recurring item is encoded once
-                if _recurs(value):
-                    lines.append(f"{prefix} = [{', '.join(_once_each(json.dumps, value))}]")
-                else:
-                    lines.append(f"{prefix} = {json.dumps(value)}")
+            elif isinstance(value, list) and _recurs(value):
+                # _dumps joins a list's items with ", ", so a recurring item is encoded once
+                lines.append(f"{prefix} = [{', '.join(_once_each(_dumps, value))}]")
             else:
-                lines.append(f"{prefix} = {value!r}" if isinstance(value, str) else f"{prefix} = {value}")
+                lines.append(f"{prefix} = {_dumps(value)}")
 
         walk("", report)
         text = "\n".join(lines) + "\n"

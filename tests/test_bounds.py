@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,33 @@ class TestSandwichReport:
         p, twin = ProblemInstance(EX1_A), ProblemInstance(EX1_A.copy())
         report = sandwich_report(p, build_ladder(twin, "lower"), build_ladder(twin, "upper"))
         assert report.consistent
+
+    def test_consistency_scales_with_q(self, rng):
+        # X(tA, tQ) = t X(A, Q), so the gaps' rounding grows with t; an absolute band of 1e-9
+        # read every one of these draws inconsistent from t = 1e9 on
+        for _ in range(8):
+            a = random_with_norm(rng, 4, 0.3)
+            for t in (1.0, 1e3, 1e6, 1e9, 1e12):
+                p = ProblemInstance(t * a, t * np.eye(4))
+                report = sandwich_report(p, build_ladder(p, "lower", 48), build_ladder(p, "upper", 48))
+                assert report.consistent, (t, report.lower_gap, report.upper_gap)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e9])
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_a_rung_past_its_solution_is_inconsistent(self, scale, side):
+        # the last rung moved across its extremal solution by 10 times the band, or by a tenth of it
+        p = ProblemInstance(scale * EX1_A, scale * np.eye(2))
+        ladders = {s: build_ladder(p, s) for s in ("lower", "upper")}
+        report = sandwich_report(p, ladders["lower"], ladders["upper"])
+        assert report.consistent
+        solution, sign = (report.x_minus, 1.0) if side == "lower" else (report.x_plus, -1.0)
+        for shift, consistent in ((10.0, False), (0.1, True)):
+            rung = solution + sign * shift * p.residual_bound * np.eye(2)
+            ladder = ladders[side]
+            ladders[side] = dataclasses.replace(ladder, matrices=ladder.matrices[:-1] + [rung])
+            report = sandwich_report(p, ladders["lower"], ladders["upper"])
+            assert report.consistent is consistent, (shift, report.lower_gap, report.upper_gap)
+            ladders[side] = ladder
 
     def test_trend_reported(self, rng):
         a = random_nonsingular_solvable(rng, 2)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conric import cli
 from conric.bounds import LadderBreakdown, build_ladder, sandwich_report
 from conric.cli import _emit, main
+from conric.conditions import cross_validate
 from conric.embedding import lozenge
 from conric.kernel import NotPositiveDefiniteError, Tolerances, numerical_radius
 from conric.solver import ProblemInstance, SolveFailure, residual, solve_maximal
@@ -179,7 +180,7 @@ class TestSolveCommand:
         code = main(["solve", str(example_file), "--format", "text", "--no-meta"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "exit_classification = 'success'" in out
+        assert 'exit_classification = "success"' in out
 
     def test_separate_q_file(self, tmp_path, capsys):
         a_path = write_json_instance(tmp_path / "a.json", EX1_A / 2.0)
@@ -839,6 +840,20 @@ def finite_instances(draw):
     return a, (q + q.conj().T) / 2.0
 
 
+def text_tree(text: str) -> dict:
+    """The report tree of a text report: each 'dotted.key = value' line re-nested, its value strict JSON."""
+    tree: dict = {}
+    for line in text.splitlines():
+        key, separator, value = line.partition(" = ")
+        assert separator, line
+        *parents, leaf = key.split(".")
+        node = tree
+        for name in parents:
+            node = node.setdefault(name, {})
+        node[leaf] = json.loads(value, parse_constant=refuse_constant)
+    return tree
+
+
 class TestEveryFiniteInput:
     # the minimal solve's known refusal: at a near-singular X- the residual, evaluated in
     # double precision, can exceed residual_tol through rounding alone (README, numerical notes)
@@ -859,6 +874,10 @@ class TestEveryFiniteInput:
     def test_every_command_reports_truthfully(self, tmp_path_factory, instance):
         a, q = instance
         path = write_json_instance(tmp_path_factory.mktemp("finite") / "a.json", a, q)
+        # the library's answer on the instance the CLI loads, under the same tolerances
+        cv = cross_validate(ProblemInstance(a, q, Tolerances(max_iter=2000)))
+        assert not (cv.existence.verdict == "not_exists" and cv.solver_succeeded)
+        existence = strict_json(cli._existence_json(cv.existence))
         for command in (["check"], ["solve", "--minimal"], ["trace"], ["bounds"]):
             code, out, err = self.run(path, *command)
             if code == 4:
@@ -868,9 +887,25 @@ class TestEveryFiniteInput:
             if command[0] == "trace":
                 continue
             report = json.loads(out, parse_constant=refuse_constant)
-            if command[0] == "solve":
-                verdict = report["existence"]["verdict"]
-                assert (verdict, code) not in (("exists", 2), ("not_exists", 0), ("not_exists", 3))
+            # the text report is the JSON report flattened, one strict JSON value a line
+            text_code, text, text_err = self.run(path, *command, "--format", "text")
+            assert (text_code, text_err) == (code, err)
+            tree = text_tree(text)
+            assert tree.pop("command").replace(" --format text", "") == report.pop("command")
+            assert tree == report
+            if command[0] != "bounds":
+                assert report["existence"] == existence
+            if command[0] != "solve":
+                continue
+            verdict = report["existence"]["verdict"]
+            assert (verdict, code) not in (("exists", 2), ("not_exists", 0), ("not_exists", 3))
+            if verdict == "not_exists":
+                continue
+            # solve ran solve_maximal as cross_validate did, then the minimal solve
+            if cv.solver_succeeded:
+                assert code == 0 or err.startswith(self.DUAL_ROUTE), (code, err)
+            else:
+                assert code == cli.EXIT_CODES[cv.solver_error.split(": ", 1)[0]], (code, cv.solver_error)
 
 
 class TestInternalErrors:
