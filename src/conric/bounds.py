@@ -40,8 +40,6 @@ from itertools import cycle, islice
 import numpy as np
 
 from .kernel import (
-    DEFAULT_TOLERANCES,
-    Tolerances,
     adjoint,
     cmatrix,
     conj,
@@ -143,7 +141,7 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
         if first < k - 1:
             start = first
             break
-        y_next, margin, gram = _cone_step(y, coeff, True, p.tol)
+        y_next, margin, gram = _cone_step(y, coeff, True)
         if y_next is None:
             # a NaN margin breaks the ladder down too: only a positive one truncates it
             if not margin > 0.0:
@@ -172,7 +170,7 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
     return BoundsLadder(side, len(matrices), matrices, gaps, p.a_q, truncated_at)
 
 
-def closed_form_bounds(a, which: str, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def closed_form_bounds(a, which: str) -> np.ndarray:
     """Explicit first three rungs of either ladder.
 
         S1 = conj(A A*)
@@ -198,17 +196,17 @@ def closed_form_bounds(a, which: str, tol: Tolerances = DEFAULT_TOLERANCES) -> n
     if which == "S1":
         return sym(np.conj(a @ ah))
     if which == "S2":
-        return sym(ac @ pd_solve(sym(eye - a @ ah), at, tol))
+        return sym(ac @ pd_solve(sym(eye - a @ ah), at))
     if which == "S3":
-        inner = sym(eye - a @ pd_solve(sym(eye - np.conj(a @ ah)), ah, tol))
-        return sym(ac @ pd_solve(inner, at, tol))
+        inner = sym(eye - a @ pd_solve(sym(eye - np.conj(a @ ah)), ah))
+        return sym(ac @ pd_solve(inner, at))
     if which == "R1":
         return sym(eye - ah @ a)
     if which == "R2":
-        return sym(eye - ah @ pd_solve(sym(eye - np.conj(ah @ a)), a, tol))
+        return sym(eye - ah @ pd_solve(sym(eye - np.conj(ah @ a)), a))
     if which == "R3":
-        inner = sym(eye - at @ pd_solve(sym(eye - ah @ a), ac, tol))
-        return sym(eye - ah @ pd_solve(inner, a, tol))
+        inner = sym(eye - at @ pd_solve(sym(eye - ah @ a), ac))
+        return sym(eye - ah @ pd_solve(inner, a))
     raise ValueError(f"which must be one of S1..S3, R1..R3, got {which!r}")
 
 

@@ -283,7 +283,7 @@ def _emit(report: dict, args) -> bool:
 
 def cmd_solve(args, report: dict) -> None:
     instance = args.instance
-    existence = check_existence(instance.a_q, instance.tol)
+    existence = check_existence(instance.a_q)
     report["existence"] = _existence_json(existence)
     if existence.verdict == "not_exists":
         failed = [c.name for c in existence.necessary_failures()]
@@ -314,8 +314,7 @@ def cmd_solve(args, report: dict) -> None:
 
 
 def cmd_check(args, report: dict) -> None:
-    instance = args.instance
-    report["existence"] = _existence_json(check_existence(instance.a_q, instance.tol))
+    report["existence"] = _existence_json(check_existence(args.instance.a_q))
 
 
 def _ladder_json(ladder) -> dict:

@@ -26,8 +26,6 @@ from .embedding import is_con_normal, lozenge
 from .kernel import (
     BAND,
     ConricError,
-    DEFAULT_TOLERANCES,
-    Tolerances,
     adjoint,
     cmatrix,
     hermitian_eigen,
@@ -74,7 +72,7 @@ class ExistenceReport:
         return [c for c in self.necessary if c.margin < -BAND]
 
 
-def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
+def check_existence(a) -> ExistenceReport:
     """Evaluate all existence conditions for the unit right-hand side equation.
 
     Verdict logic: a necessary condition failing beyond its band disproves
@@ -98,7 +96,7 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     rho_quarter, co_plus, co_minus = (c - r / scale / scale for c, r in zip((0.25, 1.0, 1.0), radii))
     norm_a = op_norm_2(a) / scale
     gram = scale * scale * eye - a @ adjoint(a) - np.conj(adjoint(a) @ a)
-    gram_ok, gram_margin = is_positive_definite((gram + gram.conj().T) / 2.0, tol)
+    gram_ok, gram_margin = is_positive_definite((gram + gram.conj().T) / 2.0)
     # a scaled gram has negative trace, where the margin is its first failing pivot, not relative
     gram_margin = gram_margin / scale / scale
     necessary = [
@@ -112,7 +110,7 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     sufficient = ConditionCheck("norm_le_half", norm_a <= 0.5, 0.5 - norm_a)
 
     exact: ConditionCheck | None = None
-    if _nonsingular(a, tol)[0]:
+    if _nonsingular(a)[0]:
         omega = numerical_radius(lozenge(a)) / scale
         exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
 
@@ -129,11 +127,7 @@ def check_existence(a, tol: Tolerances = DEFAULT_TOLERANCES) -> ExistenceReport:
     return ExistenceReport(necessary, sufficient, exact, verdict)
 
 
-def con_normal_closed_form(
-    a,
-    want: str = "maximal",
-    tol: Tolerances = DEFAULT_TOLERANCES,
-) -> np.ndarray:
+def con_normal_closed_form(a, want: str = "maximal") -> np.ndarray:
     """Closed form (I +- (I - 4 A* A)^(1/2)) / 2 for con-normal coefficients.
 
     Valid exactly when ||A|| <= 1/2 (for con-normal A that bound is also
@@ -154,7 +148,7 @@ def con_normal_closed_form(
         )
     gram = adjoint(a) @ a
     w, v = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    if want == "minimal" and not _nonsingular(a, tol)[0]:
+    if want == "minimal" and not _nonsingular(a)[0]:
         raise SingularCoefficient("minimal closed form needs a nonsingular coefficient")
     disc = np.sqrt(np.clip(1.0 - 4.0 * w, 0.0, None))
     eigs = (1.0 + disc) / 2.0 if want == "maximal" else (1.0 - disc) / 2.0
@@ -181,7 +175,7 @@ def cross_validate(p: ProblemInstance) -> CrossValidation:
     failure; an undetermined verdict is consistent with either outcome and
     the solver result is attached as empirical evidence only.
     """
-    report = check_existence(p.a_q, p.tol)
+    report = check_existence(p.a_q)
     outcome: SolveOutcome | None = None
     error: str | None = None
     try:

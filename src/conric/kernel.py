@@ -52,6 +52,9 @@ class NonFiniteMatrixError(ConricError, ValueError):
 HERMITIAN_RTOL = 1e-10
 # The one classification band around every verdict threshold (1/4, 1/2, 1).
 BAND = 1e-8
+# The one definition of "positive definite" and "singular" to tolerance: a pivot above
+# PD_FLOOR * trace/n, a smallest singular value above PD_FLOOR * sigma_max.
+PD_FLOOR = 1e-12
 # Relative floor on the smallest eigenvalue accepted by psd_sqrt.
 PSD_RTOL = 1e-10
 # numerical_radius: the level sits this far (relative) above the best value
@@ -68,25 +71,25 @@ _NEWTON_STEP_TOL = 1e-9
 class Tolerances:
     """Numerical thresholds shared by every module.
 
-    pd_floor          relative pivot floor for positive definiteness checks
     stop_rel          relative iterate-change stopping threshold
     residual_tol      equation residual accepted as "solved", relative to
                       max(1, ||Q||) (ProblemInstance.residual_bound)
     max_iter          fixed point iteration cap
 
     The spectral and numerical radii take no tolerance: both come from
-    LAPACK eigenvalue problems that are accurate to rounding.
+    LAPACK eigenvalue problems that are accurate to rounding, and the pivot
+    floor is the module constant PD_FLOOR.
     """
 
-    pd_floor: float = 1e-12
     stop_rel: float = 1e-13
     residual_tol: float = 1e-9
     max_iter: int = 100_000
 
     def __post_init__(self) -> None:
-        for name in ("pd_floor", "stop_rel", "residual_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
+        for name in ("stop_rel", "residual_tol"):
+            # written so that NaN is refused too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
         integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
         if not integral or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
@@ -142,14 +145,14 @@ def mat_mul(a, b) -> np.ndarray:
     return a @ b
 
 
-def mat_inverse(a, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def mat_inverse(a) -> np.ndarray:
     """Inverse from LAPACK, refused for a matrix singular to tolerance.
 
-    Raises SingularMatrixError when sigma_min <= pd_floor * sigma_max, the
+    Raises SingularMatrixError when sigma_min <= PD_FLOOR * sigma_max, the
     package's one definition of "singular to tolerance" (see _nonsingular).
     """
     a = _require_square(a, "mat_inverse")
-    ok, smallest = _nonsingular(a, tol)
+    ok, smallest = _nonsingular(a)
     if not ok:
         raise SingularMatrixError(
             f"singular to tolerance: smallest singular value {smallest:.3e}"
@@ -303,7 +306,7 @@ def psd_sqrt(h) -> np.ndarray:
     return (v * roots) @ v.conj().T
 
 
-def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, float]:
+def _cholesky_lower(h: np.ndarray) -> tuple[np.ndarray | None, float]:
     """Complex Cholesky with a relative pivot floor.
 
     Returns (L, margin) where margin is the smallest pivot divided by the
@@ -319,7 +322,7 @@ def _cholesky_lower(h: np.ndarray, tol: Tolerances) -> tuple[np.ndarray | None, 
     if scale <= 0.0:
         # a PD matrix has positive trace; keep margins finite and signed
         scale = 1.0
-    floor = tol.pd_floor * scale
+    floor = PD_FLOOR * scale
     with np.errstate(invalid="ignore"):
         lower = _lapack.cholesky_lo(h)
         # LAPACK's pivots are positive, so the smallest square is the square of the smallest
@@ -348,14 +351,14 @@ def _cholesky_pivots(h: np.ndarray, scale: float, floor: float) -> tuple[np.ndar
     return lower, margin
 
 
-def is_positive_definite(h, tol: Tolerances = DEFAULT_TOLERANCES) -> CheckResult:
+def is_positive_definite(h) -> CheckResult:
     """Positive definiteness by Cholesky pivots against a relative floor.
 
     The margin is the smallest pivot divided by trace/n, so the identity
     reports margin 1.
     """
     h = _require_hermitian(h, "is_positive_definite")
-    lower, margin = _cholesky_lower(h, tol)
+    lower, margin = _cholesky_lower(h)
     return CheckResult(lower is not None, margin)
 
 
@@ -365,20 +368,20 @@ def _huge_part(a: np.ndarray) -> float | None:
     return top if top > 2.0**64 else None
 
 
-def _nonsingular(a: np.ndarray, tol: Tolerances) -> tuple[bool, float]:
-    """(sigma_min > pd_floor * sigma_max, sigma_min) from the singular values.
+def _nonsingular(a: np.ndarray) -> tuple[bool, float]:
+    """(sigma_min > PD_FLOOR * sigma_max, sigma_min) from the singular values.
 
     Not from the eigenvalues of A*A, whose square root bottoms out near 1e-8 ||A||.
     """
     s = np.linalg.svd(a, compute_uv=False)
     smallest = float(s[-1])
-    return smallest > tol.pd_floor * float(s[0]), smallest
+    return smallest > PD_FLOOR * float(s[0]), smallest
 
 
-def pd_cholesky(h, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def pd_cholesky(h) -> np.ndarray:
     """Cholesky factor of a Hermitian positive definite matrix."""
     h = _require_hermitian(h, "pd_cholesky")
-    lower, margin = _cholesky_lower(h, tol)
+    lower, margin = _cholesky_lower(h)
     if lower is None:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite to tolerance (pivot margin {margin:.3e})"
@@ -395,6 +398,6 @@ def cholesky_solve(lower: np.ndarray, b) -> np.ndarray:
     return np.linalg.solve(lower.conj().T, np.linalg.solve(lower, b))
 
 
-def pd_solve(h, b, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def pd_solve(h, b) -> np.ndarray:
     """Solve h x = b for Hermitian positive definite h by Cholesky."""
-    return cholesky_solve(pd_cholesky(h, tol), b)
+    return cholesky_solve(pd_cholesky(h), b)

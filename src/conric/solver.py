@@ -31,6 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import kernel
 from .embedding import co_spectral_radius_vs_one, lozenge, unheart
 from .kernel import (
     ConricError,
@@ -120,7 +121,7 @@ class ProblemInstance:
             q = cmatrix(self.q)
             if q.shape != a.shape:
                 raise ValueError(f"q shape {q.shape} does not match a shape {a.shape}")
-            lower, margin = _cholesky_lower(_require_hermitian(q, "q"), self.tol)
+            lower, margin = _cholesky_lower(_require_hermitian(q, "q"))
             if lower is None:
                 raise NotPositiveDefiniteError(f"q must be positive definite (pivot margin {margin:.3e})")
         for name, value in (("a", a), ("q", q), ("q_factor", lower)):
@@ -198,7 +199,7 @@ def _step(lower: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool) -> tupl
 
 
 def _cone_step(
-    w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool, tol: Tolerances
+    w: np.ndarray, coeff: np.ndarray, conjugate_iterate: bool
 ) -> tuple[np.ndarray | None, float, np.ndarray | None]:
     """W -> I - C* inner(W)^-1 C, inner(W) = W or conj(W), from one Cholesky factor of W.
 
@@ -206,7 +207,7 @@ def _cone_step(
     pivot floor.  The solver loop and the ladders step here; the lower ladder reads the Gram,
     which carries the small rungs without the cancellation of I - conj(next iterate).
     """
-    lower, margin = _cholesky_lower(w, tol)
+    lower, margin = _cholesky_lower(w)
     if lower is None:
         return None, margin, None
     w_next, gram = _step(lower, coeff, conjugate_iterate)
@@ -230,9 +231,9 @@ def _refuse_huge(coeff: np.ndarray) -> None:
         raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)", 1)
 
 
-def _defect(w: np.ndarray, coeff: np.ndarray, tol: Tolerances) -> float:
+def _defect(w: np.ndarray, coeff: np.ndarray) -> float:
     """||W - (I - C* W^-1 C)||, the equation defect of W and so its next update step; inf below the floor."""
-    lower, _ = _cholesky_lower(w, tol)
+    lower, _ = _cholesky_lower(w)
     return math.inf if lower is None else hermitian_norm_2(w - _step(lower, coeff, False)[0])
 
 
@@ -265,7 +266,7 @@ def _fixed_point_generic(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
         filled = 0
 
     for k in range(1, tol.max_iter + 1):
-        w_next, margin, _ = _cone_step(w, coeff, False, tol)
+        w_next, margin, _ = _cone_step(w, coeff, False)
         if w_next is None:
             flush()
             raise _left_the_cone(k - 1, margin, trace)
@@ -275,7 +276,7 @@ def _fixed_point_generic(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
             flush()
             change = trace[-1]
             if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
-                res = _defect(w_next, coeff, tol)
+                res = _defect(w_next, coeff)
                 if res <= tol.residual_tol:
                     return w_next, k, trace, res
         elif filled == len(block):
@@ -297,13 +298,10 @@ def _fixed_point_scalar(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray,
     # numpy's array modulus, which can differ from abs() of the element in the last bit
     s = float(np.abs(coeff)[0, 0] ** 2)
     trace = array("d")
-    if tol.pd_floor >= 1.0:
-        # the pivot loop refuses the identity with margin 1; a floor below 1 refuses y only
-        # once y <= 0, where the pivot loop's scale is 1
-        raise _left_the_cone(0, 1.0, trace)
     stop_rel = tol.stop_rel
     y = 1.0
     for k in range(1, tol.max_iter + 1):
+        # y I_2 has pivot margin y / y = 1 while y > 0, so PD_FLOOR < 1 refuses it only here
         if y <= 0.0:
             raise _left_the_cone(k - 1, y, trace)
         y_next = 1.0 - s / y
@@ -317,7 +315,7 @@ def _fixed_point_scalar(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray,
     raise _out_of_iterations(tol, trace)
 
 
-def _doubling_iterates(a: np.ndarray, conjugate: bool, tol: Tolerances) -> Iterator[tuple[np.ndarray, ...]]:
+def _doubling_iterates(a: np.ndarray, conjugate: bool) -> Iterator[tuple[np.ndarray, ...]]:
     """(Q_j, P_j) of doubling (Lin & Xu, SIMAX 2006), j = 1, 2, ...: Q_j = iterate 2^j - 1 of the loop from I.
 
     ``conjugate`` picks step 1, as _cone_step's flag picks inner(W).  For Y + a* conj(Y)^-1 a = I
@@ -335,7 +333,7 @@ def _doubling_iterates(a: np.ndarray, conjugate: bool, tol: Tolerances) -> Itera
     p, b = (np.conj(a @ a.conj().T), np.conj(a) @ a) if conjugate else (a @ a.conj().T, a @ a)
     while True:
         yield q, p
-        lower = _cholesky_lower(q - p, tol)[0]
+        lower = _cholesky_lower(q - p)[0]
         if lower is None or not b.any():
             return
         # an accepted factor has a positive diagonal, so the solve cannot refuse it
@@ -368,12 +366,12 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
 
     def certified(q: np.ndarray, j: int) -> tuple[np.ndarray, int, array[float], float] | None:
         w = (q + q.conj().T) / 2.0
-        res = _defect(w, b, tol)
+        res = _defect(w, b)
         return (w, j, trace, res) if res <= tol.residual_tol else None
 
     trace = array("d")
     previous = _identity(b.shape[0])
-    for j, (q, _) in enumerate(_doubling_iterates(b, False, tol), 1):
+    for j, (q, _) in enumerate(_doubling_iterates(b, False), 1):
         if j > tol.max_iter:
             raise _out_of_iterations(tol, trace)
         change = hermitian_norm_2(q - previous)
@@ -385,7 +383,7 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
         # Q_j - P_j failed the pivot floor, or B_j vanished
         found = certified(q, j) or _fixed_point_generic(b, tol)
     w, iterations, trace, res = found
-    certificate = op_norm_2(cholesky_solve(pd_cholesky(w, tol), b))
+    certificate = op_norm_2(cholesky_solve(pd_cholesky(w), b))
     return SolveOutcome(w, "maximal", iterations, res, trace, certificate)
 
 
@@ -453,7 +451,7 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     """
     coeff = adjoint(p.a_q)
     dual, iterations, trace = _unit_maximal(coeff, p.tol)
-    lower, margin = _cholesky_lower(dual, p.tol)
+    lower, margin = _cholesky_lower(dual)
     if lower is None:
         # the engine has certified Y positive definite
         raise InternalInconsistency(f"dual solution fails the pivot floor (pivot margin {margin:.3e})")
@@ -466,7 +464,8 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     refusal = SingularCoefficient, "minimal solution is singular to the pivot floor"
     scale = max(float(y.trace().real) / p.n, 0.0) or 1.0
     smallest = float(np.abs(np.linalg.qr(z, mode="r").diagonal()).min()) ** 2
-    if smallest <= p.tol.pd_floor * scale:
+    # kernel.PD_FLOOR, not a copy of it: one floor decides every pivot
+    if smallest <= kernel.PD_FLOOR * scale:
         raise refusal[0](f"{refusal[1]} (pivot margin {smallest / scale:.3e})")
     x = p.back(y)
     res = _tail(x, y, p, refusal, "dual-route")[1]
@@ -485,7 +484,7 @@ def _extremal_pair(p: ProblemInstance) -> tuple[np.ndarray, np.ndarray] | None:
     """
     tol = p.tol
     previous = _identity(p.n), np.zeros((p.n, p.n), dtype=np.complex128)
-    iterates = _doubling_iterates(p.a_q, True, tol)
+    iterates = _doubling_iterates(p.a_q, True)
     for j, pair in enumerate(iterates, 1):
         if 2**j - 1 > tol.max_iter:
             return None
@@ -518,7 +517,7 @@ def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[
     solutions and the Loewner order); y below the floor raises refusal = (class, message).
     L L_y factors x, so x is never factored.  A solve names its ``route``: p.residual_bound gates it.
     """
-    lower, margin = _cholesky_lower(y, p.tol)
+    lower, margin = _cholesky_lower(y)
     if lower is None:
         raise refusal[0](f"{refusal[1]} (pivot margin {margin:.3e})")
     # conj(L L_y) factors conj(x)

@@ -216,8 +216,8 @@ def numerical_radius_loop(
     return best
 
 
-def cholesky_pivot_loop(h: np.ndarray, pd_floor: float = 1e-12) -> tuple[np.ndarray | None, float]:
-    """Reference Cholesky, one pivot at a time against the floor pd_floor * trace/n.
+def cholesky_pivot_loop(h: np.ndarray, floor: float = 1e-12) -> tuple[np.ndarray | None, float]:
+    """Reference Cholesky, one pivot at a time against floor * trace/n, floor kernel.PD_FLOOR's value.
 
     Returns (L, margin) with margin the smallest pivot over trace/n, or
     (None, margin) at the first pivot at or below the floor.
@@ -232,7 +232,7 @@ def cholesky_pivot_loop(h: np.ndarray, pd_floor: float = 1e-12) -> tuple[np.ndar
     for k in range(n):
         d = float(h[k, k].real) - float(np.sum(np.abs(lower[k, :k]) ** 2))
         margin = min(margin, d / scale)
-        if d <= pd_floor * scale:
+        if d <= floor * scale:
             return None, margin
         lower[k, k] = np.sqrt(d)
         lower[k + 1 :, k] = (h[k + 1 :, k] - lower[k + 1 :, :k] @ lower[k, :k].conj()) / lower[k, k]
@@ -305,12 +305,12 @@ def reference_iterations(b: np.ndarray, stop_rel: float = 1e-13, residual_tol: f
     raise RuntimeError("reference iteration did not stop")
 
 
-def loop_iterates(coeff: np.ndarray, tol: Tolerances, count: int) -> list[np.ndarray]:
+def loop_iterates(coeff: np.ndarray, count: int) -> list[np.ndarray]:
     """[W_0 = I, W_1, ..., W_count] of the fixed point loop, stepped by the solver's own _cone_step.
 
     The loop's trace is the norms of the consecutive differences, and its solution W_iterations.
     """
     iterates = [np.eye(coeff.shape[0], dtype=np.complex128)]
     for _ in range(count):
-        iterates.append(solver._cone_step(iterates[-1], coeff, False, tol)[0])
+        iterates.append(solver._cone_step(iterates[-1], coeff, False)[0])
     return iterates

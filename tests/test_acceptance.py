@@ -175,7 +175,7 @@ def test_criterion_05_monotone_envelope_and_structure():
         b, tol = lozenge(a), Tolerances()
         # at Q = I solve_maximal's engine runs this sequence
         solution, iterations, _, _ = _fixed_point_generic(b, tol)
-        iterates = loop_iterates(b, tol, iterations)
+        iterates = loop_iterates(b, iterations)
         for w_prev, w_next in zip(iterates, iterates[1:]):
             assert np.linalg.eigvalsh(w_prev - w_next)[0] >= -1e-12
         for w in iterates:

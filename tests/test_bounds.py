@@ -121,7 +121,7 @@ class TestBuildLadder:
     @pytest.mark.parametrize("side", ["lower", "upper"])
     def test_truncates_below_the_pivot_floor(self, side):
         # y_2 = (1 - 2a^2) / (1 - a^2) = 2e-13 for a^2 = 1/2 - 5e-14, so
-        # iterate 2 is positive with pivot margin 4e-13, below pd_floor
+        # iterate 2 is positive with pivot margin 4e-13, below PD_FLOOR
         a = np.diag([np.sqrt(0.5 - 5e-14), 0.1])
         ladder = build_ladder(ProblemInstance(a), side, 6)
         assert ladder.truncated_at == 3
@@ -132,7 +132,7 @@ class TestBuildLadder:
         # the floor refuses a NaN pivot with margin NaN; only a positive margin truncates a ladder
         import conric.bounds as bounds_mod
 
-        monkeypatch.setattr(bounds_mod, "_cone_step", lambda y, coeff, conjugate, tol: (None, np.nan, None))
+        monkeypatch.setattr(bounds_mod, "_cone_step", lambda y, coeff, conjugate: (None, np.nan, None))
         with pytest.raises(LadderBreakdown, match=r"pivot margin nan") as info:
             build_ladder(ProblemInstance(EX1_A), side, 6)
         assert (info.value.side, info.value.rung) == (side, 1)
@@ -161,7 +161,7 @@ def stepped_rungs(p, side):
     coeff = p.a_q if side == "upper" else adjoint(p.a_q)
     y = np.eye(p.n, dtype=np.complex128)
     while True:
-        y, _, gram = _cone_step(y, coeff, True, p.tol)
+        y, _, gram = _cone_step(y, coeff, True)
         assert y is not None
         yield p.back(y if side == "upper" else np.conj((gram + gram.conj().T) / 2.0)), y
 
@@ -220,7 +220,7 @@ class TestRecurrence:
         eye = np.eye(n)
         for side, coeff in (("upper", a), ("lower", adjoint(a))):
             b, tol = lozenge(coeff), Tolerances()
-            iterates = loop_iterates(b, tol, min(8, _fixed_point_generic(b, tol)[1]))
+            iterates = loop_iterates(b, min(8, _fixed_point_generic(b, tol)[1]))
             depth = len(iterates) - 1
             ladder = build_ladder(ProblemInstance(a), side, depth)
             assert ladder.depth == depth
@@ -251,7 +251,7 @@ class TestRecurrence:
         # step j of doubling on a_q is the pair of unit rungs (R_(2^j - 1), S_(2^j - 1))
         p = ProblemInstance(random_nonsingular_solvable(rng, n, min_norm=0.3))
         upper, lower = (build_ladder(p, side, 2**4 - 1).matrices for side in ("upper", "lower"))
-        iterates = _doubling_iterates(p.a_q, True, p.tol)
+        iterates = _doubling_iterates(p.a_q, True)
         for j, (q, p_j) in zip(range(1, 5), iterates):
             assert np.abs(q - upper[2**j - 2]).max() <= 1e-14
             assert np.abs(p_j - lower[2**j - 2]).max() <= 1e-14

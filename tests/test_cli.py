@@ -249,6 +249,14 @@ class TestInputHandling:
         assert report["tolerances"]["residual_tol"] == 1e-6
         assert report["outcome"]["residual"] <= 1e-6
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_a_tol_that_is_not_finite_and_positive_is_an_input_error(self, example_file, capsys, value):
+        # an infinite residual tolerance would accept any matrix as a solution
+        assert main(["check", str(example_file), "--tol", value, "--no-meta"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "input error: residual_tol must be finite and strictly positive\n"
+
 
 class TestCheckCommand:
     def test_example_report(self, example_file, capsys):
@@ -427,9 +435,9 @@ class TestBoundsCommand:
         seen = []
         cholesky_lower = kernel._cholesky_lower
 
-        def counting(h, tol):
+        def counting(h):
             seen.append(np.array_equal(h, q))
-            return cholesky_lower(h, tol)
+            return cholesky_lower(h)
 
         for module in (kernel, solver):
             monkeypatch.setattr(module, "_cholesky_lower", counting)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -14,6 +15,7 @@ from conric.kernel import (
     NonFiniteMatrixError,
     NotHermitianError,
     NotPositiveDefiniteError,
+    PD_FLOOR,
     SingularMatrixError,
     Tolerances,
     _cholesky_lower,
@@ -139,18 +141,18 @@ class TestNonFinite:
 class TestTolerances:
     def test_defaults_valid(self):
         tol = Tolerances()
-        assert tol.pd_floor == 1e-12
+        assert PD_FLOOR == 1e-12
         assert tol.max_iter == 100_000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"pd_floor": 0.0},
             {"stop_rel": -1e-3},
             {"residual_tol": 0.0},
             {"max_iter": 0},
-            {"pd_floor": math.nan},
             {"residual_tol": math.nan},
+            {"residual_tol": math.inf},
+            {"stop_rel": math.inf},
             {"max_iter": math.nan},
             {"max_iter": 2.5},
             {"max_iter": 100.0},
@@ -164,6 +166,70 @@ class TestTolerances:
     def test_numpy_integer_max_iter_becomes_int(self):
         tol = Tolerances(max_iter=np.int64(8))
         assert type(tol.max_iter) is int and tol.max_iter.bit_length() == 4
+
+    def test_the_pivot_floor_is_not_a_setting(self):
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["stop_rel", "residual_tol", "max_iter"]
+        with pytest.raises(TypeError):
+            Tolerances(pd_floor=1e-12)
+
+
+def test_one_pivot_floor_decides_every_test(monkeypatch):
+    # every decision reads kernel.PD_FLOOR when it runs, so no module may bind a copy of it:
+    # at a floor of 0.9 each of these flips, and a copy would keep deciding at 1e-12
+    import conric.kernel as kernel_mod
+    import conric.solver as solver_mod
+
+    h, a, q = np.diag([1.0, 0.3]), np.diag([0.3, 0.1]), np.diag([1.0, 0.5])
+    # the upper ladder's y_1 = diag(0.7975, 1) has pivot margin 0.89
+    c = np.diag([0.45, 0.0])
+
+    def decisions():
+        p = conric.ProblemInstance(a)
+        try:
+            minimal = conric.solve_minimal(p).kind
+        except conric.SingularCoefficient:
+            minimal = None
+        try:
+            inverse = mat_inverse(h) is not None
+        except SingularMatrixError:
+            inverse = False
+        try:
+            conric.ProblemInstance(a, q)
+            q_accepted = True
+        except NotPositiveDefiniteError:
+            q_accepted = False
+        return {
+            "is_positive_definite": is_positive_definite(h).ok,
+            "mat_inverse": inverse,
+            "exact_criterion": conric.check_existence(a).exact_invertible is not None,
+            "solve_minimal": minimal,
+            "q": q_accepted,
+            "truncated_at": conric.build_ladder(conric.ProblemInstance(c), "upper", 4).truncated_at,
+        }
+
+    assert decisions() == {
+        "is_positive_definite": True,
+        "mat_inverse": True,
+        "exact_criterion": True,
+        "solve_minimal": "minimal",
+        "q": True,
+        "truncated_at": None,
+    }
+    monkeypatch.setattr(kernel_mod, "PD_FLOOR", 0.9)
+
+    def tail(*args):
+        raise AssertionError("solve_minimal's own floor test let Y- through to the tail's factor")
+
+    # the tail factors the same Y-, so it must not get the chance to refuse it in its place
+    monkeypatch.setattr(solver_mod, "_tail", tail)
+    assert decisions() == {
+        "is_positive_definite": False,
+        "mat_inverse": False,
+        "exact_criterion": False,
+        "solve_minimal": None,
+        "q": False,
+        "truncated_at": 2,
+    }
 
 
 class TestMatMul:
@@ -208,7 +274,7 @@ class TestMatInverse:
             mat_inverse(np.array([[1.0, 2j, 0.5], [0.3j, 1.0, -1.0], [0.7, 3j, 0.5 - 1j]]))
 
     def test_singular_means_sigma_min_below_floor(self):
-        # the floor is pd_floor * sigma_max, the same test as _nonsingular
+        # the floor is PD_FLOOR * sigma_max, the same test as _nonsingular
         with pytest.raises(SingularMatrixError):
             mat_inverse(np.diag([1.0, 1e-13]))
         assert np.allclose(mat_inverse(np.diag([1.0, 1e-11])), np.diag([1.0, 1e11]))
@@ -538,7 +604,7 @@ class TestPositiveDefinite:
         # must be refused by the test it fails, and its margin must not read as inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lower, margin = _cholesky_lower(h.astype(np.complex128), Tolerances())
+            lower, margin = _cholesky_lower(h.astype(np.complex128))
         assert lower is None
         assert math.isnan(margin)
 
@@ -578,7 +644,7 @@ class TestDirectLapack:
     def test_factor_is_numpy_linalg_cholesky(self, n, is_complex):
         h, _ = self.problem(n, is_complex)
         for matrix in (h, read_only(h)):
-            lower, margin = _cholesky_lower(matrix, Tolerances())
+            lower, margin = _cholesky_lower(matrix)
             expected = np.linalg.cholesky(matrix)
             assert lower.dtype == expected.dtype and lower.tobytes() == expected.tobytes()
             assert margin > 0.0
@@ -605,7 +671,7 @@ class TestDirectLapack:
                 np.linalg.cholesky(indefinite)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                lower, margin = _cholesky_lower(indefinite, Tolerances())
+                lower, margin = _cholesky_lower(indefinite)
             assert (lower, margin) == cholesky_pivot_loop(indefinite)
             assert lower is None and margin <= 0.0
 

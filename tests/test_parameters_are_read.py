@@ -1,7 +1,8 @@
 """Every parameter of every function in the package is read in its body, and varied by a call.
 
 A parameter that no line reads is a knob that does nothing: callers can set
-it and nothing changes.  A parameter of a private module-level function that
+it and nothing changes; so is a field of the ``Tolerances`` settings that no
+line outside its class reads.  A parameter of a private module-level function that
 every call in the package leaves at its default, or sets to one and the same
 constant, is a knob that nothing turns: its other values are dead code.  An
 environment variable that the package reads is a knob that no command line
@@ -22,6 +23,8 @@ ALLOWED: dict[str, str] = {}
 ALLOWED_FIXED: dict[str, str] = {}
 # "module.line" -> why that line may read the environment
 ALLOWED_ENVIRONMENT: dict[str, str] = {}
+# "Class.field" -> why the settings field is kept although nothing outside its class reads it
+ALLOWED_UNREAD_FIELDS: dict[str, str] = {}
 
 
 def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[str]:
@@ -233,3 +236,54 @@ def profile():
 os.putenv("E", "1")
 """
     assert environment_reads(source, "m") == ["m.3", "m.6", "m.6", "m.8"]
+
+
+def unread_fields(sources: dict[str, str], class_name: str) -> list[str]:
+    """"Class.field" of each annotated field of class_name that no attribute read outside the class names."""
+    fields, read = [], set()
+    for source in sources.values():
+        tree = ast.parse(source)
+        inside: set[int] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == class_name:
+                fields += [s.target.id for s in node.body if isinstance(s, ast.AnnAssign)]
+                inside |= {id(child) for child in ast.walk(node)}
+        read |= {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in inside
+        }
+    return [f"{class_name}.{name}" for name in fields if name not in read]
+
+
+def test_every_setting_is_read():
+    unread = unread_fields({path.stem: path.read_text() for path in sorted(SOURCE.glob("*.py"))}, "Tolerances")
+    assert [name for name in unread if name not in ALLOWED_UNREAD_FIELDS] == []
+    for name, reason in ALLOWED_UNREAD_FIELDS.items():
+        assert name in unread, f"{name} is read now; drop it from ALLOWED_UNREAD_FIELDS"
+        assert reason.strip(), f"{name} needs a reason"
+
+
+def test_flags_a_setting_read_only_by_its_own_class():
+    first = """
+class Tolerances:
+    floor: float = 1e-12
+    stop: float = 1e-13
+    cap: int = 10
+
+    def __post_init__(self):
+        if not self.floor > 0.0:
+            raise ValueError
+
+def uses(tol):
+    tol.stop = 2.0
+    return {"cap": tol}
+"""
+    second = """
+def loop(tol):
+    return tol.cap
+"""
+    assert unread_fields({"first": first, "second": second}, "Tolerances") == [
+        "Tolerances.floor",
+        "Tolerances.stop",
+    ]
