@@ -55,6 +55,11 @@ BAND = 1e-8
 # The one definition of "positive definite" and "singular" to tolerance: a pivot above
 # PD_FLOOR * trace/n, a smallest singular value above PD_FLOOR * sigma_max.
 PD_FLOOR = 1e-12
+# The one definition of "converged": an iterate change at most STOP_REL times the iterate's norm.
+STOP_REL = 1e-13
+# A matrix whose largest part lies in [2^-500, 2^500] has finite, normal products and sums of
+# squares at the sizes used here; norms scale any other by a power of two first (_scaled).
+_SAFE_RANGE = (2.0**-500, 2.0**500)
 # Relative floor on the smallest eigenvalue accepted by psd_sqrt.
 PSD_RTOL = 1e-10
 # numerical_radius: the level sits this far (relative) above the best value
@@ -69,27 +74,24 @@ _NEWTON_STEP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared by every module.
+    """The settings of a run, exactly the command line's --tol and --max-iter.
 
-    stop_rel          relative iterate-change stopping threshold
     residual_tol      equation residual accepted as "solved", relative to
                       max(1, ||Q||) (ProblemInstance.residual_bound)
     max_iter          fixed point iteration cap
 
     The spectral and numerical radii take no tolerance: both come from
     LAPACK eigenvalue problems that are accurate to rounding, and the pivot
-    floor is the module constant PD_FLOOR.
+    floor and the stopping rule are the module constants PD_FLOOR and STOP_REL.
     """
 
-    stop_rel: float = 1e-13
     residual_tol: float = 1e-9
     max_iter: int = 100_000
 
     def __post_init__(self) -> None:
-        for name in ("stop_rel", "residual_tol"):
-            # written so that NaN is refused too
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and strictly positive")
+        # written so that NaN is refused too
+        if not 0.0 < self.residual_tol < math.inf:
+            raise ValueError("residual_tol must be finite and strictly positive")
         integral = isinstance(self.max_iter, numbers.Integral) and not isinstance(self.max_iter, bool)
         if not integral or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
@@ -130,10 +132,29 @@ def _require_square(a, who: str) -> np.ndarray:
 
 def _require_hermitian(h, who: str) -> np.ndarray:
     h = _require_square(h, who)
-    drift = np.linalg.norm(h - h.conj().T)
-    if drift > HERMITIAN_RTOL * np.linalg.norm(h):
-        raise NotHermitianError(f"{who}: matrix deviates from Hermitian by {drift:.3e}")
+    # the relative Frobenius rule, on h scaled so that neither norm overflows or underflows
+    scaled, exponent = _scaled(h)
+    drift = np.linalg.norm(scaled - scaled.conj().T)
+    if drift > HERMITIAN_RTOL * np.linalg.norm(scaled):
+        raise NotHermitianError(f"{who}: matrix deviates from Hermitian by {drift * 2.0**exponent:.3e}")
     return h
+
+
+def _largest_part(a: np.ndarray) -> float:
+    """The largest modulus of a real or imaginary part of a (the modulus of an entry can overflow)."""
+    return float(np.abs(np.ascontiguousarray(a).view(np.float64)).max())
+
+
+def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(a 2^-e, e) for an exact power of two: e = 0 unless a's largest part is outside the safe range.
+
+    |e| <= 1023, so 2.0**e is a float, and a float times it reads inf where it overflows.
+    """
+    top = _largest_part(a)
+    if _SAFE_RANGE[0] <= top <= _SAFE_RANGE[1] or top == 0.0:
+        return a, 0
+    exponent = min(max(math.frexp(top)[1], -1023), 1023)
+    return a * 2.0**-exponent, exponent
 
 
 def mat_mul(a, b) -> np.ndarray:
@@ -185,11 +206,15 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def op_norm_2(a) -> float:
-    """Spectral norm: the root of the top eigenvalue (eigvalsh) of the symmetrised Gram a*a."""
-    a = _as_matrix(a)
+    """Spectral norm: the root of the top eigenvalue (eigvalsh) of the symmetrised Gram a*a.
+
+    A matrix with a part outside [2^-500, 2^500] is first scaled by an exact power of two, so
+    the Gram neither overflows nor underflows at any finite scale.
+    """
+    a, exponent = _scaled(_as_matrix(a))
     gram = a.conj().T @ a
     w = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
-    return math.sqrt(max(float(w[-1]), 0.0))
+    return math.sqrt(max(float(w[-1]), 0.0)) * 2.0**exponent
 
 
 def hermitian_norm_2(h: np.ndarray) -> float:
@@ -364,7 +389,7 @@ def is_positive_definite(h) -> CheckResult:
 
 def _huge_part(a: np.ndarray) -> float | None:
     """The largest real or imaginary part of a if above 2^64 (so ||a|| > 1 and a* a may overflow), or None."""
-    top = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    top = _largest_part(a)
     return top if top > 2.0**64 else None
 
 

@@ -247,8 +247,8 @@ def _fixed_point_generic(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
 
     _step symmetrises every iterate, so each change D_k = W_k - W_(k-1) is exactly Hermitian;
     iterates are positive definite and below I, so ||W|| <= 1 and no stop fires while
-    ||D_k|| > 2 stop_rel.  As |tr D_k| / m <= ||D_k||, the norm is needed at once only where
-    |tr D_k| <= 2 m (2 stop_rel), a 2x slack for rounding.  Other trace entries wait in a
+    ||D_k|| > 2 STOP_REL.  As |tr D_k| / m <= ||D_k||, the norm is needed at once only where
+    |tr D_k| <= 2 m (2 STOP_REL), a 2x slack for rounding.  Other trace entries wait in a
     preallocated block, and one stacked eigvalsh gives a block's norms, bitwise those of one
     call per step.  The block is flushed before each needed norm and before every raise, so a
     trace is always complete and in order.
@@ -256,7 +256,8 @@ def _fixed_point_generic(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
     m = coeff.shape[0]
     w = np.eye(m, dtype=np.complex128)
     trace = array("d")
-    near_stop = 2.0 * tol.stop_rel
+    # kernel.STOP_REL, not a copy of it: one rule decides every stop
+    near_stop = 2.0 * kernel.STOP_REL
     block = np.empty((max(1, min(_TRACE_BLOCK_STEPS, _TRACE_BLOCK_BYTES // (16 * m * m))), m, m), complex)
     filled = 0
 
@@ -275,7 +276,7 @@ def _fixed_point_generic(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray
         if abs(d.trace().real) <= m * near_stop * 2.0:
             flush()
             change = trace[-1]
-            if change <= near_stop and change <= tol.stop_rel * hermitian_norm_2(w):
+            if change <= near_stop and change <= kernel.STOP_REL * hermitian_norm_2(w):
                 res = _defect(w_next, coeff)
                 if res <= tol.residual_tol:
                     return w_next, k, trace, res
@@ -298,7 +299,7 @@ def _fixed_point_scalar(coeff: np.ndarray, tol: Tolerances) -> tuple[np.ndarray,
     # numpy's array modulus, which can differ from abs() of the element in the last bit
     s = float(np.abs(coeff)[0, 0] ** 2)
     trace = array("d")
-    stop_rel = tol.stop_rel
+    stop_rel = kernel.STOP_REL
     y = 1.0
     for k in range(1, tol.max_iter + 1):
         # y I_2 has pivot margin y / y = 1 while y > 0, so PD_FLOOR < 1 refuses it only here
@@ -352,7 +353,7 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
     a Q_j that passes the residual test is that solution; doubling halves the error each step
     even on the existence boundary, where the iteration converges like 1/k.  Step j records the
     change ||Q_j - Q_(j-1)|| from Q_0 = I in ``trace`` and stops once it is at most
-    stop_rel ||Q_j|| (a bitwise repeat included) and the equation residual certifies Q_j below
+    STOP_REL ||Q_j|| (a bitwise repeat included) and the equation residual certifies Q_j below
     residual_tol.  ``iterations`` counts the steps and ``max_iter`` caps them: the run raises
     MaxIterationsExceeded only when the cap, not the run, ends it.  Where Q_j - P_j fails the
     pivot floor or B_j vanishes, Q_j is accepted if it passes, and otherwise the fixed point
@@ -376,7 +377,7 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
             raise _out_of_iterations(tol, trace)
         change = hermitian_norm_2(q - previous)
         trace.append(change)
-        if change <= tol.stop_rel * hermitian_norm_2(q) and (found := certified(q, j)):
+        if change <= kernel.STOP_REL * hermitian_norm_2(q) and (found := certified(q, j)):
             break
         previous = q
     else:
@@ -477,7 +478,7 @@ def _extremal_pair(p: ProblemInstance) -> tuple[np.ndarray, np.ndarray] | None:
     """(X+, X-) of p from one doubling run on p.a_q, or None where the two solves must decide.
 
     Step j gives the unit rungs Q_j = R_(2^j - 1) above X+ and P_j = S_(2^j - 1) below X-.  The
-    run stops once both changes are at most stop_rel relative, with Q_0 = I and P_0 = 0, and gives
+    run stops once both changes are at most STOP_REL relative, with Q_0 = I and P_0 = 0, and gives
     up once 2^j - 1 > max_iter: step j is that iterate of the loop, so the cap means what it means
     there.  The pivot floor factors Q_j - P_j, and the back-mapped Hermitian parts of Q_j and P_j
     must pass _tail against p.residual_bound.  Any refusal (floor, residual or cap) returns None.
@@ -489,7 +490,7 @@ def _extremal_pair(p: ProblemInstance) -> tuple[np.ndarray, np.ndarray] | None:
         if 2**j - 1 > tol.max_iter:
             return None
         changes = zip(pair, previous)
-        if all(hermitian_norm_2(new - old) <= tol.stop_rel * hermitian_norm_2(new) for new, old in changes):
+        if all(hermitian_norm_2(new - old) <= kernel.STOP_REL * hermitian_norm_2(new) for new, old in changes):
             break
         previous = pair
     else:
@@ -522,7 +523,8 @@ def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[
         raise refusal[0](f"{refusal[1]} (pivot margin {margin:.3e})")
     # conj(L L_y) factors conj(x)
     res = op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(p.q_factor @ lower), p.a) - p.q)
-    if route is not None and res > p.residual_bound:
+    # written so that a NaN residual is refused too
+    if route is not None and not res <= p.residual_bound:
         raise InternalInconsistency(f"{route} residual {res:.3e} exceeds tolerance {p.residual_bound:.3e}")
     return lower, res
 
@@ -553,7 +555,8 @@ def extremality_check(x, p: ProblemInstance, kind: str) -> tuple[bool, float]:
     if kind not in ("maximal", "minimal"):
         raise ValueError(f"kind must be 'maximal' or 'minimal', got {kind!r}")
     lower, res = _given(cmatrix(x), p)
-    if res > p.residual_bound:
+    # written so that a NaN residual is refused too
+    if not res <= p.residual_bound:
         raise NotASolution(f"residual {res:.3e} exceeds tolerance; not a solution")
     # lower factors the unit-Q solution y = L^-1 x L^-*, so conj(y)^-1 is applied through it
     coeff = p.a_q if kind == "maximal" else adjoint(p.a_q)

@@ -78,9 +78,9 @@ def test_criterion_01_example_maximal_solution():
 def test_criterion_02_standard_equation_contrast():
     # numerical radius of this coefficient sits exactly on the classical
     # equation's existence boundary, where the plain iteration converges like
-    # 1/k; doubling still halves the error each step, and with a change
-    # threshold below rounding it stops at the first repeat, within 1e-8
-    tol = Tolerances(stop_rel=5e-16, residual_tol=1e-12, max_iter=45_000_000)
+    # 1/k; doubling still halves the error each step, and stops within 1e-8
+    # after 31 steps
+    tol = Tolerances(residual_tol=1e-12, max_iter=45_000_000)
     std = standard_solve_maximal(EX1_A, tol)
     assert np.abs(std.solution - EX1_X_PLUS_STANDARD).max() <= 1e-8
     contrast = op_norm_2(solve_maximal(ProblemInstance(EX1_A)).solution - std.solution)

@@ -820,6 +820,34 @@ class TestHugeCoefficients:
         if command == "bounds":
             assert report["error"].startswith("lower ladder iterate 1 is not positive definite (||C|| >= ")
 
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize(
+        "command", [["solve", "--minimal"], ["check"], ["bounds"], ["trace"]], ids=["solve", "check", "bounds", "trace"]
+    )
+    def test_a_solvable_twin_scales(self, tmp_path, capsys, n, command):
+        # A and Q both times 1e200 have the unit problem of (A, I): every norm and residual stays finite
+        a = 1e200 * (np.array([[0.3j]]) if n == 1 else 0.1 * self.A3)
+        q = 1e200 * np.eye(n)
+        path = write_json_instance(tmp_path / "a.json", a, q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*command, str(path), "--no-meta"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if command == ["trace"]:
+            changes = [float(line.split()[1]) for line in captured.out.splitlines()]
+            assert changes and all(math.isfinite(change) for change in changes)
+            return
+        report = json.loads(captured.out, parse_constant=refuse_constant)
+        if command == ["bounds"]:
+            assert report["sandwich"]["consistent"]
+            return
+        assert report["existence"]["verdict"] == "exists"
+        if command[0] == "solve":
+            bound = ProblemInstance(a, q).residual_bound
+            for key in ("residual", "x_minus_residual"):
+                assert 0.0 <= report["outcome"][key] <= bound, key
+
 
 @st.composite
 def finite_instances(draw):

@@ -16,6 +16,7 @@ from conric.kernel import (
     NotHermitianError,
     NotPositiveDefiniteError,
     PD_FLOOR,
+    STOP_REL,
     SingularMatrixError,
     Tolerances,
     _cholesky_lower,
@@ -141,18 +142,18 @@ class TestNonFinite:
 class TestTolerances:
     def test_defaults_valid(self):
         tol = Tolerances()
-        assert PD_FLOOR == 1e-12
+        assert PD_FLOOR == 1e-12 and STOP_REL == 1e-13
         assert tol.max_iter == 100_000
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"stop_rel": -1e-3},
+            {"residual_tol": -1e-3},
             {"residual_tol": 0.0},
             {"max_iter": 0},
             {"residual_tol": math.nan},
             {"residual_tol": math.inf},
-            {"stop_rel": math.inf},
+            {"residual_tol": -math.inf},
             {"max_iter": math.nan},
             {"max_iter": 2.5},
             {"max_iter": 100.0},
@@ -168,9 +169,11 @@ class TestTolerances:
         assert type(tol.max_iter) is int and tol.max_iter.bit_length() == 4
 
     def test_the_pivot_floor_is_not_a_setting(self):
-        assert [f.name for f in dataclasses.fields(Tolerances)] == ["stop_rel", "residual_tol", "max_iter"]
-        with pytest.raises(TypeError):
-            Tolerances(pd_floor=1e-12)
+        # nor is the stop rule: Tolerances holds exactly what --tol and --max-iter set
+        assert [f.name for f in dataclasses.fields(Tolerances)] == ["residual_tol", "max_iter"]
+        for name in ("pd_floor", "stop_rel"):
+            with pytest.raises(TypeError):
+                Tolerances(**{name: 1e-12})
 
 
 def test_one_pivot_floor_decides_every_test(monkeypatch):
@@ -230,6 +233,40 @@ def test_one_pivot_floor_decides_every_test(monkeypatch):
         "q": False,
         "truncated_at": 2,
     }
+
+
+def test_one_stop_rule_decides_every_loop(monkeypatch):
+    # every stopping test reads kernel.STOP_REL when it runs, so no module may bind a copy of it:
+    # at a threshold of 1e-4 each one stops sooner, and a copy would keep stopping at 1e-13
+    import conric.kernel as kernel_mod
+    import conric.solver as solver_mod
+
+    doubling = solver_mod._doubling_iterates
+    steps = []
+
+    def counted(a, conjugate):
+        steps.append(0)
+        for pair in doubling(a, conjugate):
+            steps[-1] += 1
+            yield pair
+
+    monkeypatch.setattr(solver_mod, "_doubling_iterates", counted)
+    b = np.array([[0.3, 0.1j], [0.05, -0.2]])
+
+    def stops():
+        steps.clear()
+        solver_mod._extremal_pair(conric.ProblemInstance(b))
+        return {
+            "generic": solver_mod._fixed_point_generic(b, Tolerances())[1],
+            "scalar": solver_mod._fixed_point_scalar(np.array([[0.45]]), Tolerances())[1],
+            "doubling": conric.standard_solve_maximal(b).iterations,
+            "pair": steps[0],
+        }
+
+    before = stops()
+    monkeypatch.setattr(kernel_mod, "STOP_REL", 1e-4)
+    after = stops()
+    assert [name for name in before if not after[name] < before[name]] == [], (before, after)
 
 
 class TestMatMul:
@@ -321,6 +358,16 @@ class TestHermitianEigen:
         with pytest.raises(NotHermitianError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e200, 1e300])
+    def test_the_hermitian_test_holds_at_any_scale(self, t):
+        # the relative Frobenius rule neither overflows nor underflows
+        h = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.allclose(hermitian_eigen(t * h)[0] / t, [1.7928932188134525, 3.2071067811865475])
+            with pytest.raises(NotHermitianError):
+                hermitian_eigen(t * np.array([[0.0, 1.0], [0.0, 0.0]]))
+
     @given(seeds, dims)
     def test_reconstruction_and_unitarity(self, seed, n):
         h = random_hermitian(np.random.default_rng(seed), n)
@@ -352,6 +399,18 @@ class TestOpNorm:
     def test_matches_numpy_on_rectangular(self, seed, n, m):
         a = sampled(seed, n, m)
         assert op_norm_2(a) == pytest.approx(np.linalg.norm(a, 2), abs=1e-10)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-170, 1e155, 1e300])
+    def test_scales_with_the_matrix(self, t):
+        # entries beyond the safe range are scaled by a power of two, so the Gram neither overflows nor underflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op_norm_2(t * EX1_A) == pytest.approx(t * op_norm_2(EX1_A), rel=1e-14, abs=0.0)
+            assert op_norm_2(t * np.eye(2)) == t
+            assert op_norm_2(2.0**-1074 * np.eye(2)) == 2.0**-1074
+
+    def test_a_norm_beyond_the_largest_float_is_inf(self):
+        assert op_norm_2(np.full((2, 2), 1e308)) == math.inf
 
 
 class TestHermitianNorm:

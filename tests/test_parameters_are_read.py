@@ -6,12 +6,14 @@ line outside its class reads.  A parameter of a private module-level function th
 every call in the package leaves at its default, or sets to one and the same
 constant, is a knob that nothing turns: its other values are dead code.  An
 environment variable that the package reads is a knob that no command line
-or call shows.  These guards walk the source with ``ast``, so such knobs
-cannot come back unnoticed.  A name may be allowed only with a reason
+or call shows, and a ``Tolerances`` field that no command-line option sets is
+one that only the API shows.  These guards walk the source with ``ast`` (the
+last one parses a command line), so such knobs cannot come back unnoticed.  A name may be allowed only with a reason
 written next to it.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 from typing import Iterator
 
@@ -262,6 +264,17 @@ def test_every_setting_is_read():
     for name, reason in ALLOWED_UNREAD_FIELDS.items():
         assert name in unread, f"{name} is read now; drop it from ALLOWED_UNREAD_FIELDS"
         assert reason.strip(), f"{name} needs a reason"
+
+
+def test_the_command_line_sets_every_setting():
+    # a field that no option moves off its default is a knob that only a caller of the API can turn
+    from conric import cli
+    from conric.kernel import DEFAULT_TOLERANCES
+
+    args = cli._make_parser().parse_args(["check", "a.json", "--tol", "1e-7", "--max-iter", "7"])
+    tol = cli._build_tolerances(args)
+    fixed = [f.name for f in dataclasses.fields(tol) if getattr(tol, f.name) == getattr(DEFAULT_TOLERANCES, f.name)]
+    assert fixed == []
 
 
 def test_flags_a_setting_read_only_by_its_own_class():

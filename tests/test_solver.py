@@ -242,11 +242,14 @@ class TestClassicalDoubling:
     # generic loop's solution and refuse only where that loop refuses
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_step_j_is_loop_iterate(self, rng, n):
-        # numerical radius 0.49 keeps the loop from repeating, so a stop_rel only a repeat meets runs it to 31
+    def test_step_j_is_loop_iterate(self, rng, monkeypatch, n):
+        # numerical radius 0.49 keeps the loop from repeating, so a STOP_REL only a repeat meets runs it to 31
+        import conric.kernel as kernel_mod
+
         b = random_complex(rng, n)
         b *= 0.49 / numerical_radius(b)
-        tol = Tolerances(stop_rel=1e-300, max_iter=31)
+        monkeypatch.setattr(kernel_mod, "STOP_REL", 1e-300)
+        tol = Tolerances(max_iter=31)
         with pytest.raises(MaxIterationsExceeded) as info:
             _fixed_point_generic(b, tol)
         assert len(info.value.trace) == 31
@@ -299,7 +302,7 @@ class TestClassicalDoubling:
         monkeypatch.setattr(kernel_mod, "PD_FLOOR", 1e-6)
         tol = Tolerances()
         out = standard_solve_maximal(np.diag([0.5, 0.1]), tol)
-        assert out.trace[-1] > tol.stop_rel and out.residual <= tol.residual_tol
+        assert out.trace[-1] > kernel_mod.STOP_REL and out.residual <= tol.residual_tol
         exact = np.diag([0.5, (1.0 + np.sqrt(0.96)) / 2.0])
         assert np.abs(out.solution - exact).max() <= 1e-6
 
@@ -626,10 +629,13 @@ class TestSolveMinimal:
         out = solve_minimal(ProblemInstance(np.diag([0.3, 0.4j])))
         assert np.allclose(out.solution, np.diag([0.1, 0.2]), atol=1e-9)
 
-    def test_boundary_collapses_to_half(self):
+    def test_boundary_collapses_to_half(self, monkeypatch):
         # at the norm boundary the iteration is sublinear, so relax the
         # change threshold; the residual certificate still holds at 1e-9
-        tol = Tolerances(stop_rel=1e-9, max_iter=200_000)
+        import conric.kernel as kernel_mod
+
+        monkeypatch.setattr(kernel_mod, "STOP_REL", 1e-9)
+        tol = Tolerances(max_iter=200_000)
         p = ProblemInstance(0.5 * np.eye(1), None, tol)
         lo = solve_minimal(p)
         hi = solve_maximal(p)
@@ -859,6 +865,20 @@ class TestResidual:
         with pytest.raises(DimensionError, match=r"\(3, 3\) does not match coefficient shape \(2, 2\)"):
             residual(np.eye(3), ProblemInstance(EX1_A))
 
+    @pytest.mark.parametrize("t", [1e-200, 1e-100, 1e100, 1e200])
+    def test_scales_with_x_a_and_q(self, t):
+        # the defect of (tZ, tA, tQ) is t times that of (Z, A, Q), and its norm neither overflows nor underflows
+        q = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
+        z = 0.5 * solve_maximal(ProblemInstance(EX1_A, q)).solution
+        expected = t * residual(z, ProblemInstance(EX1_A, q))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moved = residual(t * z, ProblemInstance(t * EX1_A, t * q))
+        assert abs(moved - expected) <= 1e-12 * expected
+
+    def test_a_huge_non_solution(self):
+        assert residual(1e160 * np.eye(2), ProblemInstance(0.3 * np.eye(2))) == pytest.approx(1e160, rel=1e-15)
+
 
 class TestExtremality:
     def test_example_maximal(self):
@@ -881,6 +901,18 @@ class TestExtremality:
     def test_rejects_non_solution(self):
         with pytest.raises(NotASolution):
             extremality_check(np.eye(2), ProblemInstance(EX1_A), "maximal")
+
+    @pytest.mark.parametrize("t", [1.0, 1e100, 1e200])
+    def test_rejects_a_scaled_non_solution(self, t):
+        # below t = 1 the residual bound max(1, ||Q||) residual_tol is absolute, and tZ can pass it
+        q = np.array([[2.0, 0.5j], [-0.5j, 3.0]])
+        z = 0.5 * solve_maximal(ProblemInstance(EX1_A, q)).solution
+        with pytest.raises(NotASolution):
+            extremality_check(t * z, ProblemInstance(t * EX1_A, t * q), "maximal")
+
+    def test_rejects_a_huge_non_solution(self):
+        with pytest.raises(NotASolution, match="residual 1.000e"):
+            extremality_check(1e160 * np.eye(2), ProblemInstance(0.3 * np.eye(2)), "maximal")
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
