@@ -24,6 +24,7 @@ from .conditions import (
     check_existence,
     con_normal_closed_form,
     cross_validate,
+    unit_existence,
 )
 from .embedding import (
     NotHeartStructuredError,

@@ -8,9 +8,12 @@ Y -> I - conj(Y) maps to the minimal solution X-.  Hence the ladders
     upper  R_k = Y_k(A),   lower  S_k = I - conj(Y_k(A*)),
 
 with S_1 <= ... <= S_k <= X- <= X <= X+ <= R_k <= ... <= R_1 for every
-positive definite solution X.  The rungs equal the Schur-complement forms
-of the bordered blocks in :attr:`BoundsLadder.ladder_blocks`; the first
-three have the closed forms of :func:`closed_form_bounds`.
+positive definite solution X.  The rungs are the Schur complements of the
+bordered blocks in :attr:`BoundsLadder.ladder_blocks`, with the conjugation
+alternating: on the upper side the Schur complement of H_k in H_(k+1) is R_k
+for odd k and conj(R_k) for even k; on the lower side I minus it is conj(S_k)
+for odd k and S_k for even k.  The first three rungs have the closed forms of
+:func:`closed_form_bounds`.
 
 Rung k is one step from a Cholesky factor of Y_{k-1}, which never inverts
 A, so both ladders exist for singular A; its smallest pivot over trace/n is
@@ -47,6 +50,7 @@ from .kernel import (
     transpose,
     _huge_part,
     _require_square,
+    _scaled,
 )
 from .solver import (
     NoSolutionEvidence,
@@ -94,7 +98,7 @@ class BoundsLadder:
 
     @property
     def ladder_blocks(self) -> list[np.ndarray]:
-        """Bordered blocks H_1 = I, H_{k+1} = [[H_k, B*], [B, I]] of a_q, for audit.
+        """Bordered blocks H_1 = I, H_{k+1} = [[H_k, B*], [B, I]] of a_q, as read-only views of H_K.
 
         B = [0 ... 0, b_k], b_k alternating A, conj(A) (lower) or A*, A^T (upper).
         """
@@ -106,13 +110,20 @@ class BoundsLadder:
             b = borders[(k + 1) % 2]
             h[k * n : (k + 1) * n, (k - 1) * n : k * n] = b
             h[(k - 1) * n : k * n, k * n : (k + 1) * n] = adjoint(b)
-        return [h[: k * n, : k * n].copy() for k in range(1, self.depth + 1)]
+        h.flags.writeable = False
+        return [h[: k * n, : k * n] for k in range(1, self.depth + 1)]
 
 
 def _min_eig(h: np.ndarray):
-    """Smallest eigenvalue of the Hermitian part of h, or a list of them for a stack, in one call."""
+    """Smallest eigenvalue of the Hermitian part of h, or a list of them for a stack, in one call.
+
+    It is taken on h scaled by an exact power of two (kernel._scaled), one for the whole stack,
+    and scaled back, so the gaps of (tA, tQ) are exactly t times those of (A, Q) for t = 2^k.
+    """
+    h, exponent = _scaled(h)
     # symmetrised here, so hermitian_eigen's Hermitian check could not fire
-    return np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0)[..., 0].tolist()
+    smallest = np.linalg.eigvalsh((h + np.swapaxes(h, -1, -2).conj()) / 2.0)[..., 0]
+    return (smallest * 2.0**exponent).tolist()
 
 
 def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> BoundsLadder:
@@ -126,10 +137,11 @@ def build_ladder(p: ProblemInstance, side: str, depth: int = DEFAULT_DEPTH) -> B
         raise ValueError(f"side must be 'lower' or 'upper', got {side!r}")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    coeff = p.a_q if side == "upper" else adjoint(p.a_q)
-    if top := _huge_part(coeff):
+    # a_q and its adjoint have the same largest part, which reads inf where a_q overflowed
+    if top := _huge_part(p.a_q):
         message = f"{side} ladder iterate 1 is not positive definite (||C|| >= {top:.3e} > 1)"
         raise LadderBreakdown(f"{message}; no positive definite solution exists", rung=2, side=side)
+    coeff = p.a_q if side == "upper" else adjoint(p.a_q)
 
     y = np.eye(p.n, dtype=np.complex128)
     matrices: list[np.ndarray] = []

@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .bounds import DEFAULT_DEPTH, build_ladder, sandwich_report
-from .conditions import check_existence
+from .conditions import unit_existence
 from .kernel import (
     ConricError,
     DEFAULT_TOLERANCES,
@@ -283,7 +283,7 @@ def _emit(report: dict, args) -> bool:
 
 def cmd_solve(args, report: dict) -> None:
     instance = args.instance
-    existence = check_existence(instance.a_q)
+    existence = unit_existence(instance)
     report["existence"] = _existence_json(existence)
     if existence.verdict == "not_exists":
         failed = [c.name for c in existence.necessary_failures()]
@@ -314,7 +314,7 @@ def cmd_solve(args, report: dict) -> None:
 
 
 def cmd_check(args, report: dict) -> None:
-    report["existence"] = _existence_json(check_existence(args.instance.a_q))
+    report["existence"] = _existence_json(unit_existence(args.instance))
 
 
 def _ladder_json(ladder) -> dict:

@@ -32,9 +32,9 @@ from .kernel import (
     is_positive_definite,
     numerical_radius,
     op_norm_2,
-    _huge_part,
     _nonsingular,
     _require_square,
+    _scaled,
 )
 from .solver import (
     ProblemInstance,
@@ -83,22 +83,24 @@ def check_existence(a) -> ExistenceReport:
     """
     a = _require_square(cmatrix(a), "check_existence")
     n = a.shape[0]
-    # a part beyond 2^64 fails norm_lt_one: the checks then run on a scaled by an exact power
-    # of two, so no square overflows, and each estimate is scaled back, to -inf where it overflows
-    top = _huge_part(a)
-    scale = 2.0 ** -math.frexp(top)[1] if top else 1.0
-    a = a * scale
+    # the checks run on s = a 2^-e (kernel._scaled), so no square overflows or underflows, and each
+    # estimate is scaled back by 2^e per factor of a, to -inf where it overflows
+    s, exponent = _scaled(a)
+    up = 2.0**exponent
     eye = np.eye(n, dtype=np.complex128)
 
-    # rho(M conj(M)) for M = a, a + a^T, a - a^T from one stacked eigvals, bitwise spectral_radius
-    products = np.stack([m @ np.conj(m) for m in (a, a + a.T, a - a.T)])
+    # rho(M conj(M)) for M = s, s + s^T, s - s^T from one stacked eigvals, bitwise spectral_radius
+    products = np.stack([m @ np.conj(m) for m in (s, s + s.T, s - s.T)])
     radii = np.abs(np.linalg.eigvals(products)).max(axis=1).tolist()
-    rho_quarter, co_plus, co_minus = (c - r / scale / scale for c, r in zip((0.25, 1.0, 1.0), radii))
-    norm_a = op_norm_2(a) / scale
-    gram = scale * scale * eye - a @ adjoint(a) - np.conj(adjoint(a) @ a)
+    rho_quarter, co_plus, co_minus = (c - r * up * up for c, r in zip((0.25, 1.0, 1.0), radii))
+    norm_a = op_norm_2(s) * up
+    # the Gram I - a a* - conj(a* a) = 4^k (4^-k I - g g* - conj(g* g)), g = a 2^-k: k = e above the
+    # range, where the trace is negative and the margin an absolute pivot, scaled back; k = 0 below
+    # it, where 4^-e could overflow and the products of a underflow harmlessly
+    g, k = (s, exponent) if exponent > 0 else (a, 0)
+    gram = 2.0 ** (-2 * k) * eye - g @ adjoint(g) - np.conj(adjoint(g) @ g)
     gram_ok, gram_margin = is_positive_definite((gram + gram.conj().T) / 2.0)
-    # a scaled gram has negative trace, where the margin is its first failing pivot, not relative
-    gram_margin = gram_margin / scale / scale
+    gram_margin = gram_margin * 2.0**k * 2.0**k
     necessary = [
         ConditionCheck("rho_quarter", rho_quarter > 0.0, rho_quarter),
         ConditionCheck("norm_lt_one", norm_a < 1.0, 1.0 - norm_a),
@@ -110,8 +112,8 @@ def check_existence(a) -> ExistenceReport:
     sufficient = ConditionCheck("norm_le_half", norm_a <= 0.5, 0.5 - norm_a)
 
     exact: ConditionCheck | None = None
-    if _nonsingular(a)[0]:
-        omega = numerical_radius(lozenge(a)) / scale
+    if _nonsingular(s)[0]:
+        omega = numerical_radius(lozenge(s)) * up
         exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
 
     if any(c.margin < -BAND for c in necessary):
@@ -125,6 +127,20 @@ def check_existence(a) -> ExistenceReport:
     else:
         verdict = "undetermined"
     return ExistenceReport(necessary, sufficient, exact, verdict)
+
+
+def unit_existence(p: ProblemInstance) -> ExistenceReport:
+    """check_existence(p.a_q), and the report of an a_q that overflowed where p formed it.
+
+    Such an a_q has an infinite part and no NaN (normalize_q), which check_existence refuses as
+    input: its norm is inf > 1, so norm_lt_one and norm_le_half fail with margin -inf and the
+    verdict is not_exists; the other margins are NaN, since no finite arithmetic evaluates them.
+    """
+    if not np.isinf(p.a_q).any():
+        return check_existence(p.a_q)
+    names = ("rho_quarter", "norm_lt_one", "gram_sum", "co_rho_plus", "co_rho_minus")
+    necessary = [ConditionCheck(name, False, -math.inf if name == "norm_lt_one" else math.nan) for name in names]
+    return ExistenceReport(necessary, ConditionCheck("norm_le_half", False, -math.inf), None, "not_exists")
 
 
 def con_normal_closed_form(a, want: str = "maximal") -> np.ndarray:
@@ -175,7 +191,7 @@ def cross_validate(p: ProblemInstance) -> CrossValidation:
     failure; an undetermined verdict is consistent with either outcome and
     the solver result is attached as empirical evidence only.
     """
-    report = check_existence(p.a_q)
+    report = unit_existence(p)
     outcome: SolveOutcome | None = None
     error: str | None = None
     try:

@@ -24,6 +24,7 @@ from .kernel import (
     DimensionError,
     _as_matrix,
     _require_square,
+    _scaled,
     op_norm_2,
     spectral_radius,
 )
@@ -119,23 +120,27 @@ def unheart(w) -> np.ndarray:
 def is_con_normal(a) -> CheckResult:
     """Whether a*a equals conj(a a*), the class with closed form solutions.
 
-    The margin is the detection threshold minus the defect norm, positive
-    when the test passes.
+    The defect norm is compared with HEART_RTOL ||a||^2, so the test does not depend on a's scale.
+    Both are taken on a scaled by an exact power of two (kernel._scaled); the margin, the threshold
+    minus the defect and positive when the test passes, is scaled back, to inf where it overflows.
     """
-    a = _require_square(a, "is_con_normal")
+    a, exponent = _scaled(_require_square(a, "is_con_normal"))
     defect = op_norm_2(a.conj().T @ a - np.conj(a @ a.conj().T))
-    threshold = HEART_RTOL * max(1.0, op_norm_2(a) ** 2)
-    return CheckResult(defect <= threshold, threshold - defect)
+    threshold = HEART_RTOL * op_norm_2(a) ** 2
+    up = 2.0**exponent
+    return CheckResult(defect <= threshold, (threshold - defect) * up * up)
 
 
 def co_spectral_radius_vs_one(a) -> tuple[str, float]:
     """Classify the con-spectral radius of a against 1.
 
     Returns ("below" | "at" | "above", rho) where rho is the spectral radius
-    of a @ conj(a); the classification carries the +-BAND band around 1.
+    of a @ conj(a); the classification carries the +-BAND band around 1.  The product is formed
+    from a scaled by an exact power of two (kernel._scaled), so rho reads inf only where it overflows.
     """
-    a = _require_square(a, "co_spectral_radius_vs_one")
-    rho = spectral_radius(a @ np.conj(a))
+    a, exponent = _scaled(_require_square(a, "co_spectral_radius_vs_one"))
+    up = 2.0**exponent
+    rho = spectral_radius(a @ np.conj(a)) * up * up
     if rho < 1.0 - BAND:
         return "below", rho
     if rho > 1.0 + BAND:

@@ -57,9 +57,12 @@ BAND = 1e-8
 PD_FLOOR = 1e-12
 # The one definition of "converged": an iterate change at most STOP_REL times the iterate's norm.
 STOP_REL = 1e-13
-# A matrix whose largest part lies in [2^-500, 2^500] has finite, normal products and sums of
-# squares at the sizes used here; norms scale any other by a power of two first (_scaled).
-_SAFE_RANGE = (2.0**-500, 2.0**500)
+# The one scaling rule (_scaled): a matrix with a part outside [2^-200, 2^200] is scaled by an exact
+# power of two first.  Inside, neither a matrix nor its Gram (or a product of two such matrices, at
+# the sizes used here) reaches LAPACK's own rescaling by factors that are not powers of two, which
+# starts near 2^+-485 for eigvalsh (below 2^-405 in its tridiagonal stage) and near 2^+-459 for
+# eigvals and the SVD; so an estimate on 2^k M is exactly 2^k (or 4^k) times that on M.
+_SAFE_RANGE = (2.0**-200, 2.0**200)
 # Relative floor on the smallest eigenvalue accepted by psd_sqrt.
 PSD_RTOL = 1e-10
 # numerical_radius: the level sits this far (relative) above the best value
@@ -148,7 +151,8 @@ def _largest_part(a: np.ndarray) -> float:
 def _scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
     """(a 2^-e, e) for an exact power of two: e = 0 unless a's largest part is outside the safe range.
 
-    |e| <= 1023, so 2.0**e is a float, and a float times it reads inf where it overflows.
+    The only code that chooses a scaling: a matrix, or a stack of them scaled alike.  |e| <= 1023,
+    so 2.0**e is a float, and a float times it reads inf where it overflows.
     """
     top = _largest_part(a)
     if _SAFE_RANGE[0] <= top <= _SAFE_RANGE[1] or top == 0.0:
@@ -208,8 +212,8 @@ def hermitian_eigen(h) -> tuple[np.ndarray, np.ndarray]:
 def op_norm_2(a) -> float:
     """Spectral norm: the root of the top eigenvalue (eigvalsh) of the symmetrised Gram a*a.
 
-    A matrix with a part outside [2^-500, 2^500] is first scaled by an exact power of two, so
-    the Gram neither overflows nor underflows at any finite scale.
+    A matrix with a part outside [2^-200, 2^200] is first scaled by an exact power of two (_scaled),
+    so the Gram neither overflows nor underflows at any finite scale.
     """
     a, exponent = _scaled(_as_matrix(a))
     gram = a.conj().T @ a
@@ -253,9 +257,10 @@ def numerical_radius(a) -> float:
     best midpoint between the angles of the roots' real parts (extra angles
     only split the gaps, so a super-level interval keeps a midpoint inside),
     until no midpoint beats the level; usually one companion solve certifies
-    the first.
+    the first.  It runs on a scaled by an exact power of two (_scaled), and so does its result.
     """
-    a = _require_square(a, "numerical_radius")
+    a, exponent = _scaled(_require_square(a, "numerical_radius"))
+    up = 2.0**exponent
     scale = float(np.abs(a).max())
     if scale == 0.0:
         return 0.0
@@ -302,7 +307,7 @@ def numerical_radius(a) -> float:
         companion[m:, m:] = -2.0 * _congruence(lower, k0)
         roots = np.linalg.eigvals(companion)
         if not (np.abs(roots.imag) <= _REAL_ROOT_RTOL * (1.0 + np.abs(roots))).any():
-            return best
+            return best * up
         # every root marks a candidate crossing: eigvals can push the near-double pair of a
         # level just above a dip off the axis, and dropping it puts a midpoint on the dip
         crossings = np.sort(t0 + 2.0 * np.arctan(roots.real))
@@ -310,7 +315,7 @@ def numerical_radius(a) -> float:
         midpoints = crossings + gaps / 2.0
         values = top(midpoints)
         if values.max() <= best:
-            return best
+            return best * up
         theta = float(midpoints[np.argmax(values)])
 
 
@@ -388,9 +393,9 @@ def is_positive_definite(h) -> CheckResult:
 
 
 def _huge_part(a: np.ndarray) -> float | None:
-    """The largest real or imaginary part of a if above 2^64 (so ||a|| > 1 and a* a may overflow), or None."""
+    """The largest real or imaginary part of a if above the safe range (so ||a|| > 1), or None."""
     top = _largest_part(a)
-    return top if top > 2.0**64 else None
+    return top if top > _SAFE_RANGE[1] else None
 
 
 def _nonsingular(a: np.ndarray) -> tuple[bool, float]:

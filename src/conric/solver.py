@@ -52,6 +52,7 @@ from .kernel import (
     _lapack,
     _require_hermitian,
     _require_square,
+    _scaled,
 )
 
 class SolveFailure(ConricError):
@@ -177,9 +178,14 @@ def normalize_q(p: ProblemInstance) -> np.ndarray:
     a_q comes from two solves against L and conj(L), with no inverse; ``p.back`` maps a unit
     solution y to x = L y L*.  Any factor of Q gives a unitarily congruent unit problem.
     ProblemInstance calls this once, and every route reads ``p.a_q``.
+
+    A finite A over a tiny Q can overflow: a part beyond the largest float reads inf, and an entry
+    that the overflow left NaN reads inf too.  Then ||a_q|| > 1, which every route decides at
+    iterate 1 and unit_existence as not_exists.
     """
     lower = p.q_factor
-    return np.linalg.solve(np.conj(lower), np.linalg.solve(lower, adjoint(p.a)).conj().T)
+    a_q = np.linalg.solve(np.conj(lower), np.linalg.solve(lower, adjoint(p.a)).conj().T)
+    return a_q if np.isfinite(a_q).all() else np.where(np.isnan(a_q), math.inf, a_q)
 
 
 @functools.lru_cache(maxsize=8)
@@ -226,7 +232,7 @@ def _out_of_iterations(tol: Tolerances, trace: array[float]) -> MaxIterationsExc
 
 
 def _refuse_huge(coeff: np.ndarray) -> None:
-    """Refuse, before any Gram can overflow, a C with a part beyond 2^64: W_1 = I - C* C leaves the cone."""
+    """Refuse, before any Gram can overflow, a C with a part beyond 2^200: W_1 = I - C* C leaves the cone."""
     if top := _huge_part(coeff):
         raise NoSolutionEvidence(f"iterate 1 lost positive definiteness (||C|| >= {top:.3e} > 1)", 1)
 
@@ -359,7 +365,7 @@ def standard_solve_maximal(b, tol: Tolerances = DEFAULT_TOLERANCES) -> SolveOutc
     pivot floor or B_j vanishes, Q_j is accepted if it passes, and otherwise the fixed point
     loop runs from I: every refusal (NoSolutionEvidence once an iterate leaves the positive
     definite cone) is the loop's, with its iterate, margin, message and trace.  A part of B
-    beyond 2^64 is refused at iterate 1 before doubling forms a Gram, as the conjugate solves
+    beyond 2^200 is refused at iterate 1 before doubling forms a Gram, as the conjugate solves
     refuse it.
     """
     b = _require_square(cmatrix(b), "standard_solve_maximal")
@@ -450,7 +456,8 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     raises SingularCoefficient from the pivot-floor test of the unit
     X- = Z* Z, taken on the triangular factor of Z.
     """
-    coeff = adjoint(p.a_q)
+    # not adjoint(), which would refuse an overflowed a_q as input before _unit_maximal decides it
+    coeff = p.a_q.conj().T
     dual, iterations, trace = _unit_maximal(coeff, p.tol)
     lower, margin = _cholesky_lower(dual)
     if lower is None:
@@ -521,8 +528,12 @@ def _tail(x, y, p: ProblemInstance, refusal, route: str | None = None) -> tuple[
     lower, margin = _cholesky_lower(y)
     if lower is None:
         raise refusal[0](f"{refusal[1]} (pivot margin {margin:.3e})")
+    # the residual is homogeneous of degree one in (x, A, Q): for an L outside the range it is formed
+    # from all three times 4^-f, L 2^-f = kernel._scaled(L), so that its small matrix stays normal
+    factor, f = _scaled(p.q_factor)
+    x, a, q = (m * 2.0**-f * 2.0**-f for m in (x, p.a, p.q)) if f else (x, p.a, p.q)
     # conj(L L_y) factors conj(x)
-    res = op_norm_2(x + adjoint(p.a) @ cholesky_solve(np.conj(p.q_factor @ lower), p.a) - p.q)
+    res = op_norm_2(x + adjoint(a) @ cholesky_solve(np.conj(factor @ lower), a) - q) * 2.0**f * 2.0**f
     # written so that a NaN residual is refused too
     if route is not None and not res <= p.residual_bound:
         raise InternalInconsistency(f"{route} residual {res:.3e} exceeds tolerance {p.residual_bound:.3e}")

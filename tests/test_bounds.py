@@ -108,6 +108,31 @@ class TestBuildLadder:
         ladder = build_ladder(p, "lower", 3)
         assert [b.shape[0] for b in ladder.ladder_blocks] == [2, 4, 6]
 
+    def test_blocks_are_read_only_views_of_the_deepest(self, rng):
+        blocks = build_ladder(ProblemInstance(random_solvable(rng, 2)), "upper", 4).ladder_blocks
+        deepest = blocks[-1]
+        for block in blocks:
+            assert block.base is deepest.base and not block.flags.writeable
+            np.testing.assert_array_equal(block, deepest[: block.shape[0], : block.shape[0]])
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_rungs_are_the_schur_complements_of_the_blocks(self, side):
+        # the Schur complement of the leading kn x kn block of H_(k+1) is R_k (odd k) or conj(R_k)
+        # (even k) on the upper side; on the lower side I minus it is conj(S_k) (odd k) or S_k.  Both
+        # agree to a few rounding units of the unit-size rungs; a dropped conjugation is off by 0.03
+        n, depth = 3, 5
+        a = 0.3 * _UNIT_NORM_3
+        ladder = build_ladder(ProblemInstance(a), side, depth + 1)
+        for k, h in enumerate(ladder.ladder_blocks[1:], 1):
+            m = k * n
+            schur = h[m:, m:] - h[m:, :m] @ np.linalg.solve(h[:m, :m], h[:m, m:])
+            rung = ladder.matrices[k - 1]
+            if side == "upper":
+                got, want = schur, rung if k % 2 else np.conj(rung)
+            else:
+                got, want = np.eye(n) - schur, np.conj(rung) if k % 2 else rung
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps, (side, k)
+
     def test_breakdown_certifies_nonexistence(self):
         with pytest.raises(LadderBreakdown) as info:
             build_ladder(ProblemInstance(0.8 * np.eye(2)), "lower", 6)

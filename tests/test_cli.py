@@ -792,7 +792,7 @@ class TestJsonReports:
 
 
 class TestHugeCoefficients:
-    # a part beyond 2^64 fails norm_lt_one; every subcommand says so without overflowing on the way
+    # a part beyond 2^200 fails norm_lt_one; every subcommand says so without overflowing on the way
     A3 = np.array([[1.0, 0.5j, -0.25], [0.3 - 0.2j, -1j, 0.2], [0.1j, 0.4, 0.9 + 0.1j]])
 
     @pytest.mark.parametrize("scale", [1e154, 1e300])
@@ -849,10 +849,52 @@ class TestHugeCoefficients:
                 assert 0.0 <= report["outcome"][key] <= bound, key
 
 
+class TestOverflowingUnitCoefficient:
+    # a finite A over a tiny Q whose a_q overflows: ||a_q|| > 1, which every command reports as such
+    INPUTS = {
+        "diag": (np.diag([1e10, 0.2]), 1e-300 * np.eye(2)),
+        "scalar": (np.array([[0.3]]), np.array([[1e-320]])),
+    }
+
+    @staticmethod
+    def run(path, *command) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main([command[0], str(path), *command[1:], "--no-meta"])
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("name", INPUTS)
+    def test_every_command_reports_no_solution(self, tmp_path, name):
+        path = write_json_instance(tmp_path / "a.json", *self.INPUTS[name])
+        assert np.isinf(ProblemInstance(*self.INPUTS[name]).a_q).any()
+        code, out, err = self.run(path, "check")
+        existence = json.loads(out, parse_constant=refuse_constant)["existence"]
+        assert (code, err, existence["verdict"]) == (0, "", "not_exists")
+        assert {"name": "norm_lt_one", "holds": False, "margin": None} in existence["necessary"]
+        code, out, err = self.run(path, "solve", "--minimal")
+        report = json.loads(out, parse_constant=refuse_constant)
+        assert (code, err, report["failed_conditions"]) == (2, "", ["norm_lt_one"])
+        code, out, err = self.run(path, "bounds")
+        report = json.loads(out, parse_constant=refuse_constant)
+        assert (code, err, report["exit_classification"]) == (2, "", "no-solution-evidence")
+        assert report["error"].startswith("lower ladder iterate 1 is not positive definite (||C|| >= inf > 1)")
+        code, out, err = self.run(path, "trace")
+        assert (code, out, err) == (2, "\n", "error: iterate 1 lost positive definiteness (||C|| >= inf > 1)\n")
+
+    @pytest.mark.parametrize("name", INPUTS)
+    @pytest.mark.parametrize("command", ["check", "solve", "bounds", "trace"])
+    def test_a_nan_input_is_still_an_input_error(self, tmp_path, name, command):
+        a, q = self.INPUTS[name]
+        path = write_json_instance(tmp_path / "a.json", a, np.where(np.eye(len(q)) > 0, math.nan, q))
+        assert self.run(path, command)[0] == cli.EXIT_INPUT
+
+
 @st.composite
 def finite_instances(draw):
     """(A, Q or None) of every hard shape: tiny, huge (up to 1e300), singular, non-normal or ||A|| = 1/2 A,
-    and Q with condition number up to 1e8."""
+    and Q with condition number up to 1e8 and eigenvalues from 1e-300 to 1e8, so that a huge A over a
+    tiny Q overflows a_q."""
     n = draw(st.integers(min_value=1, max_value=3))
     kind = draw(st.sampled_from(["tiny", "huge", "singular", "non-normal", "boundary"]))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
@@ -873,6 +915,7 @@ def finite_instances(draw):
         return a, None
     u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
     q = (u * 10.0 ** (draw(st.floats(min_value=0.0, max_value=8.0)) * rng.uniform(size=n))) @ u.conj().T
+    q = q * 10.0 ** draw(st.floats(min_value=-300.0, max_value=0.0))
     return a, (q + q.conj().T) / 2.0
 
 

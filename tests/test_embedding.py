@@ -130,6 +130,14 @@ class TestConNormal:
         ok, margin = is_con_normal(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert not ok and margin < 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [1e-300, 1e-200, 1e-6, 1.0, 1e200, 1e300])
+    def test_the_verdict_does_not_depend_on_the_scale(self, t):
+        # the defect is compared with HEART_RTOL ||A||^2, on A scaled by an exact power of two
+        assert not is_con_normal(t * np.array([[0.3, 0.2], [0.0, 0.1]])).ok
+        ok, margin = is_con_normal(t * np.diag([0.3, 0.2j]))
+        assert ok and margin >= 0.0
+
 
 class TestCoSpectralThreshold:
     def test_identity_is_at(self):
@@ -141,6 +149,13 @@ class TestCoSpectralThreshold:
         ordering, value = co_spectral_radius_vs_one(0.5j * np.eye(2))
         assert ordering == "below"
         assert value == pytest.approx(0.25, abs=1e-8)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_product_beyond_the_largest_float_reads_inf(self):
+        # a finite input is never refused as a non-finite one: its square is formed scaled, then scaled back
+        big = 1e160 * np.array([[0.3, 0.2], [0.1, 0.4j]])
+        assert co_spectral_radius_vs_one(big) == ("above", np.inf)
+        assert co_spectral_radius_vs_one(2.0**-500 * np.eye(2)) == ("below", 2.0**-1000)
 
     def test_band_is_the_condition_layers_band(self):
         from conric import conditions, kernel

@@ -412,6 +412,13 @@ class TestOpNorm:
     def test_a_norm_beyond_the_largest_float_is_inf(self):
         assert op_norm_2(np.full((2, 2), 1e308)) == math.inf
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [250, -250, 300, -300, 480, -490, 600, -600, 1000, -1000])
+    def test_a_power_of_two_scales_the_norm_exactly(self, k):
+        # neither the matrix nor its Gram reaches LAPACK's own rescaling, whose factors are not powers of two
+        a = random_complex(np.random.default_rng(5), 3)
+        assert op_norm_2(2.0**k * a) == 2.0**k * op_norm_2(a)
+
 
 class TestHermitianNorm:
     # the solver's change, ||W|| and defect norms: eigvalsh of the matrix itself
@@ -491,6 +498,14 @@ class TestNumericalRadius:
 
     def test_normal_matrix_equals_spectral_radius(self):
         assert numerical_radius(np.diag([0.2, -0.3])) == pytest.approx(0.3, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [-1000, -600, -300, 300, 600, 1000])
+    def test_any_finite_scale(self, k):
+        # the level sets run on the matrix scaled by an exact power of two, and the radius is scaled back
+        assert numerical_radius([[1e308]]) == 1e308
+        a = random_complex(np.random.default_rng(5), 3)
+        assert numerical_radius(2.0**k * a) == 2.0**k * numerical_radius(a)
 
     @given(seeds, dims)
     def test_classical_sandwich(self, seed, n):

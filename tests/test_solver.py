@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conric.bounds import LadderBreakdown, build_ladder, closed_form_bounds, sandwich_report
+from conric.cli import main
 from conric.conditions import check_existence
 from conric.embedding import heart, heart_structure_drift, lozenge, unheart
 from conric.kernel import (
@@ -488,6 +489,97 @@ def test_solutions_and_ladders_scale_with_a_and_q(rng, n, with_q):
                     assert gap(moved_rung, t * rung) <= 1e-13, (t, side)
 
 
+# t = 2^k with k even, so that sqrt(t), the scale of Q's factor, is a power of two too
+POWERS_OF_TWO = [2.0**k for k in (20, -20, 100, -100, 250, -250, 300, -300, 480, -480, 600, -600, 1000, -1000)]
+
+
+def normal_scaling_draw(rng, n, with_q):
+    """(A, Q): A with ||A|| in [0.1, 0.45], Q = I or with eigenvalues in [1, 3], whose parts are 0 or
+    in [2^-22, 2^20], so that t A and t Q keep every part normal for every t in POWERS_OF_TWO."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = z / np.linalg.norm(z, 2) * rng.uniform(0.1, 0.45)
+    q = np.eye(n, dtype=complex)
+    if with_q:
+        u = random_unitary(rng, n)
+        q = (u * rng.uniform(1.0, 3.0, n)) @ u.conj().T
+        q = (q + q.conj().T) / 2.0
+    parts = np.abs(np.concatenate([a.view(float).ravel(), q.view(float).ravel()]))
+    assert ((parts == 0.0) | ((parts >= 2.0**-22) & (parts <= 2.0**20))).all()
+    return a, q
+
+
+def scaled_outputs(p: ProblemInstance) -> dict:
+    """Everything the solves and the bounds report on p that X(tA, tQ) = t X(A, Q) scales by t."""
+    outcomes = {kind: solve(p) for kind, solve in (("maximal", solve_maximal), ("minimal", solve_minimal))}
+    lower, upper = (build_ladder(p, side, 6) for side in ("lower", "upper"))
+    pinch = sandwich_report(p, lower, upper)
+    scaled = {f"{kind} {key}": getattr(out, key) for kind, out in outcomes.items() for key in ("solution", "residual")}
+    for ladder in (lower, upper):
+        scaled[f"{ladder.side} rungs"] = np.array(ladder.matrices)
+        scaled[f"{ladder.side} gaps"] = np.array(ladder.monotone_gaps)
+    scaled["sandwich gaps"] = np.array([pinch.lower_gap, pinch.upper_gap])
+    unscaled = {f"{kind} rate": out.rate_certificate for kind, out in outcomes.items()}
+    unscaled["a_q"] = p.a_q
+    return {"scaled": scaled, "unscaled": unscaled}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("with_q", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_power_of_two_scaling_is_exact(rng, n, with_q):
+    # (A, Q) -> (tA, tQ), t = 2^k: every solution, residual, rung and gap is exactly t times its
+    # k = 0 value and every rate certificate and a_q is bitwise unchanged, from 2^-1000 to 2^1000
+    a, q = normal_scaling_draw(rng, n, with_q)
+    base = scaled_outputs(ProblemInstance(a, q))
+    for t in POWERS_OF_TWO:
+        moved = scaled_outputs(ProblemInstance(t * a, t * q))
+        for key, value in base["scaled"].items():
+            assert np.array_equal(moved["scaled"][key], t * np.asarray(value)), (np.log2(t), key)
+        for key, value in base["unscaled"].items():
+            assert np.array_equal(moved["unscaled"][key], value), (np.log2(t), key)
+
+
+# the report keys whose every number X(tA, tQ) = t X(A, Q) scales by t
+SCALED_REPORT_KEYS = {"x_plus", "x_minus", "residual", "x_minus_residual", "matrices", "monotone_gaps"}
+SCALED_REPORT_KEYS |= {"lower_gap", "upper_gap", "lower_trend"}
+
+
+def times(value, t: float, scaled: bool = False):
+    """A report with every number under a SCALED_REPORT_KEYS key multiplied by t."""
+    if isinstance(value, dict):
+        return {key: times(item, t, scaled or key in SCALED_REPORT_KEYS) for key, item in value.items()}
+    if isinstance(value, list):
+        return [times(item, t, scaled) for item in value]
+    return value * t if scaled and isinstance(value, float) else value
+
+
+@pytest.mark.filterwarnings("error")
+def test_power_of_two_scaling_is_exact_in_every_report(tmp_path, capsys):
+    a, q = normal_scaling_draw(np.random.default_rng(36), 3, True)
+    commands = (["check"], ["solve", "--minimal"], ["bounds", "--depth", "6"], ["trace"])
+
+    def reports(t: float) -> list:
+        path = tmp_path / "instance.json"
+        doc = {"n": 3, "re": (t * a).real.tolist(), "im": (t * a).imag.tolist()}
+        doc |= {"q_re": (t * q).real.tolist(), "q_im": (t * q).imag.tolist()}
+        path.write_text(json.dumps(doc))
+        out = []
+        for command in commands:
+            assert main([*command, str(path), "--no-meta"]) == 0
+            text = capsys.readouterr().out
+            if command[0] == "trace":
+                out.append(text)  # the unit problem's changes, one 'k value' line each
+                continue
+            report = json.loads(text)
+            del report["command"]
+            out.append(report)
+        return out
+
+    base = reports(1.0)
+    for t in POWERS_OF_TWO:
+        assert reports(t) == [times(report, t) for report in base], np.log2(t)
+
+
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
 def test_minimal_is_the_dual_maximal(n, seed):
     # X-(A) = I - conj(Y+(A*)): solve_minimal takes X- as conj(A) Y+^-1 A^T instead
@@ -752,7 +844,7 @@ class TestRefusals:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_a_huge_coefficient_leaves_the_cone_before_its_gram(self, n):
-        # a part beyond 2^64 gives ||C|| > 1, so iterate 1 leaves the cone; C* C, which may overflow, is not formed
+        # a part beyond 2^200 gives ||C|| > 1, so iterate 1 leaves the cone; C* C, which may overflow, is not formed
         a = 1e200 * np.eye(n)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -765,7 +857,7 @@ class TestRefusals:
                 with pytest.raises(LadderBreakdown) as info:
                     build_ladder(ProblemInstance(a), side)
                 assert (info.value.side, info.value.rung) == (side, 2)
-            # at 2^64 the Gram cannot overflow, and the loop itself refuses iterate 1
+            # at 2^64, inside the range, the Gram cannot overflow, and the loop itself refuses iterate 1
             with pytest.raises(NoSolutionEvidence, match=r"^iterate 1 lost positive definiteness \(pivot margin "):
                 solve_maximal(ProblemInstance(2.0**64 * np.eye(n)))
 
