@@ -151,11 +151,10 @@ def _mat_json(m: np.ndarray) -> dict:
 
 
 def _existence_json(report) -> dict:
-    exact = report.exact_invertible
     return {
         "necessary": [c._asdict() for c in report.necessary],
         "sufficient_norm_half": report.sufficient_norm_half._asdict(),
-        "exact_invertible": None if exact is None else exact._asdict(),
+        "exact_invertible": report.exact_invertible._asdict(),
         "verdict": report.verdict,
     }
 
@@ -286,9 +285,7 @@ def cmd_solve(args, report: dict) -> None:
     existence = unit_existence(instance)
     report["existence"] = _existence_json(existence)
     if existence.verdict == "not_exists":
-        failed = [c.name for c in existence.necessary_failures()]
-        if not failed and existence.exact_invertible is not None:
-            failed = [existence.exact_invertible.name]
+        failed = [c.name for c in existence.necessary_failures()] or [existence.exact_invertible.name]
         report["exit_classification"] = NoSolutionEvidence.classification
         report["failed_conditions"] = failed
         return

@@ -4,7 +4,12 @@ Three layers of evidence, strongest applicable one wins:
 
 * necessary conditions (violations disprove existence),
 * the sufficient norm bound ||A|| <= 1/2,
-* for invertible A the exact criterion omega(lozenge(A)) <= 1/2.
+* the exact criterion omega(lozenge(A)) <= 1/2, for every A.
+
+The exact criterion is two-sided with no assumption on A: the paper reduces
+the equation to W + B^T W^-1 B = I with B = lozenge(A) real, which is
+solvable iff I + e^{it} B + e^{-it} B^T >= 0 on the unit circle (Engwerda,
+Ran & Rijkeboer, LAA 1993), that is iff omega(B) <= 1/2.
 
 Every threshold comparison carries the one classification band BAND = 1e-8,
 wider than the rounding error of each estimate it classifies (the numerical
@@ -32,7 +37,6 @@ from .kernel import (
     is_positive_definite,
     numerical_radius,
     op_norm_2,
-    _nonsingular,
     _require_square,
     _scaled,
 )
@@ -65,7 +69,7 @@ class ExistenceReport:
 
     necessary: list[ConditionCheck]
     sufficient_norm_half: ConditionCheck
-    exact_invertible: ConditionCheck | None
+    exact_invertible: ConditionCheck  # omega(lozenge A) <= 1/2, for every A despite its name
     verdict: str  # "exists" | "not_exists" | "undetermined"
 
     def necessary_failures(self) -> list[ConditionCheck]:
@@ -76,10 +80,10 @@ def check_existence(a) -> ExistenceReport:
     """Evaluate all existence conditions for the unit right-hand side equation.
 
     Verdict logic: a necessary condition failing beyond its band disproves
-    existence; the sufficient norm bound or, for invertible A, the exact
-    numerical radius criterion prove it; the exact criterion failing beyond
-    its band also disproves it (the criterion is two-sided for invertible A);
-    anything else is undetermined.
+    existence; the sufficient norm bound or the exact numerical radius
+    criterion prove it; the exact criterion failing beyond its band also
+    disproves it (the criterion is two-sided); anything else, that is an
+    instance inside the band, is undetermined.
     """
     a = _require_square(cmatrix(a), "check_existence")
     n = a.shape[0]
@@ -111,18 +115,14 @@ def check_existence(a) -> ExistenceReport:
 
     sufficient = ConditionCheck("norm_le_half", norm_a <= 0.5, 0.5 - norm_a)
 
-    exact: ConditionCheck | None = None
-    if _nonsingular(s)[0]:
-        omega = numerical_radius(lozenge(s)) * up
-        exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
+    omega = numerical_radius(lozenge(s)) * up
+    exact = ConditionCheck("omega_lozenge_le_half", omega <= 0.5, 0.5 - omega)
 
     if any(c.margin < -BAND for c in necessary):
         verdict = "not_exists"
-    elif sufficient.margin > BAND:
+    elif sufficient.margin > BAND or exact.margin > BAND:
         verdict = "exists"
-    elif exact is not None and exact.margin > BAND:
-        verdict = "exists"
-    elif exact is not None and exact.margin < -BAND:
+    elif exact.margin < -BAND:
         verdict = "not_exists"
     else:
         verdict = "undetermined"
@@ -133,23 +133,29 @@ def unit_existence(p: ProblemInstance) -> ExistenceReport:
     """check_existence(p.a_q), and the report of an a_q that overflowed where p formed it.
 
     Such an a_q has an infinite part and no NaN (normalize_q), which check_existence refuses as
-    input: its norm is inf > 1, so norm_lt_one and norm_le_half fail with margin -inf and the
-    verdict is not_exists; the other margins are NaN, since no finite arithmetic evaluates them.
+    input: its norm is inf > 1, so norm_lt_one, norm_le_half and the exact criterion (omega >= the
+    norm / 2) fail with margin -inf and the verdict is not_exists; the other margins are NaN, since
+    no finite arithmetic evaluates them.
     """
     if not np.isinf(p.a_q).any():
         return check_existence(p.a_q)
     names = ("rho_quarter", "norm_lt_one", "gram_sum", "co_rho_plus", "co_rho_minus")
     necessary = [ConditionCheck(name, False, -math.inf if name == "norm_lt_one" else math.nan) for name in names]
-    return ExistenceReport(necessary, ConditionCheck("norm_le_half", False, -math.inf), None, "not_exists")
+    sufficient = ConditionCheck("norm_le_half", False, -math.inf)
+    exact = ConditionCheck("omega_lozenge_le_half", False, -math.inf)
+    return ExistenceReport(necessary, sufficient, exact, "not_exists")
 
 
 def con_normal_closed_form(a, want: str = "maximal") -> np.ndarray:
     """Closed form (I +- (I - 4 A* A)^(1/2)) / 2 for con-normal coefficients.
 
     Valid exactly when ||A|| <= 1/2 (for con-normal A that bound is also
-    necessary); the minimal branch additionally needs A nonsingular.  The
-    square root is evaluated spectrally with the tiny negative eigenvalues a
-    within-band norm can produce clamped to zero.
+    necessary).  The square root is evaluated spectrally with the tiny
+    negative eigenvalues a within-band norm can produce clamped to zero.  The
+    minimal branch takes each eigenvalue w of A* A to 2w / (1 + (1 - 4w)^(1/2)),
+    the same root without the cancellation of (1 - (1 - 4w)^(1/2)) / 2, and
+    raises SingularCoefficient where the X- it computes fails the pivot floor,
+    as solve_minimal does.
     """
     if want not in ("maximal", "minimal"):
         raise ValueError(f"want must be 'maximal' or 'minimal', got {want!r}")
@@ -164,12 +170,15 @@ def con_normal_closed_form(a, want: str = "maximal") -> np.ndarray:
         )
     gram = adjoint(a) @ a
     w, v = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    if want == "minimal" and not _nonsingular(a)[0]:
-        raise SingularCoefficient("minimal closed form needs a nonsingular coefficient")
     disc = np.sqrt(np.clip(1.0 - 4.0 * w, 0.0, None))
-    eigs = (1.0 + disc) / 2.0 if want == "maximal" else (1.0 - disc) / 2.0
+    eigs = (1.0 + disc) / 2.0 if want == "maximal" else 2.0 * w / (1.0 + disc)
     x = (v * eigs) @ v.conj().T
-    return (x + x.conj().T) / 2.0
+    x = (x + x.conj().T) / 2.0
+    if want == "minimal":
+        ok, margin = is_positive_definite(x)
+        if not ok:
+            raise SingularCoefficient(f"minimal solution is singular to the pivot floor (pivot margin {margin:.3e})")
+    return x
 
 
 @dataclass

@@ -52,8 +52,8 @@ class NonFiniteMatrixError(ConricError, ValueError):
 HERMITIAN_RTOL = 1e-10
 # The one classification band around every verdict threshold (1/4, 1/2, 1).
 BAND = 1e-8
-# The one definition of "positive definite" and "singular" to tolerance: a pivot above
-# PD_FLOOR * trace/n, a smallest singular value above PD_FLOOR * sigma_max.
+# The one definition of "positive definite" to tolerance: every pivot above PD_FLOOR * trace/n.
+# mat_inverse alone reads it on singular values instead: sigma_min above PD_FLOOR * sigma_max.
 PD_FLOOR = 1e-12
 # The one definition of "converged": an iterate change at most STOP_REL times the iterate's norm.
 STOP_REL = 1e-13
@@ -173,12 +173,14 @@ def mat_mul(a, b) -> np.ndarray:
 def mat_inverse(a) -> np.ndarray:
     """Inverse from LAPACK, refused for a matrix singular to tolerance.
 
-    Raises SingularMatrixError when sigma_min <= PD_FLOOR * sigma_max, the
-    package's one definition of "singular to tolerance" (see _nonsingular).
+    Raises SingularMatrixError when sigma_min <= PD_FLOOR * sigma_max, from
+    the singular values: not from the eigenvalues of A*A, whose square root
+    bottoms out near 1e-8 ||A||.
     """
     a = _require_square(a, "mat_inverse")
-    ok, smallest = _nonsingular(a)
-    if not ok:
+    s = np.linalg.svd(a, compute_uv=False)
+    smallest = float(s[-1])
+    if not smallest > PD_FLOOR * float(s[0]):
         raise SingularMatrixError(
             f"singular to tolerance: smallest singular value {smallest:.3e}"
         )
@@ -396,16 +398,6 @@ def _huge_part(a: np.ndarray) -> float | None:
     """The largest real or imaginary part of a if above the safe range (so ||a|| > 1), or None."""
     top = _largest_part(a)
     return top if top > _SAFE_RANGE[1] else None
-
-
-def _nonsingular(a: np.ndarray) -> tuple[bool, float]:
-    """(sigma_min > PD_FLOOR * sigma_max, sigma_min) from the singular values.
-
-    Not from the eigenvalues of A*A, whose square root bottoms out near 1e-8 ||A||.
-    """
-    s = np.linalg.svd(a, compute_uv=False)
-    smallest = float(s[-1])
-    return smallest > PD_FLOOR * float(s[0]), smallest
 
 
 def pd_cholesky(h) -> np.ndarray:

@@ -87,6 +87,14 @@ def random_with_norm(rng: np.random.Generator, n: int, target: float) -> np.ndar
     return target * a / np.linalg.norm(a, 2)
 
 
+def random_with_rank(rng: np.random.Generator, n: int, rank: int, target: float) -> np.ndarray:
+    """An n x n coefficient of the given rank and spectral norm target; random_with_norm's at rank n."""
+    if rank == n:
+        return random_with_norm(rng, n, target)
+    a = random_complex(rng, n, rank) @ random_complex(rng, rank, n)
+    return target * a / np.linalg.norm(a, 2)
+
+
 def random_solvable(
     rng: np.random.Generator, n: int, max_norm: float = 0.499, min_norm: float = 0.05
 ) -> np.ndarray:

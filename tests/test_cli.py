@@ -582,16 +582,21 @@ class TestErrorExits:
         assert err.startswith("input error: q_re and q_im must both be present")
 
     def test_failed_conditions_from_the_exact_criterion_alone(self, tmp_path, capsys):
-        # omega(lozenge A) = 0.52 while every necessary condition holds by 0.098 or more
+        # omega(lozenge A) = 0.52 while every necessary condition holds by 0.058 or more, for an
+        # invertible A and for it with its smallest singular value zeroed: the criterion decides a
+        # singular A too, so the solver does not run
         gen = np.random.default_rng(2)
-        a = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
-        a *= 0.52 / numerical_radius(lozenge(a))
-        path = write_json_instance(tmp_path / "exact.json", a)
-        code, out, err = self.run(capsys, ["solve", str(path), "--no-meta"])
-        assert (code, err) == (2, "")
-        report = json.loads(out)
-        assert all(c["holds"] for c in report["existence"]["necessary"])
-        assert report["failed_conditions"] == ["omega_lozenge_le_half"]
+        base = gen.standard_normal((4, 4)) + 1j * gen.standard_normal((4, 4))
+        u, s, vh = np.linalg.svd(base)
+        for a in (base, (u * (s * [1.0, 1.0, 1.0, 0.0])) @ vh):
+            a = a * (0.52 / numerical_radius(lozenge(a)))
+            path = write_json_instance(tmp_path / "exact.json", a)
+            code, out, err = self.run(capsys, ["solve", str(path), "--no-meta"])
+            assert (code, err) == (2, "")
+            report = json.loads(out)
+            assert all(c["holds"] for c in report["existence"]["necessary"])
+            assert report["failed_conditions"] == ["omega_lozenge_le_half"]
+            assert "outcome" not in report
 
     @pytest.mark.parametrize("command", [["check"], ["trace"]], ids=lambda c: c[0])
     def test_unwritable_out_exits_one(self, example_file, tmp_path, capsys, command):
@@ -872,6 +877,7 @@ class TestOverflowingUnitCoefficient:
         existence = json.loads(out, parse_constant=refuse_constant)["existence"]
         assert (code, err, existence["verdict"]) == (0, "", "not_exists")
         assert {"name": "norm_lt_one", "holds": False, "margin": None} in existence["necessary"]
+        assert existence["exact_invertible"] == {"name": "omega_lozenge_le_half", "holds": False, "margin": None}
         code, out, err = self.run(path, "solve", "--minimal")
         report = json.loads(out, parse_constant=refuse_constant)
         assert (code, err, report["failed_conditions"]) == (2, "", ["norm_lt_one"])

@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,15 +17,16 @@ from conric.conditions import (
     cross_validate,
 )
 from conric.embedding import lozenge
-from conric.kernel import spectral_radius
+from conric.kernel import Tolerances, spectral_radius
 from conric.solver import ProblemInstance, SingularCoefficient, residual, solve_maximal, solve_minimal
 from helpers import (
     EX1_A,
     numerical_radius_loop,
     random_complex,
+    random_psd,
     random_solvable,
     random_unitary,
-    random_with_norm,
+    random_with_rank,
     scalar_solutions,
 )
 
@@ -41,8 +43,8 @@ class TestCheckExistence:
         assert m["rho_quarter"] == pytest.approx(0.25, abs=1e-10)
         assert m["norm_lt_one"] == pytest.approx(1.0, abs=1e-10)
         assert report.sufficient_norm_half.margin == pytest.approx(0.5, abs=1e-10)
-        # zero matrix is singular, the exact test is omitted
-        assert report.exact_invertible is None
+        # a singular A gets the exact criterion too: omega(lozenge 0) = 0
+        assert report.exact_invertible == ("omega_lozenge_le_half", True, 0.5)
 
     def test_example_exists_through_exact_test(self):
         report = check_existence(EX1_A)
@@ -144,6 +146,25 @@ class TestConNormalClosedForm:
         with pytest.raises(SingularCoefficient):
             con_normal_closed_form(np.diag([0.3, 0.0]), "minimal")
 
+    @pytest.mark.parametrize("a", [np.diag([0.3, 3e-6]), 1e-6 * np.diag([0.3, 0.2j])], ids=["one_small", "all_small"])
+    def test_minimal_eigenvalues_do_not_cancel(self, a):
+        # X- = diag(x) with x the smaller root of x^2 - x + |a|^2, exact to rounding however small
+        lo = con_normal_closed_form(a, "minimal")
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = [(1 - (1 - 4 * Decimal(abs(v) ** 2)).sqrt()) / 2 for v in np.diag(a)]
+        assert np.count_nonzero(lo - np.diag(np.diag(lo))) == 0
+        for got, want in zip(np.diag(lo).real, exact):
+            assert abs(got - float(want)) <= 4e-16 * float(want)
+        assert np.allclose(lo, solve_minimal(ProblemInstance(a)).solution, rtol=0.0, atol=1e-12 * np.abs(lo).max())
+
+    def test_minimal_refuses_what_solve_minimal_refuses(self):
+        # X- = diag(0.1, 9e-16) has pivot margin 1.8e-14, below the floor on both routes
+        a = np.diag([0.3, 3e-8])
+        for minimal in (lambda: con_normal_closed_form(a, "minimal"), lambda: solve_minimal(ProblemInstance(a))):
+            with pytest.raises(SingularCoefficient, match=r"singular to the pivot floor \(pivot margin 1\.800e-14\)"):
+                minimal()
+
     def test_matches_iterative_solutions(self, rng):
         # diagonal-complex and rotated real-normal coefficients
         u = random_unitary(rng, 2).real
@@ -179,11 +200,12 @@ class TestCrossValidate:
         assert "no-solution-evidence" in result.solver_error
 
     def test_undetermined_verdict_is_consistent(self):
-        # nilpotent with ||A|| = 0.6: the necessary conditions hold, the norm bound fails
-        # and the exact criterion needs an invertible A
-        result = cross_validate(ProblemInstance(np.array([[0.0, 0.6], [0.0, 0.0]])))
+        # ||A|| = omega(lozenge A) = 1/2: the norm bound and the exact criterion sit on the band,
+        # and the boundary solve runs out of its small step budget
+        result = cross_validate(ProblemInstance(np.array([[0.5]]), tol=Tolerances(max_iter=100)))
         assert result.existence.verdict == "undetermined"
-        assert result.existence.exact_invertible is None
+        assert abs(result.existence.exact_invertible.margin) <= BAND
+        assert not result.solver_succeeded
         assert result.consistent
         assert result.note == "verdict undetermined; solver outcome is evidence, not proof"
 
@@ -209,9 +231,7 @@ def test_rank_deficient_coefficient_is_singular(rng, n):
     # A*A squares the singular values, so an eigenvalue test on it resolves
     # sigma_min only down to about 1e-8 ||A|| and passes such A as invertible
     for _ in range(4):
-        a = random_complex(rng, n, n - 1) @ random_complex(rng, n - 1, n)
-        a *= 0.3 / np.linalg.norm(a, 2)
-        assert check_existence(a).exact_invertible is None
+        a = random_with_rank(rng, n, n - 1, 0.3)
         with pytest.raises(SingularCoefficient):
             solve_minimal(ProblemInstance(a))
         # the upper ladder inverts only its iterates, so it exists and lies above X+
@@ -219,6 +239,25 @@ def test_rank_deficient_coefficient_is_singular(rng, n):
         x_plus = solve_maximal(p).solution
         for rung in build_ladder(p, "upper", 2).matrices:
             assert np.linalg.eigvalsh(rung - x_plus)[0] >= -1e-12 * np.linalg.norm(x_plus, 2)
+
+
+def test_rank_deficient_verdicts_are_decided_and_agree_with_the_solve():
+    # the exact criterion is two-sided for every A: outside the band no singular A is left
+    # undetermined, and each verdict agrees with solve_maximal (n 2-8, rank 1..n-1, Q != I on
+    # every third draw)
+    gen = np.random.default_rng(7)
+    verdicts = []
+    for draw in range(400):
+        n = int(gen.integers(2, 9))
+        a = random_with_rank(gen, n, int(gen.integers(1, n)), float(gen.uniform(0.5, 0.9)))
+        q = np.eye(n) + random_psd(gen, n) / n if draw % 3 == 2 else None
+        cv = cross_validate(ProblemInstance(a, q))
+        verdicts.append(cv.existence.verdict)
+        if cv.existence.verdict == "undetermined":
+            assert abs(cv.existence.exact_invertible.margin) <= BAND, draw
+        else:
+            assert cv.solver_succeeded == (cv.existence.verdict == "exists"), (draw, cv.solver_error)
+    assert {"exists", "not_exists"} <= set(verdicts)
 
 
 class TestSoundnessSweeps:
@@ -265,22 +304,23 @@ def test_exact_criterion_decides_just_outside_the_band(n):
     st.integers(min_value=0, max_value=2**31 - 1),
     st.integers(min_value=1, max_value=6),
     st.floats(min_value=0.05, max_value=1.2),
+    st.integers(min_value=1, max_value=6),
 )
 # the congruent twin's top eigenvalue curve has a dip between two maxima at its best sample
-@example(seed=558, n=6, norm=0.5)
-def test_unitary_congruence_keeps_verdict_and_margins(seed, n, norm):
+@example(seed=558, n=6, norm=0.5, rank=6)
+def test_unitary_congruence_keeps_verdict_and_margins(seed, n, norm, rank):
     # lozenge(conj(U) A U*) = heart(U) lozenge(A) heart(U)^T, and every other
-    # condition but the gram_sum pivot margin is a unitary invariant too
+    # condition but the gram_sum pivot margin is a unitary invariant too; a rank below n
+    # makes A singular, which the exact criterion takes like any other A
     gen = np.random.default_rng(seed)
-    a = random_with_norm(gen, n, norm)
+    a = random_with_rank(gen, n, min(rank, n), norm)
     u = random_unitary(gen, n)
     before = check_existence(a)
     after = check_existence(np.conj(u) @ a @ u.conj().T)
     assert after.verdict == before.verdict
 
     def checks(report):
-        extra = [report.sufficient_norm_half] + [c for c in [report.exact_invertible] if c]
-        return {c.name: c for c in report.necessary + extra}
+        return {c.name: c for c in [*report.necessary, report.sufficient_norm_half, report.exact_invertible]}
 
     old, new = checks(before), checks(after)
     assert old.keys() == new.keys()

@@ -193,6 +193,10 @@ def test_one_pivot_floor_decides_every_test(monkeypatch):
         except conric.SingularCoefficient:
             minimal = None
         try:
+            closed_form = conric.con_normal_closed_form(a, "minimal") is not None
+        except conric.SingularCoefficient:
+            closed_form = False
+        try:
             inverse = mat_inverse(h) is not None
         except SingularMatrixError:
             inverse = False
@@ -204,8 +208,8 @@ def test_one_pivot_floor_decides_every_test(monkeypatch):
         return {
             "is_positive_definite": is_positive_definite(h).ok,
             "mat_inverse": inverse,
-            "exact_criterion": conric.check_existence(a).exact_invertible is not None,
             "solve_minimal": minimal,
+            "closed_form_minimal": closed_form,
             "q": q_accepted,
             "truncated_at": conric.build_ladder(conric.ProblemInstance(c), "upper", 4).truncated_at,
         }
@@ -213,8 +217,8 @@ def test_one_pivot_floor_decides_every_test(monkeypatch):
     assert decisions() == {
         "is_positive_definite": True,
         "mat_inverse": True,
-        "exact_criterion": True,
         "solve_minimal": "minimal",
+        "closed_form_minimal": True,
         "q": True,
         "truncated_at": None,
     }
@@ -228,8 +232,8 @@ def test_one_pivot_floor_decides_every_test(monkeypatch):
     assert decisions() == {
         "is_positive_definite": False,
         "mat_inverse": False,
-        "exact_criterion": False,
         "solve_minimal": None,
+        "closed_form_minimal": False,
         "q": False,
         "truncated_at": 2,
     }
@@ -311,7 +315,7 @@ class TestMatInverse:
             mat_inverse(np.array([[1.0, 2j, 0.5], [0.3j, 1.0, -1.0], [0.7, 3j, 0.5 - 1j]]))
 
     def test_singular_means_sigma_min_below_floor(self):
-        # the floor is PD_FLOOR * sigma_max, the same test as _nonsingular
+        # the floor is PD_FLOOR * sigma_max
         with pytest.raises(SingularMatrixError):
             mat_inverse(np.diag([1.0, 1e-13]))
         assert np.allclose(mat_inverse(np.diag([1.0, 1e-11])), np.diag([1.0, 1e11]))
