@@ -37,15 +37,16 @@ from .kernel import (
     is_positive_definite,
     numerical_radius,
     op_norm_2,
+    pd_cholesky,
     _require_square,
     _scaled,
 )
 from .solver import (
     ProblemInstance,
-    SingularCoefficient,
     SolveFailure,
     SolveOutcome,
     solve_maximal,
+    _minimal_from_dual,
 )
 
 
@@ -147,15 +148,15 @@ def unit_existence(p: ProblemInstance) -> ExistenceReport:
 
 
 def con_normal_closed_form(a, want: str = "maximal") -> np.ndarray:
-    """Closed form (I +- (I - 4 A* A)^(1/2)) / 2 for con-normal coefficients.
+    """Closed form X+ = (I + (I - 4 A* A)^(1/2)) / 2 for con-normal coefficients, and X- from it.
 
     Valid exactly when ||A|| <= 1/2 (for con-normal A that bound is also
     necessary).  The square root is evaluated spectrally with the tiny
-    negative eigenvalues a within-band norm can produce clamped to zero.  The
-    minimal branch takes each eigenvalue w of A* A to 2w / (1 + (1 - 4w)^(1/2)),
-    the same root without the cancellation of (1 - (1 - 4w)^(1/2)) / 2, and
-    raises SingularCoefficient where the X- it computes fails the pivot floor,
-    as solve_minimal does.
+    negative eigenvalues a within-band norm can produce clamped to zero.  For
+    con-normal A the maximal solution of the dual equation Y + A conj(Y)^-1 A* = I
+    is conj(X+), so the minimal branch takes X- = (I - (I - 4 A* A)^(1/2)) / 2
+    from the factor of conj(X+) through solve_minimal's own formula and rule
+    (solver._minimal_from_dual): a singular X- raises SingularCoefficient.
     """
     if want not in ("maximal", "minimal"):
         raise ValueError(f"want must be 'maximal' or 'minimal', got {want!r}")
@@ -165,20 +166,13 @@ def con_normal_closed_form(a, want: str = "maximal") -> np.ndarray:
         raise NotConNormal(f"coefficient is not con-normal (margin {margin:.3e})")
     norm_a = op_norm_2(a)
     if norm_a > 0.5 + BAND:
-        raise NormExceedsHalf(
-            f"||A|| = {norm_a:.6f} > 1/2: no positive definite solution exists"
-        )
+        raise NormExceedsHalf(f"||A|| = {norm_a:.6f} > 1/2: no positive definite solution exists")
     gram = adjoint(a) @ a
     w, v = hermitian_eigen((gram + gram.conj().T) / 2.0)
-    disc = np.sqrt(np.clip(1.0 - 4.0 * w, 0.0, None))
-    eigs = (1.0 + disc) / 2.0 if want == "maximal" else 2.0 * w / (1.0 + disc)
-    x = (v * eigs) @ v.conj().T
+    x = (v * ((1.0 + np.sqrt(np.clip(1.0 - 4.0 * w, 0.0, None))) / 2.0)) @ v.conj().T
     x = (x + x.conj().T) / 2.0
-    if want == "minimal":
-        ok, margin = is_positive_definite(x)
-        if not ok:
-            raise SingularCoefficient(f"minimal solution is singular to the pivot floor (pivot margin {margin:.3e})")
-    return x
+    # X+ >= I/2, so its factor always clears the pivot floor
+    return x if want == "maximal" else _minimal_from_dual(pd_cholesky(np.conj(x)), a.T)
 
 
 @dataclass

@@ -74,44 +74,37 @@ def p_matrix(n: int) -> np.ndarray:
 
 def _heart_drift(w: np.ndarray) -> float:
     n = w.shape[0] // 2
-    w11 = w[:n, :n]
-    w12 = w[:n, n:]
-    w21 = w[n:, :n]
-    w22 = w[n:, n:]
-    return float(
-        max(
-            np.linalg.norm(w11 - w22),
-            np.linalg.norm(w12 + w21),
-            np.linalg.norm(w.imag),
-        )
-    )
+    blocks = w[:n, :n] - w[n:, n:], w[:n, n:] + w[n:, :n], w.imag
+    return float(max(np.linalg.norm(block) for block in blocks))
 
 
 def heart_structure_drift(w) -> float:
-    """Absolute deviation of a 2n x 2n matrix from the heart block pattern."""
+    """Absolute deviation of a 2n x 2n matrix from the heart block pattern, taken at any finite scale (_scaled)."""
     w = _require_square(w, "heart_structure_drift")
     if w.shape[0] % 2 != 0:
         raise DimensionError("heart-structured matrices have even dimension")
-    return _heart_drift(w)
+    scaled, exponent = _scaled(w)
+    return _heart_drift(scaled) * 2.0**exponent
 
 
 def unheart(w) -> np.ndarray:
     """Extract the complex n x n matrix whose heart embedding is w.
 
     Computes (1/2) [iI; I]* w [iI; I] after checking that w is real with
-    matching diagonal blocks and antisymmetric off-diagonal blocks.  Refuses
-    rather than projecting, so structural drift in an iteration surfaces as
-    an error instead of being silently absorbed.
+    matching diagonal blocks and antisymmetric off-diagonal blocks, to
+    HEART_RTOL relative to ||w||_F at any scale.  Refuses rather than
+    projecting, so structural drift in an iteration surfaces as an error
+    instead of being silently absorbed.
     """
     w = _require_square(w, "unheart")
     if w.shape[0] % 2 != 0:
         raise DimensionError("unheart needs an even-dimensional matrix")
     n = w.shape[0] // 2
-    drift = _heart_drift(w)
-    if drift > HEART_RTOL * max(1.0, float(np.linalg.norm(w))):
-        raise NotHeartStructuredError(
-            f"block structure drift {drift:.3e} exceeds tolerance"
-        )
+    # the relative Frobenius rule, on w scaled so that neither norm overflows or underflows
+    scaled, exponent = _scaled(w)
+    drift = _heart_drift(scaled)
+    if drift > HEART_RTOL * np.linalg.norm(scaled):
+        raise NotHeartStructuredError(f"block structure drift {drift * 2.0**exponent:.3e} exceeds tolerance")
     eye = np.eye(n, dtype=np.complex128)
     stack = np.vstack([1j * eye, eye])
     return (stack.conj().T @ w @ stack) / 2.0

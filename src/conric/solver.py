@@ -442,6 +442,27 @@ def solve_maximal(p: ProblemInstance) -> SolveOutcome:
     return SolveOutcome(x, "maximal", iterations, res, trace, certificate)
 
 
+_SINGULAR_MINIMAL = SingularCoefficient, "minimal solution is singular to the pivot floor"
+
+
+def _minimal_from_dual(lower: np.ndarray, coeff_t: np.ndarray) -> np.ndarray:
+    """Unit X- = conj(C) Y^-1 C^T = Z* Z, Z = L^-1 C^T, from the factor L of the dual maximal Y = L L*.
+
+    The one formula and rule of every route to X- (solve_minimal, conditions.con_normal_closed_form).
+    Z* Z is positive semidefinite, so an X- below the floor is singular, not a failure; Z = Q R gives
+    its pivots |r_kk|^2 without the rounding that squaring adds, and refuses with SingularCoefficient.
+    """
+    z = np.linalg.solve(lower, coeff_t)
+    x = z.conj().T @ z
+    x = (x + x.conj().T) / 2.0
+    scale = max(float(x.trace().real) / x.shape[0], 0.0) or 1.0
+    smallest = float(np.abs(np.linalg.qr(z, mode="r").diagonal()).min()) ** 2
+    # kernel.PD_FLOOR, not a copy of it: one floor decides every pivot
+    if smallest <= kernel.PD_FLOOR * scale:
+        raise _SINGULAR_MINIMAL[0](f"{_SINGULAR_MINIMAL[1]} (pivot margin {smallest / scale:.3e})")
+    return x
+
+
 def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     """Minimal positive definite solution of X + A* conj(X)^-1 A = Q.
 
@@ -450,11 +471,11 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     dual problem maps back to the minimal solution of the original one as
     X = I - conj(Y).  That difference cancels when X is small, so X is taken
     as the Hermitian part of the equal product conj(A) Y^-1 A^T (Y solves
-    Y + A conj(Y)^-1 A* = I, and is certified maximal).  The result is
-    certified by its residual in the original equation, below
-    p.residual_bound.  X- is singular exactly when A is, so a singular A
-    raises SingularCoefficient from the pivot-floor test of the unit
-    X- = Z* Z, taken on the triangular factor of Z.
+    Y + A conj(Y)^-1 A* = I, and is certified maximal) by _minimal_from_dual,
+    whose pivot-floor test on the triangular factor of the unit X- = Z* Z
+    raises SingularCoefficient for a singular A (X- is singular exactly when
+    A is); the closed form of con-normal A takes X- there too.  The result is
+    certified by its residual in the original equation, below p.residual_bound.
     """
     # not adjoint(), which would refuse an overflowed a_q as input before _unit_maximal decides it
     coeff = p.a_q.conj().T
@@ -463,20 +484,9 @@ def solve_minimal(p: ProblemInstance) -> SolveOutcome:
     if lower is None:
         # the engine has certified Y positive definite
         raise InternalInconsistency(f"dual solution fails the pivot floor (pivot margin {margin:.3e})")
-    # conj(a_q) Y^-1 a_q^T = Z* Z with Z = L^-1 a_q^T
-    z = np.linalg.solve(lower, p.a_q.T)
-    y = z.conj().T @ z
-    y = (y + y.conj().T) / 2.0
-    # Z* Z is positive semidefinite, so a Y- below the floor is a singular X-, not a failure;
-    # Z = Q R gives the pivots |r_kk|^2 of Z* Z without the rounding that squaring adds to them
-    refusal = SingularCoefficient, "minimal solution is singular to the pivot floor"
-    scale = max(float(y.trace().real) / p.n, 0.0) or 1.0
-    smallest = float(np.abs(np.linalg.qr(z, mode="r").diagonal()).min()) ** 2
-    # kernel.PD_FLOOR, not a copy of it: one floor decides every pivot
-    if smallest <= kernel.PD_FLOOR * scale:
-        raise refusal[0](f"{refusal[1]} (pivot margin {smallest / scale:.3e})")
+    y = _minimal_from_dual(lower, p.a_q.T)
     x = p.back(y)
-    res = _tail(x, y, p, refusal, "dual-route")[1]
+    res = _tail(x, y, p, _SINGULAR_MINIMAL, "dual-route")[1]
     certificate = _certified_rate(lower, coeff, "dual solution")
     return SolveOutcome(x, "minimal", iterations, res, trace, certificate)
 

@@ -167,6 +167,27 @@ def singular_tilted_null(rng: np.random.Generator) -> np.ndarray:
     return (u * np.array([0.3, s2, 0.0])) @ random_unitary(rng, 3).conj().T
 
 
+def con_normal_tilted(seed: int, n: int, twin: bool = False) -> np.ndarray:
+    """Complex symmetric, so con-normal, A = U diag(s) U^T of rank n - 1, or nonsingular for ``twin``.
+
+    s lies in [0.05, 0.45] but for its last entry, 0 (twin: 10^U(-6, -1)).  The null vector of A^T,
+    conj(U e_n), has a last component t in 10^[-3.5, -1.5], so on a Gram of A the last Cholesky
+    pivot carries the rounding of the null direction amplified and can clear the pivot floor.
+    """
+    rng = np.random.default_rng(seed)
+    t = 10 ** rng.uniform(-3.5, -1.5)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v[-1] = 0
+    v /= np.linalg.norm(v)
+    v = np.sqrt(1 - t * t) * v
+    v[-1] = t
+    m = np.column_stack([np.conj(v), rng.standard_normal((n, n - 1)) + 1j * rng.standard_normal((n, n - 1))])
+    u = np.roll(np.linalg.qr(m)[0], -1, axis=1)
+    s = rng.uniform(0.05, 0.45, n)
+    s[-1] = 10 ** rng.uniform(-6, -1) if twin else 0.0
+    return u @ np.diag(s) @ u.T
+
+
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     m = random_complex(rng, n)
     return (m + m.conj().T) / 2.0

@@ -21,6 +21,7 @@ from conric.kernel import Tolerances, spectral_radius
 from conric.solver import ProblemInstance, SingularCoefficient, residual, solve_maximal, solve_minimal
 from helpers import (
     EX1_A,
+    con_normal_tilted,
     numerical_radius_loop,
     random_complex,
     random_psd,
@@ -164,6 +165,43 @@ class TestConNormalClosedForm:
         for minimal in (lambda: con_normal_closed_form(a, "minimal"), lambda: solve_minimal(ProblemInstance(a))):
             with pytest.raises(SingularCoefficient, match=r"singular to the pivot floor \(pivot margin 1\.800e-14\)"):
                 minimal()
+
+    def test_minimal_refuses_the_tilted_family_as_solve_minimal_does(self):
+        # the null vector of A^T is nearly orthogonal to the last coordinate, where a Cholesky test
+        # of the formed X- can accept a singular one; both routes read the R pivots of Z
+        for seed in range(200):
+            a = con_normal_tilted(seed, 3)
+            for minimal in (lambda: con_normal_closed_form(a, "minimal"), lambda: solve_minimal(ProblemInstance(a))):
+                with pytest.raises(SingularCoefficient, match="minimal solution is singular to the pivot floor"):
+                    minimal()
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_minimal_of_the_nonsingular_twin_is_the_eigenvalue_formula(self, n):
+        # X- = V diag(2w / (1 + (1 - 4w)^(1/2))) V* for the eigenpairs (w, V) of A* A, without cancellation
+        for seed in range(200):
+            a = con_normal_tilted(seed, n, twin=True)
+            w, v = np.linalg.eigh(a.conj().T @ a)
+            want = (v * (2.0 * w / (1.0 + np.sqrt(1.0 - 4.0 * w)))) @ v.conj().T
+            got = con_normal_closed_form(a, "minimal")
+            assert np.linalg.norm(got - want, 2) <= 1e-14 * np.linalg.norm(want, 2)
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["singular", "twin"])
+    def test_unitary_congruence(self, rng, twin):
+        # A -> V^T A V keeps A con-normal and maps each X to V* X V; a refusal stays a refusal
+        for n in (2, 3, 5):
+            for seed in range(40):
+                a = con_normal_tilted(seed, n, twin)
+                v = random_unitary(rng, n)
+                for want in ("maximal", "minimal"):
+                    try:
+                        x = con_normal_closed_form(a, want)
+                    except SingularCoefficient:
+                        assert not twin and want == "minimal"
+                        with pytest.raises(SingularCoefficient):
+                            con_normal_closed_form(v.T @ a @ v, want)
+                        continue
+                    gap = con_normal_closed_form(v.T @ a @ v, want) - v.conj().T @ x @ v
+                    assert np.linalg.norm(gap, 2) <= 1e-13 * np.linalg.norm(x, 2)
 
     def test_matches_iterative_solutions(self, rng):
         # diagonal-complex and rotated real-normal coefficients

@@ -102,6 +102,18 @@ class TestUnheart:
         with pytest.raises(NotHeartStructuredError):
             unheart(np.array([[1.0, 0.0], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-11, 1e-300, 1e300])
+    def test_refuses_unstructured_at_any_scale(self, scale):
+        # the drift is read relative to ||w||_F at every scale; heart(t Y) still round-trips
+        w = np.random.default_rng(3).standard_normal((4, 4))
+        with pytest.raises(NotHeartStructuredError) as refusal:
+            unheart(scale * w)
+        # the message and heart_structure_drift give the drift scaled back, neither overflowed nor underflowed
+        assert heart_structure_drift(scale * w) == pytest.approx(scale * heart_structure_drift(w), rel=1e-15)
+        assert float(str(refusal.value).split()[3]) == pytest.approx(scale * heart_structure_drift(w), rel=1e-3)
+        m = scale * sampled(3, 2)
+        assert np.abs(unheart(heart(m)) - m).max() <= 1e-15 * np.abs(m).max()
+
     def test_rejects_odd_dimension(self):
         with pytest.raises(DimensionError):
             unheart(np.eye(3))
